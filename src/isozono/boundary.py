@@ -9,8 +9,9 @@ gained per unit step of translation along v:
 For a polytope the sweep is sum_F max(0, <n_F, v>) * cell_F over facets,
 where cell_F is the facet's lattice (n-1)-volume in the sublattice of its
 hyperplane; the product is rational, so b(A) is computed exactly.  For the
-limiting zonotope Z = sum_i [-v_i, v_i] there is a determinant shortcut, and
-the closed identity b(Z) = n * vol(Z) holds.
+limiting zonotope Z = sum_i [-v_i, v_i] the sweep is read off its table of
+generator minors (`Zonotope.sweep`), and the closed identity
+b(Z) = n * vol(Z) holds.
 
 The sharp inequality certified here is
 
@@ -24,14 +25,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import lcm
 
 from .errors import DimensionMismatchError, RankDeficientError, ZeroVectorError
 from .geometry import Polytope, minkowski_sum_segment
 from .intmat import dot, is_zero
 from .plgraph import PLGraph
-from .zonotope import Zonotope, _det_small, homothety_check, zonotope_of_graph
+from .zonotope import Zonotope, homothety_check, zonotope_of_graph
 
 
 def directional_sweep(body, direction):
@@ -43,19 +43,12 @@ def directional_sweep(body, direction):
     """
     if is_zero(direction):
         raise ZeroVectorError("sweep direction must be nonzero")
-    if isinstance(body, Zonotope):
-        n = body.dim
-        if len(direction) != n:
-            raise DimensionMismatchError(
-                f"direction has length {len(direction)}, zonotope dimension is {n}")
-        total = 0
-        for sub in combinations(body.generators, n - 1):
-            total += abs(_det_small(tuple(sub) + (tuple(direction),)))
-        return 2 ** (n - 1) * total
-    P = body
-    if len(direction) != P.dim:
+    if len(direction) != body.dim:
         raise DimensionMismatchError(
-            f"direction has length {len(direction)}, polytope dimension is {P.dim}")
+            f"direction has length {len(direction)}, body dimension is {body.dim}")
+    if isinstance(body, Zonotope):
+        return body.sweep(direction)
+    P = body
     if not P.is_full_dimensional():
         raise RankDeficientError("sweep requires a full-dimensional polytope")
     total = Fraction(0)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 import time
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, permutations, product
 
 from .boundary import (brunn_minkowski_certificate, continuous_boundary,
@@ -293,6 +294,7 @@ def _check_limiting_shape():
                   "directions; tri m=7 minimum 18")
 
 
+@cache
 def _l1_rows(alpha_max):
     return convergence_experiment(builtin_graph("l1:2").graph(),
                                   list(range(1, alpha_max + 1)))

@@ -1,17 +1,23 @@
 """Centered zonotopes of primitive integer generators, with exact face data.
 
 A zonotope here is Z = sum_i [-v_i, v_i] for canonical generators v_i (same
-validation as the lattice graphs).  The pipeline is H-rep first: every facet
-normal is orthogonal to an (n-1)-subset of generators of rank n-1, and for a
-zonotope every such normal line genuinely supports a pair of facets, with
-offset equal to the support value h(u) = sum_i |<u, v_i>|.
+validation as the lattice graphs).  Its face data come from one table of
+generator minors, built in a single pass over the (n-1)-subsets S of
+generators: cross_nd(S) = w_S * u with u canonical and primitive adds |w_S|
+to w(u) (Ziegler, Lectures on Polytopes, Lecture 7).  The keys u are exactly
+the facet normals, each supporting the pair of facets at offset
+h(u) = sum_i |<u, v_i>|, and the sweep along v is 2^(n-1) sum_u w(u) |<u, v>|.
+The volume is deliberately not read off the table: it stays the n-subset
+determinant sum, so b(Z) = n vol(Z) compares two independent routes.
 
-Vertices are enumerated recursively: the facet of Z with outward normal u is
-t_u + Z(T_u) where T_u are the generators orthogonal to u and
-t_u = sum sign(<u,v_i>) v_i over the rest; sub-zonotopes are taken in an
-integer basis of the facet hyperplane's lattice, which keeps every
+Vertices are enumerated recursively over the table's keys: the facet of Z
+with outward normal u is t_u + Z(T_u) where T_u are the generators orthogonal
+to u and t_u = sum sign(<u,v_i>) v_i over the rest; sub-zonotopes are taken
+in an integer basis of the facet hyperplane's lattice, which keeps every
 intermediate coordinate an integer.  Recursion bottoms out at exact zonogon
-cycles.  Every vertex lies on a facet, so the union over facets is complete.
+cycles.  Every vertex lies on a facet, so the union over facets is complete,
+and the recursion records each facet's vertex set: that record is the
+vertex-facet incidence the f-vector walks, with no vertex-by-facet product.
 """
 
 from __future__ import annotations
@@ -21,56 +27,22 @@ from fractions import Fraction
 from functools import cached_property, cmp_to_key
 from itertools import combinations, product
 
-import numpy as np
-
 from .errors import DimensionMismatchError, EmptySectionError, RankDeficientError
 from .geometry import Polytope, convex_hull, hrep_vertices
 from .intmat import (
     ChartSolver,
     canonical_sign,
+    content,
     cross_nd,
+    det,
     dot,
-    is_zero,
     kernel_basis,
-    primitive_part,
     rank,
     vadd,
     vneg,
     vsub,
 )
 from .plgraph import PLGraph, canonicalize_generators
-
-
-def _det2(a, b):
-    return a[0] * b[1] - a[1] * b[0]
-
-
-def _det3(a, b, c):
-    return (a[0] * (b[1] * c[2] - b[2] * c[1])
-            - a[1] * (b[0] * c[2] - b[2] * c[0])
-            + a[2] * (b[0] * c[1] - b[1] * c[0]))
-
-
-def _det4(a, b, c, d):
-    total = 0
-    cols = (1, 2, 3)
-    rows = (b, c, d)
-    for j in range(4):
-        sub_cols = [i for i in range(4) if i != j]
-        m = _det3(*[tuple(r[i] for i in sub_cols) for r in rows])
-        total += (-1) ** j * a[j] * m
-    return total
-
-
-def _det_small(rows):
-    k = len(rows)
-    if k == 1:
-        return rows[0][0]
-    if k == 2:
-        return _det2(*rows)
-    if k == 3:
-        return _det3(*rows)
-    return _det4(*rows)
 
 
 @dataclass(frozen=True)
@@ -87,28 +59,57 @@ class Zonotope:
     def volume(self) -> int:
         """Exact volume: 2^n times the sum of |det| over n-subsets of generators."""
         n = self.dim
-        total = 0
-        for sub in combinations(self.generators, n):
-            total += abs(_det_small(sub))
-        return (2 ** n) * total
+        return 2 ** n * sum(abs(det(sub)) for sub in combinations(self.generators, n))
+
+    def sweep(self, v) -> int:
+        """vol(Z + [0, v]) - vol(Z) = 2^(n-1) sum_u w(u) |<u, v>| over the minor table."""
+        return 2 ** (self.dim - 1) * sum(
+            w * abs(dot(u, v)) for u, w in self.minor_table.items())
 
     @cached_property
-    def _facet_normals(self):
-        """Canonical primitive facet normal representatives (one per +- pair)."""
-        n = self.dim
-        if n == 1:
-            return ((1,),)
-        found = set()
-        for sub in combinations(self.generators, n - 1):
-            u = cross_nd(sub, n)
-            if is_zero(u):
-                continue
-            found.add(canonical_sign(primitive_part(u)))
-        return tuple(sorted(found))
+    def minor_table(self):
+        """{u: w(u)}, sorted by u: the facet normals (one per +- pair) and the
+        summed |w_S| of the (n-1)-subsets S with cross_nd(S) = w_S * u."""
+        table = {}
+        for sub in combinations(self.generators, self.dim - 1):
+            c = cross_nd(sub, self.dim)
+            w = content(c)
+            if w:
+                u = canonical_sign(tuple(a // w for a in c))
+                table[u] = table.get(u, 0) + w
+        return dict(sorted(table.items()))
+
+    @cached_property
+    def facet_vertices(self):
+        """{outward normal: frozenset of the facet's vertices}, both signs of
+        every table key.  Needs dim >= 2."""
+        d = self.dim
+        facets = {}
+        for u in self.minor_table:
+            shift = (0,) * d
+            tight = []
+            for g in self.generators:
+                s = dot(u, g)
+                if s == 0:
+                    tight.append(g)
+                else:
+                    shift = vadd(shift, g) if s > 0 else vsub(shift, g)
+            solver = ChartSolver(kernel_basis([u], d))
+            sub = Zonotope(d - 1, tuple(tuple(int(a) for a in solver.coords(g))
+                                        for g in tight))
+            verts = frozenset(vadd(shift, solver.embed(s)) for s in sub._vertex_set)
+            facets[u] = verts
+            facets[vneg(u)] = frozenset(vneg(w) for w in verts)
+        return facets
 
     @cached_property
     def _vertex_set(self):
-        return frozenset(_zonotope_vertices(self.generators, self.dim))
+        if self.dim == 1:
+            g = self.generators[0]
+            return frozenset((g, vneg(g)))
+        if self.dim == 2:
+            return frozenset(_zonogon_cycle(self.generators))
+        return frozenset().union(*self.facet_vertices.values())
 
     def polytope(self) -> Polytope:
         return self._polytope
@@ -116,7 +117,7 @@ class Zonotope:
     @cached_property
     def _polytope(self) -> Polytope:
         facets = []
-        for u in self._facet_normals:
+        for u in self.minor_table:
             h = self.support(u)
             facets.append((u, h))
             facets.append((vneg(u), h))
@@ -178,42 +179,6 @@ def _zonogon_cycle(gens):
     return cycle
 
 
-def _zonotope_vertices(gens, d):
-    if d == 1:
-        g = gens[0]
-        return [g, vneg(g)]
-    if d == 2:
-        return _zonogon_cycle(gens)
-    seen = set()
-    verts = set()
-    for sub in combinations(gens, d - 1):
-        u = cross_nd(sub, d)
-        if is_zero(u):
-            continue
-        u = canonical_sign(primitive_part(u))
-        if u in seen:
-            continue
-        seen.add(u)
-        shift = [0] * d
-        tight = []
-        for g in gens:
-            s = dot(u, g)
-            if s == 0:
-                tight.append(g)
-            elif s > 0:
-                shift = [a + b for a, b in zip(shift, g)]
-            else:
-                shift = [a - b for a, b in zip(shift, g)]
-        basis = kernel_basis([u], d)
-        solver = ChartSolver(basis)
-        chart_gens = tuple(tuple(int(a) for a in solver.coords(g)) for g in tight)
-        for s in _zonotope_vertices(chart_gens, d - 1):
-            w = tuple(int(a) + int(b) for a, b in zip(shift, solver.embed(s)))
-            verts.add(w)
-            verts.add(vneg(w))
-    return verts
-
-
 # -- face counting -----------------------------------------------------------
 
 
@@ -241,7 +206,8 @@ def _bit_indices(x):
 
 
 def f_vector(Z: Zonotope) -> FVector:
-    """Face counts in every dimension, from vertex-facet incidence.
+    """Face counts in every dimension, from the vertex-facet incidence that
+    the vertex recursion records (`Zonotope.facet_vertices`).
 
     Faces are generated top-down: the (d-1)-faces of each d-face are the
     maximal proper intersections with facets, restricted to facets that share
@@ -255,24 +221,12 @@ def f_vector(Z: Zonotope) -> FVector:
         return FVector((2,))
     if n == 2:
         return FVector((nv, nf))
-    V = np.array(P.vertices, dtype=np.int64)
-    N = np.array([f[0] for f in P.facets], dtype=np.int64)
-    C = np.array([int(f[1]) for f in P.facets], dtype=np.int64)
-    inc = (V @ N.T) == C[None, :]
-    facet_mask = []
-    for j in range(nf):
-        col = np.flatnonzero(inc[:, j])
-        m = 0
-        for i in col.tolist():
-            m |= 1 << i
-        facet_mask.append(m)
-    vertex_mask = []
-    for i in range(nv):
-        row = np.flatnonzero(inc[i, :])
-        m = 0
-        for j in row.tolist():
-            m |= 1 << j
-        vertex_mask.append(m)
+    index = {v: i for i, v in enumerate(P.vertices)}
+    facet_mask = [sum(1 << index[v] for v in Z.facet_vertices[u]) for u, _ in P.facets]
+    vertex_mask = [0] * nv
+    for j, m in enumerate(facet_mask):
+        for i in _bit_indices(m):
+            vertex_mask[i] |= 1 << j
 
     counts = {n - 1: nf}
     current = set(facet_mask)

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -15,7 +16,8 @@ from isozono.boundary import (
 from isozono.catalog import BUILTIN_NAMES, builtin_graph
 from isozono.errors import DimensionMismatchError, ZeroVectorError
 from isozono.geometry import convex_hull, minkowski_sum_segment
-from isozono.zonotope import zonotope_of_graph
+from isozono.intmat import canonical_sign, content, det
+from isozono.zonotope import build_zonotope, zonotope_of_graph
 
 OCTAGON = [(3, 1), (1, 3), (-1, 3), (-3, 1), (-3, -1), (-1, -3), (1, -3), (3, -1)]
 
@@ -42,12 +44,34 @@ def test_sweep_matches_minkowski_difference():
         assert directional_sweep(P, v) == swept.volume() - P.volume()
 
 
+def _sweep_by_determinants(z, v):
+    """2^(n-1) * sum of |det(S + {v})| over the (n-1)-subsets S of generators."""
+    return 2 ** (z.dim - 1) * sum(abs(det(list(sub) + [v]))
+                                  for sub in combinations(z.generators, z.dim - 1))
+
+
 def test_sweep_zonotope_shortcut_agrees_with_polytope_path():
-    for name in ("linf:2", "tri", "l1:3", "linf:3"):
-        z = builtin_graph(name).zonotope()
-        P = z.polytope()
-        for v in z.generators:
-            assert directional_sweep(z, v) == directional_sweep(P, v)
+    rng = random.Random(61)
+    zonotopes = [builtin_graph(name).zonotope()
+                 for name in ("linf:2", "tri", "l1:3", "linf:3", "linf:4", "d4cross")]
+    gens5 = set()
+    while len(gens5) < 7:
+        v = tuple(rng.randint(-3, 3) for _ in range(5))
+        if content(v) == 1:
+            gens5.add(canonical_sign(v))
+    zonotopes.append(build_zonotope(5, gens5))
+    for z in zonotopes:
+        dirs = list(z.generators[:6])
+        while len(dirs) < 9:
+            v = tuple(rng.randint(-4, 4) for _ in range(z.dim))
+            if any(v) and canonical_sign(v) not in z.generators:
+                dirs.append(v)
+        for v in dirs:
+            assert directional_sweep(z, v) == _sweep_by_determinants(z, v)
+        if z.dim <= 3:
+            P = z.polytope()
+            for v in set(dirs) | set(z.generators):
+                assert directional_sweep(z, v) == directional_sweep(P, v)
 
 
 def test_sweep_rejects_bad_input():

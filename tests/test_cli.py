@@ -1,7 +1,19 @@
 """Command-line interface, run in-process."""
 
-import pytest
+import contextlib
+import io
+import math
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import isozono
 from isozono.cli import main
 
 
@@ -59,6 +71,71 @@ def test_zonotope_fvector_and_volume(capsys):
     code, out, _ = run(capsys, "zonotope", "--graph", "linf:2", "--volume")
     assert code == 0
     assert out.strip() == "28"
+
+
+def test_zonotope_dim5_spec_volume_and_fvector(capsys, tmp_path):
+    f = tmp_path / "five.graph"
+    rows = [[int(i == j) for j in range(5)] for i in range(5)] + [[1] * 5]
+    f.write_text("dim 5\n" + "".join(
+        "generator " + " ".join(map(str, r)) + "\n" for r in rows))
+    code, out, _ = run(capsys, "zonotope", "--spec", str(f), "--volume")
+    assert code == 0
+    assert out.strip() == "192"
+    code, out, _ = run(capsys, "zonotope", "--spec", str(f), "--fvector")
+    assert code == 0
+    assert out.strip() == "62 180 210 120 30"
+
+
+def test_zonotope_fvector_large_coordinates(capsys, tmp_path):
+    f = tmp_path / "large.graph"
+    f.write_text("dim 3\n"
+                 "generator 1000003 2000017 3\n"
+                 "generator 5 7000001 1\n"
+                 "generator 1 1 9000011\n"
+                 "generator 4000037 1 1\n")
+    code, out, _ = run(capsys, "zonotope", "--spec", str(f), "--fvector")
+    assert code == 0
+    assert out.strip() == "14 24 12"
+
+
+@st.composite
+def _spec_texts(draw):
+    """Spec files with dim 1..5 and 1..dim+2 generators, valid or not:
+    zero, duplicate, non-primitive and rank-deficient sets all occur."""
+    dim = draw(st.integers(1, 5))
+    entries = st.one_of(st.integers(-2, 2), st.integers(-10 ** 12, 10 ** 12))
+    vector = st.lists(entries, min_size=dim, max_size=dim)
+    if draw(st.booleans()):  # the unit vectors plus up to two primitive ones
+        gens = [[int(i == j) for j in range(dim)] for i in range(dim)]
+        for v in draw(st.lists(vector, max_size=2)):
+            g = math.gcd(*v) or 1
+            gens.append([a // g for a in v])
+    else:
+        gens = draw(st.lists(vector, min_size=1, max_size=dim + 2))
+    if draw(st.integers(0, 3)) == 0:  # repeat or scale one generator
+        k = draw(st.sampled_from([1, -1, 2, 3]))
+        gens[-1] = [k * a for a in draw(st.sampled_from(gens))]
+    return f"dim {dim}\n" + "".join(
+        "generator " + " ".join(map(str, g)) + "\n" for g in gens)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_spec_texts())
+def test_fuzz_zonotope_spec_exits_0_or_2(text):
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "fuzz.graph")
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["zonotope", "--spec", path, "--volume", "--fvector"])
+    assert code in (0, 2)
+    if code == 2:
+        assert err.getvalue().startswith("error:")
+        return
+    counts = [int(a) for a in out.getvalue().splitlines()[0].split()]
+    n = len(counts)
+    assert sum((-1) ** i * f for i, f in enumerate(counts)) == 1 - (-1) ** n
 
 
 def test_zonotope_support_and_summary(capsys):
@@ -194,6 +271,17 @@ def test_reproduce_unknown_item_exits_2(capsys):
     code, _, err = run(capsys, "reproduce", "--only", "99")
     assert code == 2
     assert "error:" in err
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(isozono.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "isozono", "zonotope", "--graph", "l1:2", "--volume"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "4"
 
 
 def test_graph_and_spec_mutually_exclusive(capsys, tmp_path):

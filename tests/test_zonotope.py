@@ -82,6 +82,16 @@ def test_f_vector_euler_and_structure():
     assert fv.euler_ok
     v, e, f = fv.counts
     assert v - e + f == 2
+    # The facet vertex sets recorded by the vertex recursion, against a brute
+    # scan {v in V : <u, v> = h(u)} of every facet.
+    five = build_zonotope(5, [tuple(int(i == j) for j in range(5)) for i in range(5)]
+                          + [(1, 1, 1, 1, 1)])
+    for z in (Z("tri"), Z("linf:3"), Z("l1:4"), Z("d4cross"), five):
+        P = z.polytope()
+        assert sorted(z.facet_vertices) == sorted(u for u, _ in P.facets)
+        for u, h in P.facets:
+            assert z.facet_vertices[u] == {v for v in P.vertices if dot(u, v) == h}
+        assert f_vector(z).euler_ok
 
 
 def test_vertices_match_support_maximizers():
