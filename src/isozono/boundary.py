@@ -153,8 +153,7 @@ def finite_difference_probe(A: Polytope, graph: PLGraph, epsilons) -> tuple:
     The Minkowski sum is built one segment at a time after clearing
     denominators, so every intermediate hull has integer vertices.  The
     quotients decrease monotonically to b(A) as eps decreases to 0; callers
-    can check that against `continuous_boundary`.  Cost grows quickly with
-    hull size in dimension >= 3.
+    can check that against `continuous_boundary`.
     """
     if A.dim != graph.dim:
         raise DimensionMismatchError(

@@ -23,10 +23,11 @@ optional ``name`` line.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product
 
 from .errors import FormatError, IsozonoError
-from .intmat import canonical_sign, solve
+from .intmat import ChartSolver, canonical_sign
 from .plgraph import PLGraph, canonicalize_generators
 from .zonotope import Zonotope, build_zonotope_from_segments, zonotope_of_graph
 
@@ -103,13 +104,13 @@ def _d4cross_data():
                 w = [0] * 4
                 w[i], w[j] = si, sj
                 segments.append(tuple(w))
-    matrix = [[basis[j][i] for j in range(4)] for i in range(4)]
+    coords = ChartSolver(basis).coords
     gens = set()
     for r in segments:
-        y = solve(matrix, r)
-        if y is None or any(c.denominator != 1 for c in y):
+        y = coords(r)
+        if any(isinstance(c, Fraction) for c in y):
             raise ValueError(f"segment {r} is not in the lattice of the basis")
-        gens.add(canonical_sign(tuple(int(c) for c in y)))
+        gens.add(canonical_sign(y))
     return basis, tuple(segments), canonicalize_generators(4, sorted(gens))
 
 

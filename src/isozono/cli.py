@@ -44,6 +44,13 @@ def _write(path, text):
         fh.write(text)
 
 
+def _rational(token: str) -> Fraction:
+    try:
+        return Fraction(token)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {token!r}") from None
+
+
 def _parse_alphas(spec: str):
     alphas = []
     for token in spec.split(","):
@@ -52,7 +59,7 @@ def _parse_alphas(spec: str):
             lo, _, hi = token.partition(":")
             alphas.extend(range(int(lo), int(hi) + 1))
         elif token:
-            alphas.append(Fraction(token))
+            alphas.append(_rational(token))
     return alphas
 
 
@@ -104,6 +111,8 @@ def _cmd_zonotope(args):
         out_lines.append(str(Z.volume()))
     if args.support:
         u = tuple(int(t) for t in args.support.split())
+        if len(u) != Z.dim:
+            raise ValueError(f"--support needs {Z.dim} coordinates, got {len(u)}")
         out_lines.append(str(Z.support(u)))
     if args.vertices:
         P = Z.polytope()
@@ -165,7 +174,7 @@ def _cmd_section(args):
     Z = spec.zonotope()
     if not 1 <= args.axis <= Z.dim:
         raise ValueError(f"--axis must be in 1..{Z.dim}, got {args.axis}")
-    level = Fraction(args.level)
+    level = _rational(args.level)
     unit = tuple(1 if i == args.axis - 1 else 0 for i in range(Z.dim))
     h = Z.support(unit)
     if abs(level) > h:

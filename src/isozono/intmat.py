@@ -172,28 +172,6 @@ def gram_det(vectors):
     return det(gram_matrix(vectors))
 
 
-def solve(matrix, rhs):
-    """Solve a square rational system exactly; returns tuple of Fractions or None."""
-    n = len(matrix)
-    aug = [[Fraction(matrix[i][j]) for j in range(n)] + [Fraction(rhs[i])] for i in range(n)]
-    for col in range(n):
-        piv = None
-        for i in range(col, n):
-            if aug[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [a * inv for a in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
-    return tuple(aug[i][n] for i in range(n))
-
-
 class ChartSolver:
     """Exact coordinates with respect to a full-column-rank basis.
 

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -167,3 +167,18 @@ def test_probe_epsilon_one_matches_minkowski_sum():
         B = minkowski_sum_segment(B, tuple(-c for c in g), g)
     assert row.volume == B.volume()
     assert row.quotient == B.volume() - A.volume()
+
+
+def test_probe_3d_matches_zonotope_determinant_sum():
+    # A = sum [0, w_j] and Z = sum [-v_i, v_i] = sum [0, 2 v_i] - sum v_i, so
+    # A + Z is the zonotope of {w_j} and {2 v_i}: its volume is the sum of
+    # |det| over 3-subsets, with no hull involved.
+    linf3 = builtin_graph("linf:3").graph()
+    ws = [(1, 0, 0), (0, 2, 1), (1, 1, 3), (-1, 2, 0)]
+    A = convex_hull([tuple(sum(w[i] for w, s in zip(ws, signs) if s) for i in range(3))
+                     for signs in product((0, 1), repeat=len(ws))])
+    (row,) = finite_difference_probe(A, linf3, [1])
+    gens = ws + [tuple(2 * a for a in v) for v in linf3.generators]
+    expected = sum(abs(det(list(S))) for S in combinations(gens, 3))
+    assert row.volume == expected
+    assert row.quotient == expected - A.volume()

@@ -23,6 +23,11 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def assert_one_error_line(code, err):
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_validate_builtin(capsys):
     code, out, err = run(capsys, "validate", "--graph", "linf:2")
     assert code == 0
@@ -119,23 +124,72 @@ def _spec_texts(draw):
         "generator " + " ".join(map(str, g)) + "\n" for g in gens)
 
 
+def _run_on_file(text, argv):
+    """Run the CLI on `text` written to a temporary file, which "FILE" in argv
+    names ("OUTDIR" names its directory); check the exit contract and return
+    the exit code and stdout."""
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "input.txt")
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write(text)
+        argv = [a.replace("FILE", path).replace("OUTDIR", d) for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    if code != 0:
+        assert_one_error_line(code, err.getvalue())
+    return code, out.getvalue()
+
+
 @settings(max_examples=40, deadline=None)
 @given(_spec_texts())
 def test_fuzz_zonotope_spec_exits_0_or_2(text):
-    with tempfile.TemporaryDirectory() as d:
-        path = os.path.join(d, "fuzz.graph")
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(text)
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["zonotope", "--spec", path, "--volume", "--fvector"])
-    assert code in (0, 2)
+    code, out = _run_on_file(text, ["zonotope", "--spec", "FILE", "--volume", "--fvector"])
     if code == 2:
-        assert err.getvalue().startswith("error:")
         return
-    counts = [int(a) for a in out.getvalue().splitlines()[0].split()]
+    counts = [int(a) for a in out.splitlines()[0].split()]
     n = len(counts)
     assert sum((-1) ** i * f for i, f in enumerate(counts)) == 1 - (-1) ** n
+
+
+@st.composite
+def _point_rows(draw):
+    """Rows of 1..4 coordinates: small, half-integer, a/0 and +-10^12 tokens,
+    or integer points on one line or plane, with repeated rows."""
+    dim = draw(st.integers(1, 4))
+    small = st.integers(-3, 3)
+    if draw(st.booleans()):
+        token = st.one_of(small.map(str), st.integers(-7, 7).map(lambda a: f"{a}/2"),
+                          small.map(lambda a: f"{a}/0"),
+                          st.sampled_from(["1000000000000", "-1000000000000"]))
+        rows = draw(st.lists(st.lists(token, min_size=dim, max_size=dim),
+                             min_size=1, max_size=8))
+    else:
+        flat = draw(st.integers(1, 2))
+        base = draw(st.lists(small, min_size=dim, max_size=dim))
+        dirs = draw(st.lists(st.lists(small, min_size=dim, max_size=dim),
+                             min_size=flat, max_size=flat))
+        coeffs = draw(st.lists(st.lists(small, min_size=flat, max_size=flat),
+                               min_size=1, max_size=8))
+        rows = [[str(b + sum(c * d[i] for c, d in zip(cs, dirs)))
+                 for i, b in enumerate(base)] for cs in coeffs]
+    rows += draw(st.lists(st.sampled_from(rows), max_size=2))
+    return dim, "".join(" ".join(r) + "\n" for r in rows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_point_rows(), st.integers(1, 4))
+def test_fuzz_boundary_point_file_exits_0_or_2(rows, graph_dim):
+    _, text = rows
+    _run_on_file(text, ["boundary", "--graph", f"l1:{graph_dim}", "--set", "FILE"])
+
+
+@settings(max_examples=40, deadline=None)
+@given(_point_rows())
+def test_fuzz_render_polytope_v_file_exits_0_or_2(rows):
+    dim, text = rows
+    _run_on_file(f"dim {dim}\nV\n" + text,
+                 ["render", "--polytope", "FILE", "--out", "OUTDIR/figure"])
 
 
 def test_zonotope_support_and_summary(capsys):
@@ -183,6 +237,13 @@ def test_section_empty_exits_2(capsys):
                        "--axis", "1", "--level", "10")
     assert code == 2
     assert "error:" in err
+
+
+def test_section_of_a_1d_zonotope_is_a_point(capsys):
+    code, out, _ = run(capsys, "section", "--graph", "l1:1",
+                       "--axis", "1", "--level", "0")
+    assert code == 0
+    assert out.strip() == "vertices\t1"
 
 
 def test_search_exhaustive(capsys):
@@ -257,6 +318,33 @@ def test_render_4d_exits_2(capsys, tmp_path):
                        "--out", str(tmp_path / "z.off"))
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["section", "--graph", "linf:3", "--axis", "1", "--level", "1/0"],
+    ["converge", "--graph", "l1:2", "--alphas", "2,1/0"],
+    ["zonotope", "--graph", "l1:2", "--support", "1 0 0"],
+    ["zonotope", "--graph", "linf:3", "--support", "1"],
+], ids=["section-level", "converge-alpha", "support-too-long", "support-too-short"])
+def test_bad_rational_or_direction_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert_one_error_line(code, err)
+    assert out == ""
+
+
+@pytest.mark.parametrize("text", [
+    "dim 2\nV\n0 0\n1/0 0\n0 1\n",
+    "dim 2\nV\n0 0\n1 0\n0 1\nH\n-1 0 <= 0\n0 -1 <= 0\n1 1 <= 1/0\n",
+    "dim 3\nV\n0 0 0\n1 0 0\n0 1 0\n0 0 1\nH\n0 0 0 <= 0\n",
+    "dim 2\nV\n0 0\n4 0\n0 4\nH\n1 0 <= 1\n0 1 <= 1\n-1 0 <= 0\n0 -1 <= 0\n",
+], ids=["vertex-zero-denominator", "offset-zero-denominator", "zero-normal", "not-a-facet"])
+def test_render_bad_polytope_file_exits_2(capsys, tmp_path, text):
+    body = tmp_path / "body.txt"
+    body.write_text(text)
+    code, _, err = run(capsys, "render", "--polytope", str(body),
+                       "--out", str(tmp_path / "figure"))
+    assert_one_error_line(code, err)
+    assert not (tmp_path / "figure").exists()
 
 
 def test_reproduce_single_item(capsys):

@@ -2,11 +2,15 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from isozono.errors import DimensionDeficiencyError, FormatError
 from isozono.geometry import (
+    Polytope,
     convex_hull,
     hrep_vertices,
     minkowski_sum_segment,
@@ -17,6 +21,7 @@ from isozono.geometry import (
     polytope_volume,
     project_polytope,
 )
+from isozono.intmat import cross_nd, det, dot, integerize, is_zero, rank, vneg, vsub
 
 OCTAGON = [(3, 1), (1, 3), (-1, 3), (-3, 1), (-3, -1), (-1, -3), (1, -3), (3, -1)]
 
@@ -180,6 +185,11 @@ def test_polytope_text_round_trip():
     assert set(Q.vertices) == set(P.vertices)
     assert Q.volume() == 28
     assert Q.dim == 2
+    # x <= 1/2 is written with a primitive normal and a rational offset.
+    box = convex_hull([(Fraction(a, 2), b, c) for a, b, c in product((0, 1), repeat=3)])
+    R = polytope_from_text(polytope_to_text(box))
+    assert ((1, 0, 0), Fraction(1, 2)) in R.facets
+    assert (R.vertices, R.facets) == (box.vertices, box.facets)
 
 
 def test_polytope_from_text_errors_carry_line_numbers():
@@ -214,3 +224,103 @@ def test_chart_volume_matches_volume_when_full_dimensional():
     assert P.chart_volume() == 28
     # A single point measures 1 in its own (empty) chart.
     assert convex_hull([(1, 1)]).chart_volume() == 1
+
+
+# -- brute-force oracles for the double-description hull ----------------------
+
+
+def _hull_oracle(pts, dim):
+    """Support-plane enumeration over dim-subsets of distinct full-dimensional points."""
+    planes = set()
+    for idx in combinations(range(len(pts)), dim):
+        basep = pts[idx[0]]
+        normal = cross_nd([vsub(pts[i], basep) for i in idx[1:]], dim)
+        if is_zero(normal):
+            continue
+        normal = integerize(normal)
+        c = dot(normal, basep)
+        sides = {(dot(normal, p) > c) - (dot(normal, p) < c) for p in pts}
+        if sides >= {1, -1}:
+            continue
+        planes.add((vneg(normal), -c) if 1 in sides else (normal, c))
+    verts = [p for p in pts
+             if rank([n for n, c in planes if dot(n, p) == c], dim) == dim]
+    return Polytope(dim, verts, planes)
+
+
+def _hrep_oracle(inequalities, dim):
+    """Solve every dim-subset of rows by Cramer's rule; keep the feasible points."""
+    verts = set()
+    for rows in combinations(inequalities, dim):
+        normals = [tuple(n) for n, _ in rows]
+        d = det(normals)
+        if d == 0:
+            continue
+        x = tuple(Fraction(det([n[:j] + (c,) + n[j + 1:] for n, c in rows])) / d
+                  for j in range(dim))
+        if all(dot(n, x) <= c for n, c in inequalities):
+            verts.add(tuple(int(a) if a.denominator == 1 else a for a in x))
+    return sorted(verts)
+
+
+@st.composite
+def _point_sets(draw, max_points=(24, 24, 16)):
+    """Lattice or half-integer points in dims 2..4: random, a grid, or a coplanar
+    set with a few points off its plane, plus repeated points."""
+    dim = draw(st.integers(2, 4))
+    cap = max_points[dim - 2]
+    small = st.integers(-3, 3)
+    vec = st.lists(small, min_size=dim, max_size=dim)
+    kind = draw(st.sampled_from(["random", "grid", "coplanar"]))
+    if kind == "grid":
+        sides = [draw(st.integers(1, 3 if dim < 4 else 2)) for _ in range(dim)]
+        pts = [tuple(p) for p in product(*(range(s) for s in sides))][:cap]
+    elif kind == "coplanar":
+        base, u, v = draw(vec), draw(vec), draw(vec)
+        coeffs = draw(st.lists(st.tuples(small, small), min_size=1, max_size=cap - 2))
+        pts = [tuple(b + s * x + t * y for b, x, y in zip(base, u, v)) for s, t in coeffs]
+        pts += [tuple(p) for p in draw(st.lists(vec, max_size=2))]
+    else:
+        pts = [tuple(p) for p in draw(st.lists(vec, min_size=1, max_size=cap))]
+    pts += draw(st.lists(st.sampled_from(pts), max_size=3))
+    if draw(st.booleans()):
+        pts = [tuple(Fraction(a, 2) for a in p) for p in pts]
+    return dim, pts
+
+
+@settings(max_examples=60, deadline=None)
+@given(_point_sets())
+def test_hull_matches_brute_force_oracle(points):
+    _, pts = points
+    P = convex_hull(pts)
+    if P.chart is not None:  # compare the full-dimensional body of its chart
+        if not P.chart.basis:
+            return
+        solver = P.chart.solver()
+        pts = [solver.coords(vsub(p, P.chart.base)) for p in pts]
+        P = P.chart.body
+    Q = _hull_oracle(sorted(set(pts)), P.dim)
+    assert P.vertices == Q.vertices
+    assert P.facets == Q.facets
+
+
+@settings(max_examples=40, deadline=None)
+@given(_point_sets(max_points=(10, 8, 6)), st.data())
+def test_hrep_vertices_matches_subset_oracle(points, data):
+    dim, pts = points
+    P = convex_hull(pts)
+    assume(P.chart is None)
+    offsets = st.fractions(0, 3, max_denominator=3)
+    rows = list(P.facets)
+    for normal, c in data.draw(st.lists(st.sampled_from(P.facets), max_size=3)):
+        k = data.draw(st.integers(1, 3))  # duplicate, scaled or loosened facets
+        rows.append((tuple(k * a for a in normal), k * c + data.draw(offsets)))
+    for normal in data.draw(st.lists(st.lists(st.integers(-2, 2), min_size=dim,
+                                               max_size=dim), max_size=2)):
+        rows.append((tuple(normal), P.support(normal) + data.draw(offsets)))
+    rows += [((0,) * dim, data.draw(offsets))]
+    rows = data.draw(st.permutations(rows))
+    assert hrep_vertices(rows, dim) == _hrep_oracle(rows, dim) == list(P.vertices)
+    assert hrep_vertices(rows + [((0,) * dim, Fraction(-1, 2))], dim) == []
+    flat = [(n[:-1] + (0,), c) for n, c in rows]
+    assert hrep_vertices(flat, dim) == _hrep_oracle(flat, dim) == []

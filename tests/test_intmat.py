@@ -19,7 +19,6 @@ from isozono.intmat import (
     kernel_basis,
     primitive_part,
     rank,
-    solve,
     xgcd,
 )
 
@@ -116,25 +115,6 @@ def test_gram_det_is_squared_volume():
     assert gram_matrix(vecs) == [[1, 0], [0, 4]]
     assert gram_det(vecs) == 4
     assert gram_det([(1, 1, 0)]) == 2
-
-
-def test_solve_round_trip():
-    rng = random.Random(19)
-    done = 0
-    while done < 50:
-        n = rng.randint(1, 4)
-        M = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
-        if det(M) == 0:
-            continue
-        x = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)]
-        rhs = [sum(M[i][j] * x[j] for j in range(n)) for i in range(n)]
-        got = solve(M, rhs)
-        assert list(got) == x
-        done += 1
-
-
-def test_solve_singular_returns_none():
-    assert solve([[1, 2], [2, 4]], [1, 1]) is None
 
 
 def test_chart_solver_round_trip():
