@@ -478,6 +478,7 @@ def polytope_to_text(P: Polytope) -> str:
 def polytope_from_text(text: str, source: str = "<string>") -> Polytope:
     dim = None
     verts, ineqs = [], []
+    rows = []  # (line number, kind, length) of every V and H row
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -500,8 +501,7 @@ def polytope_from_text(text: str, source: str = "<string>") -> Polytope:
                 verts.append(tuple(Fraction(tok) for tok in line.split()))
             except (ValueError, ZeroDivisionError):
                 raise FormatError(f"{source}:{lineno}: bad vertex row {raw!r}")
-            if dim is not None and len(verts[-1]) != dim:
-                raise FormatError(f"{source}:{lineno}: vertex has {len(verts[-1])} coordinates, expected {dim}")
+            rows.append((lineno, "vertex", len(verts[-1])))
         elif section == "H":
             norm = line.replace("≤", "<=")
             if "<=" not in norm:
@@ -512,14 +512,16 @@ def polytope_from_text(text: str, source: str = "<string>") -> Polytope:
                 offset = Fraction(right.strip())
             except (ValueError, ZeroDivisionError):
                 raise FormatError(f"{source}:{lineno}: bad facet row {raw!r}")
-            if dim is not None and len(normal) != dim:
-                raise FormatError(f"{source}:{lineno}: facet normal has {len(normal)} coordinates, expected {dim}")
+            rows.append((lineno, "facet normal", len(normal)))
             g = content(normal) or 1  # a zero normal stays zero and matches no facet
             ineqs.append((tuple(a // g for a in normal), offset / g))
         else:
             raise FormatError(f"{source}:{lineno}: content outside V/H sections {raw!r}")
     if dim is None or not verts:
         raise FormatError(f"{source}: missing dim line or V section")
+    for lineno, what, size in rows:  # the dim line may come after the rows
+        if size != dim:
+            raise FormatError(f"{source}:{lineno}: {what} has {size} coordinates, expected {dim}")
     hull = convex_hull(verts)
     if ineqs and set(ineqs) != set(hull.facets or ()):
         raise FormatError(f"{source}: H section does not list the facets of the V section's hull")

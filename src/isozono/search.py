@@ -7,6 +7,15 @@ lexicographically positive), which quotients translation exactly.  All
 counting is exact; enumeration sizes are guarded by a budget (the
 ISOZONO_BUDGET environment variable, default 10 million) and oversized
 instances raise BudgetExceededError rather than truncating silently.
+
+Lattice points of a scaled zonotope alpha Z + c are found one line at a
+time: each lattice line parallel to axis 0 meets the body in an integer
+interval [lo, hi], read off the facet inequalities (normals from the minor
+table) after clearing the denominators of alpha and c.  The point count is
+the sum of hi - lo + 1, and the edge boundary is 2k|S| minus twice the edges
+inside S, where the edges along v from line y are the overlap of its interval
+with the next line's interval shifted back by v; convergence tables use both
+without building a point list.
 """
 
 from __future__ import annotations
@@ -225,11 +234,8 @@ def _gauge(normals, p, center=None):
 
 
 def _normal_lines(Z: Zonotope):
-    seen = {}
-    for u, h in Z.polytope().facets:
-        key = max(u, vneg(u))
-        seen[key] = h
-    return sorted(seen.items())
+    """(u, h(u)) for one outward normal u of each pair of opposite facets."""
+    return [(u, Z.support(u)) for u in Z.minor_table]
 
 
 def _gauge_ball_start(graph: PLGraph, m: int):
@@ -315,20 +321,64 @@ class ZonotopePointSet:
     center: tuple
 
 
-def _collect_points(Z: Zonotope, normals, alpha: Fraction, center):
+def _lattice_lines(Z: Zonotope, alpha: Fraction, center, budget=None):
+    """{y: (lo, hi)}: the points (t, y) of Z^n cap (alpha Z + center), lo <= t <= hi.
+
+    One line per y in the box of coordinates 1..n-1; lines with no lattice
+    point are left out.  With D the common denominator of alpha and center,
+    each facet normal u bounds the line by -H - B <= A t <= H - B in integers,
+    where A = D u_0, B = D (<u', y> - <u, center>) and H = D alpha h(u).
+    Normals with u_0 = 0 keep or drop the whole line.  `budget` caps the
+    lines scanned times the normals, checked before the scan.
+    """
     n = Z.dim
+    normals = _normal_lines(Z)
     ranges = []
-    for i in range(n):
+    for i in range(1, n):
         e = tuple(1 if j == i else 0 for j in range(n))
         h = alpha * Z.support(e)
-        c = Fraction(center[i])
-        ranges.append(range(math.ceil(c - h), math.floor(c + h) + 1))
-    pts = []
-    for p in product(*ranges):
-        q = tuple(Fraction(a) - Fraction(c) for a, c in zip(p, center))
-        if all(abs(dot(u, q)) <= alpha * h for u, h in normals):
-            pts.append(p)
-    return tuple(sorted(pts))
+        ranges.append(range(math.ceil(center[i] - h), math.floor(center[i] + h) + 1))
+    if budget is not None:
+        lines = math.prod(len(r) for r in ranges)
+        if lines * len(normals) > budget:
+            raise BudgetExceededError(
+                f"alpha = {alpha} scans {lines} lattice lines against {len(normals)} "
+                f"facet normals, budget is {budget} line-normal pairs")
+    D = math.lcm(alpha.denominator, *(c.denominator for c in center))
+    dc = tuple(c.numerator * (D // c.denominator) for c in center)
+    scale = D // alpha.denominator * alpha.numerator
+    steep, flat = [], []
+    for u, h in normals:  # minor-table keys are canonical: u[0] >= 0
+        row = (D * u[0], tuple(D * a for a in u[1:]), dot(u, dc), scale * h)
+        (steep if u[0] else flat).append(row)
+    out = {}
+    for y in product(*ranges):
+        if any(abs(dot(w, y) - k) > H for _, w, k, H in flat):
+            continue
+        bounds = [(A, dot(w, y) - k, H) for A, w, k, H in steep]
+        lo = max(-((H + B) // A) for A, B, H in bounds)
+        hi = min((H - B) // A for A, B, H in bounds)
+        if lo <= hi:
+            out[y] = (lo, hi)
+    return out
+
+
+def _lines_boundary(lines, generators) -> int:
+    """Edge boundary of the set the line intervals describe, without its points.
+
+    Every point has 2k edges; an edge along v joins (t, y) and
+    (t + v_0, y + v') when both lie in the set, and the overlap of [lo, hi]
+    with the neighbouring line's interval shifted by -v_0 counts those edges.
+    """
+    size = sum(hi - lo + 1 for lo, hi in lines.values())
+    inner = 0
+    for v in generators:
+        v0, w = v[0], v[1:]
+        for y, (lo, hi) in lines.items():
+            nb = lines.get(vadd(y, w))
+            if nb is not None:
+                inner += max(0, min(hi, nb[1] - v0) - max(lo, nb[0] - v0) + 1)
+    return 2 * (len(generators) * size - inner)
 
 
 def zonotope_point_set(graph: PLGraph, alpha, center=None) -> ZonotopePointSet:
@@ -338,9 +388,9 @@ def zonotope_point_set(graph: PLGraph, alpha, center=None) -> ZonotopePointSet:
         raise ValueError(f"alpha must be positive, got {alpha}")
     n = graph.dim
     center = tuple([Fraction(0)] * n) if center is None else tuple(map(Fraction, center))
-    Z = zonotope_of_graph(graph)
-    normals = _normal_lines(Z)
-    pts = _collect_points(Z, normals, alpha, center)
+    lines = _lattice_lines(zonotope_of_graph(graph), alpha, center)
+    pts = tuple(sorted((t,) + y for y, (lo, hi) in lines.items()
+                       for t in range(lo, hi + 1)))
     return ZonotopePointSet(pts, len(pts), edge_boundary_direct(graph, pts),
                             alpha, center)
 
@@ -359,7 +409,14 @@ class ConvergenceRow:
 
 
 def convergence_experiment(graph: PLGraph, alphas, *, budget: int | None = None):
-    """Exact convergence table for X = Z(G) at increasing scales alpha."""
+    """Exact convergence table for X = Z(G) at increasing scales alpha.
+
+    Each row counts Z^n cap alpha Z from the integer line intervals of
+    `_lattice_lines` (the sum of hi - lo + 1) and takes the edge boundary from
+    the overlaps of neighbouring intervals, so no point list is built.  The
+    budget caps the lattice lines scanned times the facet normals, per scale;
+    a scale over it raises BudgetExceededError before any row is returned.
+    """
     alphas = [Fraction(a) for a in alphas]
     if not alphas:
         raise ValueError("at least one alpha is required")
@@ -372,16 +429,12 @@ def convergence_experiment(graph: PLGraph, alphas, *, budget: int | None = None)
     n = graph.dim
     vol_z = Z.volume()
     b_z = n * vol_z
+    origin = (Fraction(0),) * n
     rows = []
     for a in alphas:
-        grid = 1
-        for i in range(n):
-            e = tuple(1 if j == i else 0 for j in range(n))
-            grid *= 2 * math.floor(a * Z.support(e)) + 1
-        if grid > budget:
-            raise BudgetExceededError(
-                f"alpha = {a} scans {grid} grid points, budget is {budget}")
-        ps = zonotope_point_set(graph, a)
+        lines = _lattice_lines(Z, a, origin, budget)
+        points = sum(hi - lo + 1 for lo, hi in lines.values())
+        boundary = _lines_boundary(lines, graph.generators)
         volume = a ** n * vol_z
         cont = a ** (n - 1) * b_z
         if volume.denominator == 1:
@@ -390,12 +443,12 @@ def convergence_experiment(graph: PLGraph, alphas, *, budget: int | None = None)
             cont = int(cont)
         rows.append(ConvergenceRow(
             alpha=a,
-            points=ps.cardinality,
+            points=points,
             volume=volume,
-            discrete_boundary=ps.edge_boundary,
+            discrete_boundary=boundary,
             continuous_boundary=cont,
-            vol_ratio=Fraction(volume, ps.cardinality),
-            boundary_ratio=Fraction(cont, ps.edge_boundary),
+            vol_ratio=Fraction(volume, points),
+            boundary_ratio=Fraction(cont, boundary),
         ))
     return tuple(rows)
 

@@ -289,6 +289,13 @@ def test_converge_rows(capsys):
     assert row10[0] == "10" and row10[1] == "441"
 
 
+def test_converge_over_budget_exits_2(capsys):
+    code, out, err = run(capsys, "converge", "--graph", "l1:2",
+                         "--alphas", "1000000", "--budget", "100")
+    assert_one_error_line(code, err)
+    assert out == ""
+
+
 def test_converge_alpha_range_syntax(capsys):
     code, out, _ = run(capsys, "converge", "--graph", "l1:2",
                        "--alphas", "1:3")
@@ -337,7 +344,9 @@ def test_bad_rational_or_direction_exits_2(capsys, argv):
     "dim 2\nV\n0 0\n1 0\n0 1\nH\n-1 0 <= 0\n0 -1 <= 0\n1 1 <= 1/0\n",
     "dim 3\nV\n0 0 0\n1 0 0\n0 1 0\n0 0 1\nH\n0 0 0 <= 0\n",
     "dim 2\nV\n0 0\n4 0\n0 4\nH\n1 0 <= 1\n0 1 <= 1\n-1 0 <= 0\n0 -1 <= 0\n",
-], ids=["vertex-zero-denominator", "offset-zero-denominator", "zero-normal", "not-a-facet"])
+    "V\n0 0\n1 0\n0 1\ndim 3\n",
+], ids=["vertex-zero-denominator", "offset-zero-denominator", "zero-normal", "not-a-facet",
+        "dim-after-rows"])
 def test_render_bad_polytope_file_exits_2(capsys, tmp_path, text):
     body = tmp_path / "body.txt"
     body.write_text(text)

@@ -200,6 +200,20 @@ def test_polytope_from_text_errors_carry_line_numbers():
         polytope_from_text("V\n1 2\n")  # missing dim header
 
 
+@pytest.mark.parametrize("text, line", [
+    ("V\n0 0\n1 0\n0 1\ndim 3\n", 2),
+    ("V\n0 0 0\n1 0 0\n0 1 0\n0 0 1\nH\n0 0 -1 <= 0\n1 1 <= 1\ndim 3\n", 8),
+    ("dim 2\nV\n0 0\n1 0\n0 1\ndim 3\n", 3),
+], ids=["vertex-before-dim", "normal-before-dim", "dim-redeclared"])
+def test_polytope_from_text_checks_rows_read_before_dim(text, line):
+    # Every V and H row is checked against the dim line, wherever it comes.
+    with pytest.raises(FormatError) as exc:
+        polytope_from_text(text, source="body.txt")
+    assert f"body.txt:{line}:" in str(exc.value)
+    assert polytope_from_text("V\n0 0\n1 0\n0 1\ndim 2\n").vertices == (
+        (0, 0), (0, 1), (1, 0))
+
+
 def test_points_text_round_trip_and_errors():
     pts = [(0, 0), (1, 2), (-3, 4)]
     text = points_to_text(pts)

@@ -1,14 +1,23 @@
 """Discrete search: exhaustive, local, point sets, convergence, families."""
 
+import functools
+import math
 import random
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from isozono.catalog import builtin_graph
-from isozono.errors import BudgetExceededError
-from isozono.plgraph import edge_boundary_direct
+from isozono.catalog import BUILTIN_NAMES, builtin_graph
+from isozono.errors import BudgetExceededError, IsozonoError
+from isozono.geometry import convex_hull
+from isozono.intmat import det, dot
+from isozono.plgraph import boundary_identity_report, edge_boundary_direct, validate_pl_graph
 from isozono.search import (
+    _lattice_lines,
+    _lines_boundary,
     canonical_set,
     convergence_experiment,
     default_budget,
@@ -18,6 +27,7 @@ from isozono.search import (
     local_search_min_boundary,
     zonotope_point_set,
 )
+from isozono.zonotope import zonotope_of_graph
 
 L1 = builtin_graph("l1:2").graph()
 LINF = builtin_graph("linf:2").graph()
@@ -169,6 +179,140 @@ def test_convergence_experiment_validates_input():
         convergence_experiment(L1, [0, 1])
     with pytest.raises(BudgetExceededError):
         convergence_experiment(L1, [10 ** 6], budget=100)
+
+
+@functools.cache
+def _vertices_and_hull_facets(graph):
+    verts = zonotope_of_graph(graph).polytope().vertices
+    return verts, convex_hull(verts).facets
+
+
+def _grid_scan_oracle(graph, alpha, center):
+    """Z^n cap (alpha Z + center) by a Fraction scan of its bounding box: every
+    grid point is tested against every facet of the hull of Z's vertices
+    (facets from the double description, not from the minor table)."""
+    verts, facets = _vertices_and_hull_facets(graph)
+    ranges = []
+    for i in range(graph.dim):
+        h = alpha * max(v[i] for v in verts)
+        ranges.append(range(math.ceil(center[i] - h), math.floor(center[i] + h) + 1))
+    bounds = [(u, alpha * h + dot(u, center)) for u, h in facets]
+    return tuple(p for p in product(*ranges) if all(dot(u, p) <= b for u, b in bounds))
+
+
+# Largest alpha * h(e_i) per dimension: keeps the oracle's grid scan small.
+_ORACLE_REACH = {1: 12, 2: 10, 3: 4}
+
+
+@st.composite
+def _line_cases(draw):
+    """A graph in dims 1..3 (builtin, or random generators with entries up to
+    3, whose slanted lines can miss their neighbours), a rational alpha and a
+    rational or half-integer center."""
+    dim = draw(st.integers(1, 3))
+    names = [n for n in BUILTIN_NAMES if builtin_graph(n).graph().dim == dim]
+    if draw(st.booleans()):
+        graph = builtin_graph(draw(st.sampled_from(names))).graph()
+    else:
+        r = draw(st.integers(1, 3))
+        vec = st.tuples(*[st.integers(-r, r)] * dim)
+        gens = draw(st.lists(vec, min_size=dim, max_size=dim + 1))
+        try:
+            graph = validate_pl_graph(dim, gens)
+        except IsozonoError:
+            graph = builtin_graph(f"l1:{dim}").graph()
+    reach = max(sum(abs(v[i]) for v in graph.generators) for i in range(dim))
+    den = draw(st.integers(1, 7))
+    top = max(1, _ORACLE_REACH[dim] * den // reach)
+    alpha = Fraction(draw(st.integers(1, top)), den)
+    cden = draw(st.sampled_from([1, 2, 2, 3, 5]))
+    center = tuple(Fraction(draw(st.integers(-2 * cden, 2 * cden)), cden)
+                   for _ in range(dim))
+    return graph, alpha, center
+
+
+@settings(max_examples=100, deadline=None)
+@given(_line_cases())
+def test_line_intervals_match_grid_scan_oracle(case):
+    graph, alpha, center = case
+    expected = _grid_scan_oracle(graph, alpha, center)
+    ps = zonotope_point_set(graph, alpha, center)
+    assert ps.points == expected
+    lines = _lattice_lines(zonotope_of_graph(graph), alpha, center)
+    assert sum(hi - lo + 1 for lo, hi in lines.values()) == len(expected)
+    assert _lines_boundary(lines, graph.generators) == edge_boundary_direct(graph, expected)
+    report = boundary_identity_report(graph, expected)
+    assert report.identity_holds
+    assert all(gaps == 0 for _, _, gaps in report.per_generator)
+
+
+def test_lines_boundary_when_neighbouring_intervals_miss():
+    # Slanted generators: some line's interval, shifted along a generator,
+    # misses the neighbouring line's interval, so that overlap counts 0.
+    graph = validate_pl_graph(3, [(1, -2, -2), (2, 1, 3), (3, -1, -2)])
+    center = (Fraction(3, 2), Fraction(-3, 2), Fraction(-2))
+    lines = _lattice_lines(zonotope_of_graph(graph), Fraction(1, 3), center)
+    assert any(min(hi, nb[1] - v[0]) < max(lo, nb[0] - v[0])
+               for v in graph.generators for y, (lo, hi) in lines.items()
+               for nb in [lines.get(tuple(a + b for a, b in zip(y, v[1:])))] if nb)
+    points = _grid_scan_oracle(graph, Fraction(1, 3), center)
+    assert _lines_boundary(lines, graph.generators) == edge_boundary_direct(graph, points)
+
+
+def test_l1_1_has_one_line_with_empty_key():
+    lines = _lattice_lines(zonotope_of_graph(builtin_graph("l1:1").graph()),
+                           Fraction(5, 2), (Fraction(1, 2),))
+    assert lines == {(): (-2, 3)}
+
+
+def _ehrhart_coefficients(graph):
+    """Stanley's formula for the zonotope sum [0, 2 v_i]: the coefficient of
+    t^j sums, over the linearly independent j-subsets S of {2 v_i}, the gcd
+    m(S) of the j x j minors of S (Beck and Robins, Computing the Continuous
+    Discretely, ch. 9)."""
+    n = graph.dim
+    ws = [tuple(2 * a for a in v) for v in graph.generators]
+    coeffs = []
+    for j in range(n + 1):
+        total = 0
+        for S in combinations(ws, j):
+            total += math.gcd(*(det([[w[c] for c in cols] for w in S])
+                                for cols in combinations(range(n), j)))
+        coeffs.append(total)
+    return coeffs
+
+
+def test_ehrhart_polynomial_of_l1_2():
+    assert _ehrhart_coefficients(L1) == [1, 4, 4]  # (2t + 1)^2
+
+
+# For integer alpha, alpha Z(G) = -alpha sum v_i + alpha sum [0, 2 v_i] is a
+# lattice translate of alpha times the zonotope Stanley's formula counts.
+# linf:4 is left out: L(1) is already 2.7 million points.
+_EHRHART_ALPHAS = {1: 20, 2: 20, 3: 4, 4: 2}
+
+
+@pytest.mark.parametrize("name", [n for n in BUILTIN_NAMES if n != "linf:4"])
+def test_point_counts_match_ehrhart_polynomial(name):
+    graph = builtin_graph(name).graph()
+    coeffs = _ehrhart_coefficients(graph)
+    alphas = range(1, _EHRHART_ALPHAS[graph.dim] + 1)
+    expected = [sum(c * t ** j for j, c in enumerate(coeffs)) for t in alphas]
+    assert [r.points for r in convergence_experiment(graph, alphas)] == expected
+    for t, count in zip(alphas, expected):
+        if count <= 60_000:  # materialising larger sets only costs time
+            assert zonotope_point_set(graph, t).cardinality == count
+
+
+def test_convergence_alpha_1000_within_default_budget():
+    # The budget counts lines x normals, so 2d tables reach alpha = 1000.
+    for g in (L1, LINF, TRI):
+        row, = convergence_experiment(g, [1000])
+        assert row.points == sum(c * 1000 ** j for j, c in enumerate(_ehrhart_coefficients(g)))
+        assert row.boundary_ratio < 1
+    side = 2 * 1000 + 1
+    row, = convergence_experiment(L1, [1000])
+    assert (row.points, row.discrete_boundary) == (side * side, 4 * side)
 
 
 def test_hull_direction_count_conventions():
