@@ -23,11 +23,10 @@ optional ``name`` line.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 
 from .errors import FormatError, IsozonoError
-from .intmat import ChartSolver, canonical_sign
+from .intmat import canonical_sign, det
 from .plgraph import PLGraph, canonicalize_generators
 from .zonotope import Zonotope, build_zonotope_from_segments, zonotope_of_graph
 
@@ -104,13 +103,14 @@ def _d4cross_data():
                 w = [0] * 4
                 w[i], w[j] = si, sj
                 segments.append(tuple(w))
-    coords = ChartSolver(basis).coords
+    # Cramer's rule: the basis has index 2, so it is not a kernel chart.
+    index = det(basis)
     gens = set()
     for r in segments:
-        y = coords(r)
-        if any(isinstance(c, Fraction) for c in y):
+        y = [det(basis[:j] + (r,) + basis[j + 1:]) for j in range(4)]
+        if any(c % index for c in y):
             raise ValueError(f"segment {r} is not in the lattice of the basis")
-        gens.add(canonical_sign(y))
+        gens.add(canonical_sign(tuple(c // index for c in y)))
     return basis, tuple(segments), canonicalize_generators(4, sorted(gens))
 
 

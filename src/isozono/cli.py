@@ -138,6 +138,8 @@ def _cmd_zonotope(args):
 
 
 def _cmd_search(args):
+    if args.print_witnesses < 0:
+        raise ValueError(f"--print-witnesses must be >= 0, got {args.print_witnesses}")
     spec = _load_spec(args)
     graph = spec.graph()
     if args.mode == "exhaustive":

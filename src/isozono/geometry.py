@@ -15,6 +15,11 @@ H-representation are extreme rays of its homogenisation.  Dimensions 1 and
 2 keep min/max and the monotone chain, 5-9x faster than the cone method on
 3 to 40 points; volumes and sweeps of 3-polytopes build many 2-D facet
 hulls.  Zonotopes use their own dedicated enumeration elsewhere.
+
+Flat bodies and facets are handled in one integer chart,
+`intmat.kernel_chart`: a lattice basis of the direction space plus integer
+rows `left` with left . basis = I, so the chart coordinates of a point are
+dot products, exact for rational points, with no Gram matrix to invert.
 """
 
 from __future__ import annotations
@@ -31,14 +36,15 @@ from .errors import (
     ZeroVectorError,
 )
 from .intmat import (
-    ChartSolver,
     content,
     cross_nd,
     dot,
+    embed,
     gram_det,
     integerize,
     is_zero,
     kernel_basis,
+    kernel_chart,
     primitive_part,
     vadd,
     vneg,
@@ -61,15 +67,15 @@ class Chart:
     """Affine chart of a flat polytope: base point + integer direction basis.
 
     `body` is the same polytope expressed (full-dimensionally) in chart
-    coordinates; ambient point = base + sum_j y_j * basis_j.
+    coordinates; ambient point = base + sum_j y_j * basis_j, and
+    y_j = <left_j, point - base> for a point of the affine span
+    (`intmat.kernel_chart`).
     """
 
     base: tuple
     basis: tuple
+    left: tuple
     body: "Polytope"
-
-    def solver(self) -> ChartSolver:
-        return ChartSolver(self.basis)
 
 
 class Polytope:
@@ -109,14 +115,11 @@ class Polytope:
                 f"point of dim {len(point)} vs polytope of dim {self.dim}")
         if self.chart is None:
             return all(dot(n, point) <= c for n, c in self.facets)
-        base = self.chart.base
-        if len(self.chart.basis) == 0:
-            return all(Fraction(a) == Fraction(b) for a, b in zip(point, base))
-        solver = self.chart.solver()
-        y = solver.coords(vsub(point, base))
-        if any(Fraction(a) != Fraction(b) for a, b in zip(vadd(base, solver.embed(y)), point)):
-            return False
-        return self.chart.body.contains(y)
+        base, basis = self.chart.base, self.chart.basis
+        if len(basis) == 0:
+            return point == base
+        y = tuple(dot(l, vsub(point, base)) for l in self.chart.left)
+        return vadd(base, embed(basis, y)) == point and self.chart.body.contains(y)
 
     def bounding_box(self):
         lows = [min(v[i] for v in self.vertices) for i in range(self.dim)]
@@ -205,7 +208,8 @@ class Polytope:
             facets = [(n, Fraction(c) + dot(n, t)) for n, c in self.facets]
         chart = None
         if self.chart is not None:
-            chart = Chart(_norm_point(vadd(self.chart.base, t)), self.chart.basis, self.chart.body)
+            chart = Chart(_norm_point(vadd(self.chart.base, t)), self.chart.basis,
+                          self.chart.left, self.chart.body)
         return Polytope(self.dim, verts, facets, chart)
 
     def scale(self, factor):
@@ -221,6 +225,7 @@ class Polytope:
             chart = Chart(
                 _norm_point(tuple(factor * a for a in self.chart.base)),
                 self.chart.basis,
+                self.chart.left,
                 self.chart.body.scale(factor),
             )
         return Polytope(self.dim, verts, facets, chart)
@@ -257,15 +262,14 @@ def convex_hull(points) -> Polytope:
     if arank == dim and dim:
         return _hull_full(pts, dim)
     # flat: saturated integer basis of the direction space, then hull in chart
-    basis = tuple(kernel_basis(perp, dim))
+    basis, left = map(tuple, kernel_chart(perp, dim))
     if arank == 0:
         body = Polytope(0, [()], facets=(), chart=None)
-        return Polytope(dim, [base], None, Chart(base, (), body))
-    solver = ChartSolver(basis)
-    ys = [solver.coords(vsub(p, base)) for p in pts]
-    body = _hull_full(sorted(set(map(_norm_point, ys))), arank)
-    verts = [_norm_point(vadd(base, solver.embed(y))) for y in body.vertices]
-    return Polytope(dim, verts, None, Chart(base, basis, body))
+        return Polytope(dim, [base], None, Chart(base, (), (), body))
+    point_of = {_norm_point(tuple(dot(l, vsub(p, base)) for l in left)): p for p in pts}
+    body = _hull_full(sorted(point_of), arank)
+    verts = [point_of[y] for y in body.vertices]
+    return Polytope(dim, verts, None, Chart(base, basis, left, body))
 
 
 def _hull_full(pts, dim):
@@ -395,21 +399,12 @@ def _facet_lattice_volume(dim, normal, tight_vertices):
     """(dim-1)-volume of a facet in an integer basis of its hyperplane."""
     if dim == 1:
         return 1
-    if dim == 2:
-        p, q = tight_vertices[0], tight_vertices[-1]
-        if len(tight_vertices) != 2:
-            tight_vertices = sorted(tight_vertices)
-            p, q = tight_vertices[0], tight_vertices[-1]
-        d = vsub(q, p)
-        prim = integerize(d)
-        j = next(i for i, a in enumerate(prim) if a != 0)
-        return _norm_num(abs(Fraction(d[j]) / prim[j]))
-    basis = kernel_basis([normal], dim)
-    solver = ChartSolver(basis)
+    _, left = kernel_chart([normal], dim)
     base = tight_vertices[0]
-    ys = [solver.coords(vsub(v, base)) for v in tight_vertices]
-    body = convex_hull(ys)
-    return body.volume()
+    ys = [tuple(dot(l, vsub(v, base)) for l in left) for v in tight_vertices]
+    if dim == 2:
+        return _norm_num(max(ys)[0] - min(ys)[0])
+    return convex_hull(ys).volume()
 
 
 # -- named operations --------------------------------------------------------

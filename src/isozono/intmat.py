@@ -85,16 +85,23 @@ def xgcd(a: int, b: int):
     return a, x0, y0
 
 
-def kernel_basis(rows, dim: int):
-    """Basis of the saturated integer lattice {x in Z^dim : <r,x> = 0 for all rows}.
+def kernel_chart(rows, dim: int):
+    """(basis, left): a basis of the saturated integer lattice
+    {x in Z^dim : <r,x> = 0 for all rows}, and integer rows with left . basis = I.
 
     Unimodular column elimination: starting from the identity columns, each row
     is absorbed by gcd-combining columns so that at most one column keeps a
     nonzero pairing with the row; that column is dropped.  All updates are
     unimodular, so the surviving columns are a genuine lattice basis of the
-    kernel (not merely a spanning set).
+    kernel (not merely a spanning set).  `left` starts as the identity rows
+    and takes the inverse of every update: combining a column pair by
+    E = [[x, -b/g], [y, a/g]] combines the matching row pair by
+    E^-1 = [[a/g, b/g], [-y, x]], and a dropped column drops its row
+    (Cohen, A Course in Computational Algebraic Number Theory, 2.4).  The
+    chart coordinates of a point x in the span are <l, x> for l in left.
     """
     cols = [tuple(1 if i == j else 0 for i in range(dim)) for j in range(dim)]
+    left = list(cols)
     for r in rows:
         vals = [dot(r, c) for c in cols]
         pivot = None
@@ -106,14 +113,27 @@ def kernel_basis(rows, dim: int):
                 continue
             a, b = vals[pivot], vals[j]
             g, x, y = xgcd(a, b)
+            a, b = a // g, b // g
             cp, cj = cols[pivot], cols[j]
             cols[pivot] = tuple(x * p + y * q for p, q in zip(cp, cj))
-            cols[j] = tuple((-b // g) * p + (a // g) * q for p, q in zip(cp, cj))
+            cols[j] = tuple(a * q - b * p for p, q in zip(cp, cj))
+            lp, lj = left[pivot], left[j]
+            left[pivot] = tuple(a * p + b * q for p, q in zip(lp, lj))
+            left[j] = tuple(x * q - y * p for p, q in zip(lp, lj))
             vals[pivot], vals[j] = g, 0
         if pivot is not None:
-            del cols[pivot]
-            del vals[pivot]
-    return cols
+            del cols[pivot], left[pivot], vals[pivot]
+    return cols, left
+
+
+def kernel_basis(rows, dim: int):
+    """The basis half of `kernel_chart`."""
+    return kernel_chart(rows, dim)[0]
+
+
+def embed(basis, y):
+    """The point sum_j y_j basis_j of chart coordinates y."""
+    return tuple(sum(c * b[i] for c, b in zip(y, basis)) for i in range(len(basis[0])))
 
 
 def rank(rows, dim: int) -> int:
@@ -170,45 +190,3 @@ def gram_matrix(vectors):
 
 def gram_det(vectors):
     return det(gram_matrix(vectors))
-
-
-class ChartSolver:
-    """Exact coordinates with respect to a full-column-rank basis.
-
-    Given independent integer columns B (as a tuple of vectors), solves
-    B y = x for points x known to lie in the column span, via the normal
-    equations (B^T B) y = B^T x — exact because B^T B is invertible over Q.
-    """
-
-    def __init__(self, basis):
-        self.basis = tuple(tuple(b) for b in basis)
-        g = gram_matrix(self.basis)
-        k = len(self.basis)
-        # invert the Gram matrix once
-        aug = [[Fraction(g[i][j]) for j in range(k)] + [Fraction(1 if i == j else 0) for j in range(k)] for i in range(k)]
-        for col in range(k):
-            piv = next(i for i in range(col, k) if aug[i][col] != 0)
-            aug[col], aug[piv] = aug[piv], aug[col]
-            inv = 1 / aug[col][col]
-            aug[col] = [a * inv for a in aug[col]]
-            for i in range(k):
-                if i != col and aug[i][col] != 0:
-                    f = aug[i][col]
-                    aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
-        self._ginv = [row[k:] for row in aug]
-
-    def coords(self, x):
-        """Chart coordinates y with B y = x.  x must lie in the span."""
-        bt_x = [dot(b, x) for b in self.basis]
-        y = tuple(sum(self._ginv[i][j] * bt_x[j] for j in range(len(bt_x)))
-                  for i in range(len(self.basis)))
-        return tuple(a if a.denominator != 1 else int(a) for a in map(Fraction, y))
-
-    def embed(self, y):
-        """Ambient point B y for chart coordinates y."""
-        n = len(self.basis[0])
-        out = [0] * n
-        for c, b in zip(y, self.basis):
-            for i in range(n):
-                out[i] += c * b[i]
-        return tuple(out)

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from .errors import DimensionDeficiencyError
 from .geometry import Polytope, _ccw_cycle
-from .intmat import ChartSolver, det, dot, kernel_basis
+from .intmat import det, dot, kernel_chart, vsub
 from .zonotope import Zonotope
 
 
@@ -55,13 +55,9 @@ def render_svg(body, path=None) -> str:
 def _facet_cycle(P: Polytope, normal, offset):
     """Indices of a facet's vertices, cyclically ordered, outward-oriented."""
     tight = [i for i, v in enumerate(P.vertices) if dot(normal, v) == offset]
-    basis = kernel_basis([normal], P.dim)
-    solver = ChartSolver(basis)
+    basis, left = kernel_chart([normal], P.dim)
     base = P.vertices[tight[0]]
-    chart = {}
-    for i in tight:
-        y = tuple(solver.coords(tuple(a - b for a, b in zip(P.vertices[i], base))))
-        chart[y] = i
+    chart = {tuple(dot(l, vsub(P.vertices[i], base)) for l in left): i for i in tight}
     ordered = _ccw_cycle(sorted(chart))
     if det([list(basis[0]), list(basis[1]), list(normal)]) < 0:
         ordered = ordered[::-1]

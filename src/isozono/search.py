@@ -136,6 +136,13 @@ def _candidate_masks(graph: PLGraph, box_radius: int):
     return candidates, masks
 
 
+def _box_subsets(n: int, m: int, box_radius: int):
+    """(pool, subsets) of the box search: the ((2r+1)^n - 1)/2 candidates after
+    the origin, and the C(pool, m-1) canonical m-sets (0 when none fits)."""
+    npool = ((2 * box_radius + 1) ** n - 1) // 2
+    return npool, math.comb(npool, m - 1)
+
+
 def _connected(mask, masks):
     start = mask & -mask
     seen = start
@@ -169,18 +176,19 @@ def exhaustive_min_boundary(graph: PLGraph, m: int, box_radius: int, *,
         raise ValueError(f"cardinality must be >= 1, got {m}")
     if box_radius < 0:
         raise ValueError(f"box radius must be >= 0, got {box_radius}")
+    if witness_cap < 1:
+        raise ValueError(f"witness cap must be >= 1, got {witness_cap}")
     budget = default_budget() if budget is None else budget
-    candidates, masks = _candidate_masks(graph, box_radius)
-    npool = len(candidates) - 1
-    if m - 1 > npool:
+    npool, count = _box_subsets(graph.dim, m, box_radius)
+    if not count:
         raise ValueError(
             f"no canonical {m}-set fits in a radius-{box_radius} box "
             f"({npool} candidate points)")
-    count = math.comb(npool, m - 1)
     if count > budget:
         raise BudgetExceededError(
             f"exhaustive search needs {count} subsets, budget is {budget} "
             "(raise ISOZONO_BUDGET or shrink the instance)")
+    candidates, masks = _candidate_masks(graph, box_radius)
     degree = 2 * len(graph.generators)
     const = degree * m
     best = None
@@ -263,6 +271,8 @@ def local_search_min_boundary(graph: PLGraph, m: int, iterations: int = 20000,
     """
     if m < 1:
         raise ValueError(f"cardinality must be >= 1, got {m}")
+    if iterations < 0:
+        raise ValueError(f"iterations must be >= 0, got {iterations}")
     rng = random.Random(seed)
     current = set(map(tuple, _gauge_ball_start(graph, m)))
     gens = graph.generators
@@ -575,8 +585,7 @@ def limiting_shape_report(graph: PLGraph, m_max: int, *, box_radius: int | None 
             needed = max((abs(c) for p in f.points for c in p), default=0)
             radius = max(radius, needed)
         result = None
-        npool = ((2 * radius + 1) ** n - 1) // 2
-        if m - 1 <= npool and math.comb(npool, m - 1) <= budget:
+        if 0 < _box_subsets(n, m, radius)[1] <= budget:
             result = exhaustive_min_boundary(graph, m, radius,
                                              witness_cap=witness_cap, budget=budget)
         if result is not None:

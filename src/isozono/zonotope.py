@@ -14,10 +14,12 @@ Vertices are enumerated recursively over the table's keys: the facet of Z
 with outward normal u is t_u + Z(T_u) where T_u are the generators orthogonal
 to u and t_u = sum sign(<u,v_i>) v_i over the rest; sub-zonotopes are taken
 in an integer basis of the facet hyperplane's lattice, which keeps every
-intermediate coordinate an integer.  Recursion bottoms out at exact zonogon
-cycles.  Every vertex lies on a facet, so the union over facets is complete,
-and the recursion records each facet's vertex set: that record is the
-vertex-facet incidence the f-vector walks, with no vertex-by-facet product.
+intermediate coordinate an integer: `intmat.kernel_chart` returns that basis
+with its integer left inverse, whose rows read the coordinates off as dot
+products.  Recursion bottoms out at exact zonogon cycles.  Every vertex lies
+on a facet, so the union over facets is complete, and the recursion records
+each facet's vertex set: that record is the vertex-facet incidence the
+f-vector walks, with no vertex-by-facet product.
 """
 
 from __future__ import annotations
@@ -30,13 +32,13 @@ from itertools import combinations, product
 from .errors import DimensionMismatchError, EmptySectionError, RankDeficientError
 from .geometry import Polytope, convex_hull, hrep_vertices
 from .intmat import (
-    ChartSolver,
     canonical_sign,
     content,
     cross_nd,
     det,
     dot,
-    kernel_basis,
+    embed,
+    kernel_chart,
     rank,
     vadd,
     vneg,
@@ -94,10 +96,9 @@ class Zonotope:
                     tight.append(g)
                 else:
                     shift = vadd(shift, g) if s > 0 else vsub(shift, g)
-            solver = ChartSolver(kernel_basis([u], d))
-            sub = Zonotope(d - 1, tuple(tuple(int(a) for a in solver.coords(g))
-                                        for g in tight))
-            verts = frozenset(vadd(shift, solver.embed(s)) for s in sub._vertex_set)
+            basis, left = kernel_chart([u], d)
+            sub = Zonotope(d - 1, tuple(tuple(dot(l, g) for l in left) for g in tight))
+            verts = frozenset(vadd(shift, embed(basis, s)) for s in sub._vertex_set)
             facets[u] = verts
             facets[vneg(u)] = frozenset(vneg(w) for w in verts)
         return facets

@@ -57,6 +57,14 @@ def test_d4cross_basis_and_segments():
     assert tuple(f_vector(spec.zonotope())) == tuple(f_vector(spec.original_zonotope()))
 
 
+def test_d4cross_generators_map_to_the_original_segments():
+    spec = builtin_graph("d4cross")
+    images = {tuple(s * sum(g[j] * spec.basis[j][i] for j in range(4)) for i in range(4))
+              for g in spec.generators for s in (1, -1)}
+    assert images == set(spec.original_segments)
+    assert len(images) == 24
+
+
 def test_symmetry_hints_validate():
     spec = builtin_graph("linf:2")
     assert spec.symmetry_hints

@@ -332,7 +332,11 @@ def test_render_4d_exits_2(capsys, tmp_path):
     ["converge", "--graph", "l1:2", "--alphas", "2,1/0"],
     ["zonotope", "--graph", "l1:2", "--support", "1 0 0"],
     ["zonotope", "--graph", "linf:3", "--support", "1"],
-], ids=["section-level", "converge-alpha", "support-too-long", "support-too-short"])
+    ["search", "--graph", "linf:2", "--m", "3", "--mode", "local", "--iterations", "-5"],
+    ["search", "--graph", "linf:2", "--m", "3", "--box-radius", "1", "--witness-cap", "0"],
+    ["search", "--graph", "linf:2", "--m", "3", "--box-radius", "1", "--print-witnesses", "-1"],
+], ids=["section-level", "converge-alpha", "support-too-long", "support-too-short",
+        "search-negative-iterations", "search-witness-cap-0", "search-negative-print-witnesses"])
 def test_bad_rational_or_direction_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert_one_error_line(code, err)

@@ -77,6 +77,23 @@ def test_contains_rational_and_boundary_points():
     assert not P.contains((Fraction(41, 10), 0))
 
 
+def test_flat_triangle_contains_through_its_chart():
+    P = convex_hull([(0, 0, 0), (4, 0, 2), (0, 4, 2)])  # in the plane x + y = 2z
+    assert P.affine_dim == 2
+    h = Fraction(1, 2)
+    cases = [((1, 1, 1), True), ((4, 0, 2), True), ((h, h, h), True),
+             ((4, 4, 4), False), ((-h, 0, -h / 2), False),  # in the plane, outside
+             ((1, 2, 1), False), ((h, 0, 0), False)]  # off the plane
+    t, k = (1, -2, h), Fraction(3, 2)
+    for Q, move in [(P, lambda p: p),
+                    (P.translate(t), lambda p: tuple(a + b for a, b in zip(p, t))),
+                    (P.scale(k), lambda p: tuple(k * a for a in p))]:
+        for p, inside in cases:
+            assert Q.contains(move(p)) is inside, (Q, p)
+    point = convex_hull([(1, 2, 3)])
+    assert point.contains((Fraction(1), 2, 3)) and not point.contains((1, 2, h))
+
+
 def test_support_function():
     P = convex_hull(OCTAGON)
     assert P.support((1, 0)) == 3
@@ -310,8 +327,7 @@ def test_hull_matches_brute_force_oracle(points):
     if P.chart is not None:  # compare the full-dimensional body of its chart
         if not P.chart.basis:
             return
-        solver = P.chart.solver()
-        pts = [solver.coords(vsub(p, P.chart.base)) for p in pts]
+        pts = [tuple(dot(l, vsub(p, P.chart.base)) for l in P.chart.left) for p in pts]
         P = P.chart.body
     Q = _hull_oracle(sorted(set(pts)), P.dim)
     assert P.vertices == Q.vertices

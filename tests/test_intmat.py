@@ -5,18 +5,21 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from isozono.intmat import (
-    ChartSolver,
     canonical_sign,
     content,
     cross_nd,
     det,
     dot,
+    embed,
     gram_det,
     gram_matrix,
     integerize,
     kernel_basis,
+    kernel_chart,
     primitive_part,
     rank,
     xgcd,
@@ -117,12 +120,57 @@ def test_gram_det_is_squared_volume():
     assert gram_det([(1, 1, 0)]) == 2
 
 
-def test_chart_solver_round_trip():
-    basis = [(1, 1, 0), (0, 1, 2)]
-    cs = ChartSolver(basis)
-    for y in [(0, 0), (2, -1), (-3, 5)]:
-        x = cs.embed(y)
-        assert cs.coords(x) == tuple(y)
-    # For a point off the span, embed(coords(x)) is a projection, not x.
-    off = (1, 0, 1)
-    assert cs.embed(cs.coords(off)) != off
+def _rational_solve(basis, x):
+    """y with sum_j y_j basis_j = x, by Fraction Gauss-Jordan elimination."""
+    k = len(basis)
+    aug = [[Fraction(b[i]) for b in basis] + [Fraction(x[i])] for i in range(len(x))]
+    for col in range(k):  # the basis is independent, so every column has a pivot
+        piv = next(i for i in range(col, len(aug)) if aug[i][col] != 0)
+        aug[col], aug[piv] = aug[piv], aug[col]
+        aug[col] = [a / aug[col][col] for a in aug[col]]
+        for i in range(len(aug)):
+            if i != col and aug[i][col]:
+                aug[i] = [a - aug[i][col] * b for a, b in zip(aug[i], aug[col])]
+    assert all(r[k] == 0 for r in aug[k:])  # x lies in the span
+    return tuple(aug[j][k] for j in range(k))
+
+
+@st.composite
+def _chart_rows(draw):
+    dim = draw(st.integers(1, 5))
+    entry = st.integers(-3, 3)
+    rows = draw(st.lists(st.tuples(*[entry] * dim), max_size=dim + 1))
+    coeffs = draw(st.lists(st.tuples(*[st.integers(-6, 6)] * dim), min_size=1, max_size=3))
+    return dim, rows, coeffs
+
+
+@settings(max_examples=300, deadline=None)
+@given(_chart_rows())
+@example((3, [], [(1, -2, 3)]))
+@example((3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)], [(0, 0, 0)]))
+@example((3, [(2, -2, 1)], [(3, 1, 0), (-5, 2, 0)]))
+@example((4, [(2, -2, 1, 0), (0, 3, 0, -3)], [(1, 1, 0, 0)]))
+@example((1, [(2,)], [(1,)]))
+def test_kernel_chart_left_inverse_and_coordinates(data):
+    dim, rows, coeffs = data
+    basis, left = kernel_chart(rows, dim)
+    assert basis == kernel_basis(rows, dim)
+    k = len(basis)
+    assert len(left) == k
+    if not rows:
+        identity = [tuple(int(i == j) for i in range(dim)) for j in range(dim)]
+        assert (basis, left) == (identity, identity)
+    if rank(rows, dim) == dim:
+        assert (basis, left) == ([], [])
+    assert [[dot(l, b) for b in basis] for l in left] == [
+        [int(i == j) for j in range(k)] for i in range(k)]
+    for b in basis:
+        assert all(dot(r, b) == 0 for r in rows)
+    if not k:
+        return
+    for c in coeffs:
+        for y in (c[:k], tuple(Fraction(a, 2) for a in c[:k])):
+            x = embed(basis, y)
+            coords = tuple(dot(l, x) for l in left)
+            assert coords == y
+            assert coords == _rational_solve(basis, x)

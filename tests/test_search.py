@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from isozono import search
 from isozono.catalog import BUILTIN_NAMES, builtin_graph
 from isozono.errors import BudgetExceededError, IsozonoError
 from isozono.geometry import convex_hull
@@ -79,6 +80,18 @@ def test_exhaustive_budget_guard():
     # explicit budget large enough works
     res = exhaustive_min_boundary(LINF, 2, box_radius=1, budget=1000)
     assert res.min_boundary == 14
+
+
+def test_box_search_refuses_before_enumerating(monkeypatch):
+    # Both refusals come from the closed-form pool size, not from the window.
+    def enumerate_window(graph, box_radius):
+        raise AssertionError("the window was enumerated")
+
+    monkeypatch.setattr(search, "_candidate_masks", enumerate_window)
+    with pytest.raises(BudgetExceededError):
+        exhaustive_min_boundary(LINF, 3, box_radius=10**9)
+    with pytest.raises(ValueError, match="fits"):
+        exhaustive_min_boundary(LINF, 6, box_radius=1)
 
 
 def test_default_budget_env_override(monkeypatch):
