@@ -148,8 +148,7 @@ def _cmd_search(args):
         hints = spec.symmetry_hints if args.use_symmetry else None
         result = exhaustive_min_boundary(
             graph, args.m, args.box_radius, witness_cap=args.witness_cap,
-            budget=args.budget, connected_only=args.connected_only,
-            symmetry_hints=hints)
+            budget=args.budget, symmetry_hints=hints)
     else:
         result = local_search_min_boundary(graph, args.m,
                                            iterations=args.iterations,
@@ -279,8 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iterations", type=int, default=20000, help="local search steps")
     p.add_argument("--seed", type=int, default=0, help="local search seed")
     p.add_argument("--witness-cap", type=int, default=100)
-    p.add_argument("--connected-only", action="store_true",
-                   help="restrict the exhaustive space to connected sets")
     p.add_argument("--use-symmetry", action="store_true",
                    help="deduplicate witnesses modulo the graph's symmetry hints")
     p.add_argument("--budget", type=int, help="override the enumeration budget")

@@ -28,10 +28,6 @@ def vneg(u):
     return tuple(-a for a in u)
 
 
-def vscale(c, u):
-    return tuple(c * a for a in u)
-
-
 def is_zero(u):
     return all(a == 0 for a in u)
 

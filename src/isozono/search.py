@@ -23,11 +23,12 @@ from __future__ import annotations
 import math
 import os
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 
-from .errors import BudgetExceededError
+from .catalog import _apply_hint, check_symmetry_hints
+from .errors import BudgetExceededError, DimensionMismatchError
 from .geometry import convex_hull
 from .intmat import dot, vadd, vneg
 from .plgraph import PLGraph, edge_boundary_direct
@@ -69,21 +70,19 @@ class SearchResult:
     evaluated: int = 0
 
 
-def _signed_permutation_closure(hints, dim, cap=4096):
-    """Close a list of signed permutations under composition.
+def _signed_permutation_closure(graph: PLGraph, hints, cap=4096):
+    """Close the symmetry hints of `graph` under composition.
 
     Each element is a tuple of (source_index, sign) pairs: the image point has
-    y[i] = sign * x[source_index].
+    y[i] = sign * x[source_index].  Every hint must be a signed permutation
+    fixing the generator set (`catalog.check_symmetry_hints`).
     """
+    dim = graph.dim
     identity = tuple((i, 1) for i in range(dim))
     group = {identity}
     frontier = [identity]
     gens = [tuple((int(j), int(s)) for j, s in h) for h in hints]
-    for g in gens:
-        if len(g) != dim or sorted(j for j, _ in g) != list(range(dim)):
-            raise ValueError(f"symmetry hint {g} is not a permutation of 0..{dim-1}")
-        if any(s not in (-1, 1) for _, s in g):
-            raise ValueError(f"symmetry hint {g} has signs outside {{-1, 1}}")
+    check_symmetry_hints(dim, graph.generators, gens)
     while frontier:
         g = frontier.pop()
         for h in gens:
@@ -96,14 +95,10 @@ def _signed_permutation_closure(hints, dim, cap=4096):
     return group
 
 
-def _apply_signed_permutation(g, p):
-    return tuple(s * p[j] for j, s in g)
-
-
 def _orbit_canonical(points, group):
     best = None
     for g in group:
-        cand = canonical_set(_apply_signed_permutation(g, p) for p in points)
+        cand = canonical_set(_apply_hint(g, p) for p in points)
         if best is None or cand < best:
             best = cand
     return best
@@ -143,34 +138,24 @@ def _box_subsets(n: int, m: int, box_radius: int):
     return npool, math.comb(npool, m - 1)
 
 
-def _connected(mask, masks):
-    start = mask & -mask
-    seen = start
-    frontier = start
-    while frontier:
-        grow = 0
-        m = frontier
-        while m:
-            lsb = m & -m
-            grow |= masks[lsb.bit_length() - 1]
-            m ^= lsb
-        frontier = grow & mask & ~seen
-        seen |= frontier
-    return seen == mask
-
-
 def exhaustive_min_boundary(graph: PLGraph, m: int, box_radius: int, *,
                             witness_cap: int = 100, budget: int | None = None,
-                            connected_only: bool = False,
                             symmetry_hints=None) -> SearchResult:
     """Provably minimal edge boundary over canonical m-sets in a box.
 
     Enumerates every m-point set, up to translation, whose canonical form
     lies in [-box_radius, box_radius]^n.  Minimality is relative to that box.
-    `connected_only` restricts the search space to connected sets (the
-    unrestricted default is the safe one: optimal sets are not known to be
-    connected in every graph).  `symmetry_hints` (signed permutations fixing
-    the graph) deduplicate witnesses modulo the hinted group.
+    `symmetry_hints` (signed permutations fixing the graph) deduplicate
+    witnesses modulo the hinted group; they are checked against the graph.
+
+    Every minimiser over all of Z^n is connected, so no connectivity filter
+    is needed.  Let S be the union of disjoint nonempty sets A and B with no
+    edge between them.  Translate B by a lattice vector so that it meets A,
+    then slide it along a generator v to one step past its last overlap with
+    A.  The result B' is disjoint from A, and some point of B' is adjacent
+    (along v) to A, so |d(A u B')| = |dA| + |dB| - 2e(A, B') <= |dS| - 2.
+    Hence whenever the window holds a global minimiser, every witness is
+    connected.
     """
     if m < 1:
         raise ValueError(f"cardinality must be >= 1, got {m}")
@@ -199,8 +184,6 @@ def exhaustive_min_boundary(graph: PLGraph, m: int, box_radius: int, *,
         sel = 1
         for i in combo:
             sel |= 1 << i
-        if connected_only and not _connected(sel, masks):
-            continue
         inner = (mask0 & sel).bit_count()
         for i in combo:
             inner += (masks[i] & sel).bit_count()
@@ -214,14 +197,12 @@ def exhaustive_min_boundary(graph: PLGraph, m: int, box_radius: int, *,
                 witnesses.append(combo)
             else:
                 truncated = True
-    if best is None:
-        raise ValueError("search space is empty (connected_only pruned everything)")
     sets = []
     for combo in witnesses:
         pts = [candidates[0]] + [candidates[i] for i in combo]
         sets.append(canonical_set(pts))
     if symmetry_hints:
-        group = _signed_permutation_closure(symmetry_hints, graph.dim)
+        group = _signed_permutation_closure(graph, symmetry_hints)
         seen = set()
         deduped = []
         for s in sets:
@@ -246,17 +227,30 @@ def _normal_lines(Z: Zonotope):
     return [(u, Z.support(u)) for u in Z.minor_table]
 
 
+def _smallest_gauges(Z: Zonotope, count: int, center=None):
+    """The `count` lattice points of smallest gauge about `center` (default the
+    origin), as (gauge, p) pairs sorted by gauge, then p.
+
+    The box [-r, r]^n doubles from r = 2 until the last of them has gauge at
+    most the safe radius (r - 1/2) / h(e_i) for every axis i: every lattice
+    point of gauge at most that about a center in [0, 1/2]^n lies in the
+    box, so no point outside it can enter the prefix.
+    """
+    normals = _normal_lines(Z)
+    n = Z.dim
+    reach = max(Z.support(tuple(1 if j == i else 0 for j in range(n))) for i in range(n))
+    r = 2
+    while True:
+        gauges = sorted((_gauge(normals, p, center), p)
+                        for p in product(range(-r, r + 1), repeat=n))[:count]
+        if len(gauges) == count and gauges[-1][0] <= (r - Fraction(1, 2)) / reach:
+            return gauges
+        r *= 2
+
+
 def _gauge_ball_start(graph: PLGraph, m: int):
     """Deterministic start: the m lattice points of smallest zonotope gauge."""
-    Z = zonotope_of_graph(graph)
-    normals = _normal_lines(Z)
-    n = graph.dim
-    r = 1
-    while (2 * r + 1) ** n < 4 * m:
-        r += 1
-    pts = sorted(product(range(-r, r + 1), repeat=n),
-                 key=lambda p: (_gauge(normals, p), p))
-    return pts[:m]
+    return [p for _, p in _smallest_gauges(zonotope_of_graph(graph), m)]
 
 
 def local_search_min_boundary(graph: PLGraph, m: int, iterations: int = 20000,
@@ -267,31 +261,22 @@ def local_search_min_boundary(graph: PLGraph, m: int, iterations: int = 20000,
     remaining set.  Acceptance is simulated-annealing style with a geometric
     temperature schedule; the reported value is the best state ever visited,
     so the result never degrades with more iterations.  Deterministic for a
-    fixed seed.
+    fixed seed.  A move from S to S' u {cand}, with S' = S - {out}, changes
+    |dS| by 2|N(out) & S'| - 2|N(cand) & S'|: out's edges into S' become
+    boundary edges and cand's stop being ones.
     """
     if m < 1:
         raise ValueError(f"cardinality must be >= 1, got {m}")
     if iterations < 0:
         raise ValueError(f"iterations must be >= 0, got {iterations}")
     rng = random.Random(seed)
-    current = set(map(tuple, _gauge_ball_start(graph, m)))
+    current = set(_gauge_ball_start(graph, m))
     gens = graph.generators
-    degree = 2 * len(gens)
-
-    def boundary(S):
-        inner = 0
-        for p in S:
-            for v in gens:
-                if vadd(p, v) in S:
-                    inner += 1
-                if vadd(p, vneg(v)) in S:
-                    inner += 1
-        return degree * len(S) - inner
-
-    cur_b = boundary(current)
+    steps = [*gens, *map(vneg, gens)]
+    cur_b = edge_boundary_direct(graph, current)
     best_b = cur_b
     best_set = frozenset(current)
-    temperature = float(degree)
+    temperature = float(graph.degree)
     cooling = 0.999
     if m > 1:
         for _ in range(iterations):
@@ -302,19 +287,17 @@ def local_search_min_boundary(graph: PLGraph, m: int, iterations: int = 20000,
             if cand in current and cand != out:
                 temperature *= cooling
                 continue
-            trial = set(current)
-            trial.discard(out)
-            trial.add(cand)
-            if len(trial) != m:
-                temperature *= cooling
-                continue
-            tb = boundary(trial)
-            delta = tb - cur_b
+            current.discard(out)
+            delta = 2 * (sum(vadd(out, s) in current for s in steps)
+                         - sum(vadd(cand, s) in current for s in steps))
             if delta <= 0 or rng.random() < math.exp(-delta / max(temperature, 1e-9)):
-                current, cur_b = trial, tb
+                current.add(cand)
+                cur_b += delta
                 if cur_b < best_b:
                     best_b = cur_b
                     best_set = frozenset(current)
+            else:
+                current.add(out)
             temperature *= cooling
     witness = canonical_set(best_set)
     return SearchResult(m, best_b, (witness,), False, evaluated=iterations)
@@ -398,6 +381,8 @@ def zonotope_point_set(graph: PLGraph, alpha, center=None) -> ZonotopePointSet:
         raise ValueError(f"alpha must be positive, got {alpha}")
     n = graph.dim
     center = tuple([Fraction(0)] * n) if center is None else tuple(map(Fraction, center))
+    if len(center) != n:
+        raise DimensionMismatchError(f"center has {len(center)} coordinates, dim is {n}")
     lines = _lattice_lines(zonotope_of_graph(graph), alpha, center)
     pts = tuple(sorted((t,) + y for y, (lo, hi) in lines.items()
                        for t in range(lo, hi + 1)))
@@ -505,39 +490,14 @@ class LimitingShapeRow:
 def _family_catalog(graph: PLGraph, m_max: int):
     """All realizable family cardinalities <= m_max, by half-integer center."""
     Z = zonotope_of_graph(graph)
-    normals = _normal_lines(Z)
-    n = graph.dim
     sets = {}
-    for center in product((Fraction(0), Fraction(1, 2)), repeat=n):
-        r = 2
-        while True:
-            pts = list(product(range(-r, r + 1), repeat=n))
-            gauges = sorted((_gauge(normals, p, center), p) for p in pts)
-            safe = min((r - Fraction(1, 2)) / Z.support(
-                tuple(1 if j == i else 0 for j in range(n))) for i in range(n))
-            groups = []
-            cum = 0
-            i = 0
-            while i < len(gauges):
-                g = gauges[i][0]
-                j = i
-                while j < len(gauges) and gauges[j][0] == g:
-                    j += 1
-                if g > safe:
-                    break
-                cum = j
-                groups.append((g, cum))
-                i = j
-            if groups and groups[-1][1] > m_max:
-                prefix = [q for _, q in gauges]
-                for g, cum in groups:
-                    if cum > m_max:
-                        break
-                    key = cum
-                    member = tuple(sorted(prefix[:cum]))
-                    sets.setdefault(key, []).append((g, center, member))
-                break
-            r *= 2
+    for center in product((Fraction(0), Fraction(1, 2)), repeat=graph.dim):
+        gauges = _smallest_gauges(Z, m_max + 1, center)
+        prefix = [p for _, p in gauges]
+        for cum in range(1, m_max + 1):
+            g = gauges[cum - 1][0]
+            if gauges[cum][0] != g:  # the gauge-g ball holds exactly cum points
+                sets.setdefault(cum, []).append((g, center, tuple(sorted(prefix[:cum]))))
     catalog = {}
     for m, entries in sets.items():
         uniq = {}

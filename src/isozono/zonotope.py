@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
-from itertools import combinations, product
+from itertools import combinations
 
 from .errors import DimensionMismatchError, EmptySectionError, RankDeficientError
 from .geometry import Polytope, convex_hull, hrep_vertices
@@ -289,12 +289,11 @@ def facet_polytope(Z: Zonotope, axis: int) -> FacetSlice:
     if full_rank:
         face = Zonotope(n - 1, canonicalize_generators(n - 1, chart_gens)).polytope()
     else:
-        pts = []
-        for signs in product((-1, 1), repeat=len(chart_gens)):
-            p = tuple(sum(s * g[i] for s, g in zip(signs, chart_gens))
-                      for i in range(n - 1))
-            pts.append(p)
-        face = convex_hull(pts if pts else [tuple([0] * (n - 1))])
+        # One segment at a time: P + [-g, g] is the hull of P - g and P + g.
+        face = convex_hull([(0,) * (n - 1)])
+        for g in chart_gens:
+            face = convex_hull([vadd(p, g) for p in face.vertices]
+                               + [vsub(p, g) for p in face.vertices])
     return FacetSlice(face, tuple(shift), full_rank)
 
 
@@ -308,11 +307,12 @@ def hyperplane_section(Z: Zonotope, axis: int, level) -> Polytope:
     if abs(level) > h:
         raise EmptySectionError(
             f"|level| = {abs(level)} exceeds the support value {h} along axis {axis}")
-    P = Z.polytope()
     ineqs = []
-    for normal, offset in P.facets:
-        reduced = tuple(a for i, a in enumerate(normal) if i != axis)
-        ineqs.append((reduced, Fraction(offset) - normal[axis] * level))
+    for u in Z.minor_table:
+        h = Z.support(u)
+        for normal in (u, vneg(u)):
+            reduced = tuple(a for i, a in enumerate(normal) if i != axis)
+            ineqs.append((reduced, h - normal[axis] * level))
     verts = hrep_vertices(ineqs, n - 1)
     if not verts:
         raise EmptySectionError(f"section at level {level} along axis {axis} is empty")

@@ -12,11 +12,12 @@ from hypothesis import strategies as st
 
 from isozono import search
 from isozono.catalog import BUILTIN_NAMES, builtin_graph
-from isozono.errors import BudgetExceededError, IsozonoError
+from isozono.errors import BudgetExceededError, DimensionMismatchError, IsozonoError
 from isozono.geometry import convex_hull
 from isozono.intmat import det, dot
 from isozono.plgraph import boundary_identity_report, edge_boundary_direct, validate_pl_graph
 from isozono.search import (
+    SearchResult,
     _lattice_lines,
     _lines_boundary,
     canonical_set,
@@ -104,21 +105,79 @@ def test_default_budget_env_override(monkeypatch):
     assert default_budget() == 10_000_000
 
 
-def test_exhaustive_connected_only_restriction():
-    # holed pair (0,0),(2,0) is optimal for l1 at m=2? No: boundary 8 vs 6.
-    # Use a case where connectivity changes nothing (m=2, linf) and one where
-    # the flag restricts the space (m=2, l1 with radius 1: all pairs adjacent
-    # or not; minimum over connected pairs equals global minimum 6).
-    free = exhaustive_min_boundary(L1, 2, box_radius=2)
-    conn = exhaustive_min_boundary(L1, 2, box_radius=2, connected_only=True)
-    assert free.min_boundary == conn.min_boundary == 6
-    assert conn.evaluated <= free.evaluated
+def _components(points, graph):
+    """Connected components of a finite set, by breadth-first search."""
+    left = set(points)
+    steps = list(graph.generators) + [tuple(-a for a in v) for v in graph.generators]
+    parts = []
+    while left:
+        frontier = [left.pop()]
+        part = set(frontier)
+        while frontier:
+            p = frontier.pop()
+            for s in steps:
+                q = tuple(a + b for a, b in zip(p, s))
+                if q in left:
+                    left.remove(q)
+                    part.add(q)
+                    frontier.append(q)
+        parts.append(part)
+    return parts
+
+
+SKEW = validate_pl_graph(2, [(1, 0), (0, 1), (7, 2)])
+GRAPHS_WITH_SKEW = (L1, LINF, TRI, SKEW, builtin_graph("l1:3").graph())
+
+
+def test_exhaustive_witnesses_are_connected():
+    cases = [(g, m, 2) for g in (L1, LINF, TRI) for m in range(1, 6)]
+    cases += [(builtin_graph("l1:3").graph(), m, 1) for m in (1, 2, 3)]
+    for graph, m, r in cases:
+        res = exhaustive_min_boundary(graph, m, box_radius=r)
+        for w in res.witnesses:
+            assert len(_components(w, graph)) == 1, (graph.generators, m, w)
+
+
+def _translate(points, t):
+    return {tuple(a + b for a, b in zip(p, t)) for p in points}
+
+
+def test_sliding_a_component_lowers_the_boundary_by_two():
+    # The connectivity lemma of exhaustive_min_boundary, on random sets.
+    rng = random.Random(11)
+    checked = 0
+    while checked < 200:
+        graph = rng.choice(GRAPHS_WITH_SKEW)
+        box = list(product(range(-3, 4), repeat=graph.dim))
+        S = set(rng.sample(box, rng.randint(2, 8)))
+        parts = _components(S, graph)
+        if len(parts) < 2:
+            continue
+        A = parts[0]
+        B = set().union(*parts[1:])
+        v = rng.choice(graph.generators)
+        b = rng.choice(sorted(B))
+        B = _translate(B, tuple(x - y for x, y in zip(rng.choice(sorted(A)), b)))
+        while B & A:
+            B = _translate(B, v)
+        assert any(_translate([p], v) & B for p in A)
+        assert edge_boundary_direct(graph, A | B) <= edge_boundary_direct(graph, S) - 2
+        checked += 1
 
 
 def test_exhaustive_witness_cap_truncation():
     res = exhaustive_min_boundary(LINF, 3, box_radius=3, witness_cap=1)
     assert res.witnesses_truncated
     assert len(res.witnesses) == 1
+
+
+def test_symmetry_hint_must_fix_the_graph():
+    # The swap maps (1, 2) to (2, 1), which is no generator: folding by it
+    # would merge the witnesses {(0,0),(1,0)} and {(0,0),(0,1)}.
+    graph = validate_pl_graph(2, [(1, 0), (0, 1), (1, 2)])
+    assert len(exhaustive_min_boundary(graph, 2, box_radius=2).witnesses) == 3
+    with pytest.raises(ValueError, match="does not preserve"):
+        exhaustive_min_boundary(graph, 2, box_radius=2, symmetry_hints=[((1, 1), (0, 1))])
 
 
 def test_symmetry_hints_collapse_witness_orbits():
@@ -147,6 +206,57 @@ def test_local_search_deterministic_per_seed():
     assert a == b
 
 
+def _full_recount_local_search(graph, m, iterations, seed):
+    """Slow oracle: the annealing search recounting the whole boundary of
+    every trial set, with the same random draws."""
+    rng = random.Random(seed)
+    current = set(search._gauge_ball_start(graph, m))
+    gens = graph.generators
+    degree = 2 * len(gens)
+
+    def neighbour(p, v, sign):
+        return tuple(a + sign * b for a, b in zip(p, v))
+
+    def boundary(S):
+        inner = sum(neighbour(p, v, sign) in S for p in S for v in gens for sign in (1, -1))
+        return degree * len(S) - inner
+
+    cur_b = best_b = boundary(current)
+    best_set = frozenset(current)
+    temperature = float(degree)
+    for _ in range(iterations if m > 1 else 0):
+        out = rng.choice(sorted(current))
+        anchor = rng.choice(sorted(current - {out}))
+        v = rng.choice(gens)
+        cand = neighbour(anchor, v, 1 if rng.random() < 0.5 else -1)
+        if cand not in current or cand == out:
+            trial = (current - {out}) | {cand}
+            delta = boundary(trial) - cur_b
+            if delta <= 0 or rng.random() < math.exp(-delta / max(temperature, 1e-9)):
+                current, cur_b = trial, cur_b + delta
+                if cur_b < best_b:
+                    best_b, best_set = cur_b, frozenset(current)
+        temperature *= 0.999
+    return SearchResult(m, best_b, (canonical_set(best_set),), False, evaluated=iterations)
+
+
+def test_local_search_boundary_delta_matches_full_recount():
+    for graph, m, seed in product(GRAPHS_WITH_SKEW, (1, 2, 5, 9, 14), (0, 3, 8)):
+        assert (local_search_min_boundary(graph, m, 400, seed)
+                == _full_recount_local_search(graph, m, 400, seed)), (graph.generators, m, seed)
+
+
+def test_gauge_ball_start_is_the_smallest_gauge_prefix():
+    # On this skewed graph a box sized by the point count alone ends at
+    # |x| = 3 and misses a point of the true start.
+    normals = search._normal_lines(zonotope_of_graph(SKEW))
+    box = product(range(-20, 21), repeat=2)
+    expected = sorted(box, key=lambda p: (search._gauge(normals, p), p))[:10]
+    start = search._gauge_ball_start(SKEW, 10)
+    assert start == expected
+    assert max(abs(p[0]) for p in start) == 4
+
+
 def test_zonotope_point_set_oracles():
     ps = zonotope_point_set(LINF, 1)
     assert ps.cardinality == 37
@@ -164,6 +274,13 @@ def test_zonotope_point_set_shifted_center():
     ps = zonotope_point_set(L1, Fraction(1, 2), center=(Fraction(1, 2), Fraction(1, 2)))
     assert ps.cardinality == 4
     assert canonical_set(ps.points) == ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
+def test_zonotope_point_set_rejects_center_of_wrong_length():
+    with pytest.raises(DimensionMismatchError):
+        zonotope_point_set(L1, 1, center=(0, 0, 7))
+    with pytest.raises(DimensionMismatchError):
+        zonotope_point_set(L1, 1, center=(0,))
 
 
 def test_convergence_experiment_exact_rows():

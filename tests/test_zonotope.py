@@ -1,7 +1,9 @@
 """Zonotope V-rep/H-rep, f-vectors, facet slices, sections, homothety."""
 
+import random
+import time
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -12,7 +14,7 @@ from isozono.errors import (
     EmptySectionError,
     RankDeficientError,
 )
-from isozono.geometry import convex_hull
+from isozono.geometry import convex_hull, hrep_vertices
 from isozono.intmat import det, dot
 from isozono.zonotope import (
     FVector,
@@ -172,6 +174,57 @@ def test_facet_polytope_low_rank_flag():
     assert fs3.is_facet
 
 
+def _sign_sum_face(z, axis):
+    """Slow oracle: the hull of all 2^k signed sums of the generators with
+    vanishing `axis` coordinate, in the chart that drops that coordinate."""
+    chart = [tuple(a for i, a in enumerate(g) if i != axis)
+             for g in z.generators if g[axis] == 0]
+    pts = [tuple(sum(s * g[i] for s, g in zip(signs, chart)) for i in range(z.dim - 1))
+           for signs in product((-1, 1), repeat=len(chart))]
+    return convex_hull(pts or [(0,) * (z.dim - 1)])
+
+
+def _plane_zonotope(k):
+    """4-D zonotope whose x1-maximal face is spanned by k >= 2 generators
+    (0, 1, b, 0) of one plane: a 2k-gon, flat in the 3-D chart."""
+    plane = [(0, 1, b, 0) for b in range(-(k // 2), k - k // 2)]
+    return build_zonotope(4, plane + [(1, 0, 0, 0), (1, 0, 0, 1)])
+
+
+def test_facet_polytope_flat_face_matches_sign_sum_oracle():
+    for k in range(2, 11):
+        z = _plane_zonotope(k)
+        fs = facet_polytope(z, 0)
+        assert not fs.is_facet
+        assert fs.translation == (2, 0, 0, 1)
+        assert len(fs.face.vertices) == 2 * k
+        assert fs.face == _sign_sum_face(z, 0)
+    rng = random.Random(7)
+    checked = 0
+    while checked < 40:
+        n = rng.choice((3, 4))
+        gens = {tuple(rng.randint(-1, 1) for _ in range(n)) for _ in range(n + 3)}
+        try:
+            z = build_zonotope(n, [g for g in gens if any(g)])
+        except (RankDeficientError, AntipodalGeneratorError):
+            continue
+        for axis in range(n):
+            fs = facet_polytope(z, axis)
+            oracle = _sign_sum_face(z, axis)
+            assert fs.face == oracle and fs.face.facets == oracle.facets
+            assert fs.is_facet == oracle.is_full_dimensional()
+        checked += 1
+
+
+def test_facet_polytope_flat_face_is_built_one_segment_at_a_time():
+    # 2^24 signed sums would take minutes; the face is a 48-gon.
+    start = time.perf_counter()
+    fs = facet_polytope(_plane_zonotope(24), 0)
+    assert time.perf_counter() - start < 5
+    assert not fs.is_facet
+    assert len(fs.face.vertices) == 48
+
+
 def test_hyperplane_section_central_is_scaled_copy():
     sec = hyperplane_section(Z("linf:3"), 0, 0)
     target = Z("linf:2").polytope()
@@ -190,6 +243,21 @@ def test_hyperplane_section_at_support_level_is_facet():
     sec = hyperplane_section(z, 0, 9)
     fs = facet_polytope(z, 0)
     assert set(sec.vertices) == set(fs.face.vertices)
+
+
+def test_hyperplane_section_matches_built_polytope_facets():
+    # The section takes its facets from the minor table; the oracle reads
+    # them off the built polytope, vertex recursion included.
+    for name in ("l1:3", "linf:3", "d4cross"):
+        z = Z(name)
+        for axis, level in product(range(z.dim), (0, 1, Fraction(5, 2))):
+            if level > z.support(tuple(int(i == axis) for i in range(z.dim))):
+                continue
+            ineqs = [(tuple(a for i, a in enumerate(u) if i != axis),
+                      Fraction(c) - u[axis] * level) for u, c in z.polytope().facets]
+            oracle = convex_hull(hrep_vertices(ineqs, z.dim - 1))
+            sec = hyperplane_section(z, axis, level)
+            assert sec == oracle and sec.facets == oracle.facets
 
 
 def test_hyperplane_section_errors():
