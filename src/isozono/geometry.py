@@ -41,6 +41,7 @@ from .intmat import (
     dot,
     embed,
     gram_det,
+    independent_rows,
     integerize,
     is_zero,
     kernel_basis,
@@ -333,12 +334,8 @@ def _extreme_rays(rows, d):
     on every row both are tight on.  Rows that do not span Q^d leave a cone
     with a line in it, which has no extreme rays.
     """
-    basis, perp = [], kernel_basis([], d)
-    for i, r in enumerate(rows):
-        if perp and any(dot(r, k) for k in perp):
-            basis.append(i)
-            perp = kernel_basis([rows[j] for j in basis], d)
-    if perp:
+    basis = independent_rows(rows, d)
+    if len(basis) < d:
         return []
     rays = []
     for i in basis:

@@ -132,8 +132,32 @@ def embed(basis, y):
     return tuple(sum(c * b[i] for c, b in zip(y, basis)) for i in range(len(basis[0])))
 
 
+def independent_rows(rows, dim: int):
+    """Indices of the rows independent of the rows before them, first to last:
+    the greedy basis of their span.
+
+    Fraction-free elimination: each row is reduced by the earlier pivots
+    (r <- e_c r - r_c e for a kept row e with pivot column c) and kept when
+    something nonzero is left, its first nonzero entry the new pivot.
+    """
+    kept, picked = [], []
+    for i, r in enumerate(rows):
+        for c, e in kept:
+            a, b = e[c], r[c]
+            if b:
+                r = [a * x - b * y for x, y in zip(r, e)]
+        c = next((j for j, x in enumerate(r) if x), None)
+        if c is not None:
+            g = content(r)
+            kept.append((c, [x // g for x in r]))
+            picked.append(i)
+            if len(picked) == dim:
+                break
+    return picked
+
+
 def rank(rows, dim: int) -> int:
-    return dim - len(kernel_basis(rows, dim))
+    return len(independent_rows(rows, dim))
 
 
 def det(matrix) -> Fraction | int:

@@ -23,9 +23,10 @@ from __future__ import annotations
 import math
 import os
 import random
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 
 from .catalog import _apply_hint, check_symmetry_hints
 from .errors import BudgetExceededError, DimensionMismatchError
@@ -131,6 +132,16 @@ def _candidate_masks(graph: PLGraph, box_radius: int):
     return candidates, masks
 
 
+def _bit_indices(x: int):
+    """Indices of the set bits of x, in increasing order."""
+    out = []
+    while x:
+        low = x & -x
+        out.append(low.bit_length() - 1)
+        x ^= low
+    return out
+
+
 def _box_subsets(n: int, m: int, box_radius: int):
     """(pool, subsets) of the box search: the ((2r+1)^n - 1)/2 candidates after
     the origin, and the C(pool, m-1) canonical m-sets (0 when none fits)."""
@@ -156,6 +167,19 @@ def exhaustive_min_boundary(graph: PLGraph, m: int, box_radius: int, *,
     (along v) to A, so |d(A u B')| = |dA| + |dB| - 2e(A, B') <= |dS| - 2.
     Hence whenever the window holds a global minimiser, every witness is
     connected.
+
+    The canonical m-sets are the origin plus m - 1 of the candidates, which
+    are in lexicographic order; they are walked depth first, prefix by
+    prefix, in the order `itertools.combinations` lists them.  A prefix
+    carries `inner`, twice its edge count: adding candidate j adds
+    2|N(j) & prefix|, so a leaf costs one popcount.  Every neighbour of j in
+    the prefix is lexicographically smaller, and of p + v and p - v only one
+    is, so a point added when k points are present adds at most
+    2 min(k, #generators).  A prefix is cut when its boundary minus the most
+    its remaining points can add still exceeds the best so far; the test is
+    strict, so every m-set that ties the minimum is visited and `witnesses`
+    keeps the first `witness_cap` of them.  `evaluated` counts the
+    C(npool, m - 1) canonical m-sets covered, visited or cut.
     """
     if m < 1:
         raise ValueError(f"cardinality must be >= 1, got {m}")
@@ -174,33 +198,48 @@ def exhaustive_min_boundary(graph: PLGraph, m: int, box_radius: int, *,
             f"exhaustive search needs {count} subsets, budget is {budget} "
             "(raise ISOZONO_BUDGET or shrink the instance)")
     candidates, masks = _candidate_masks(graph, box_radius)
-    degree = 2 * len(graph.generators)
-    const = degree * m
-    best = None
-    witnesses = []
+    gens = len(graph.generators)
+    const = 2 * gens * m
+    # tail[k]: the most the m - k points still to come add to `inner` once
+    # k points are present.
+    tail = [0] * (m + 1)
+    for k in range(m - 1, 0, -1):
+        tail[k] = tail[k + 1] + 2 * min(gens, k)
+    best = const + 1  # above every boundary: the first leaf sets it
+    witnesses = []  # selection bitmasks, bit 0 the origin
     truncated = False
-    mask0 = masks[0]
-    for combo in combinations(range(1, npool + 1), m - 1):
-        sel = 1
-        for i in combo:
-            sel |= 1 << i
-        inner = (mask0 & sel).bit_count()
-        for i in combo:
-            inner += (masks[i] & sel).bit_count()
-        b = const - inner
-        if best is None or b < best:
-            best = b
-            witnesses = [combo]
-            truncated = False
-        elif b == best:
-            if len(witnesses) < witness_cap:
-                witnesses.append(combo)
-            else:
-                truncated = True
-    sets = []
-    for combo in witnesses:
-        pts = [candidates[0]] + [candidates[i] for i in combo]
-        sets.append(canonical_set(pts))
+    # (points k, least free index lo, inner, selection bitmask, union of the
+    # selection's neighbour masks); children go on in reverse, so they come
+    # off in increasing order.  An explicit stack: prefixes can be npool deep.
+    stack = [(1, 1, 0, 1, masks[0])]
+    while stack:
+        k, lo, inner, sel, nbr = stack.pop()
+        base = const - inner
+        if base - tail[k] > best:
+            continue
+        if k < m - 1:
+            for j in range(npool - m + k + 1, lo - 1, -1):
+                stack.append((k + 1, j + 1, inner + 2 * (masks[j] & sel).bit_count(),
+                              sel | 1 << j, nbr | masks[j]))
+            continue
+        if k == m:  # m = 1: the origin alone
+            best, witnesses = base, [sel]
+            continue
+        # A leaf j not adjacent to the prefix has boundary base, so once
+        # base > best only the prefix's neighbours can tie or beat best.
+        leaves = range(lo, npool + 1) if base <= best else _bit_indices(nbr >> lo << lo)
+        for j in leaves:
+            b = base - 2 * (masks[j] & sel).bit_count()
+            if b < best:
+                best = b
+                witnesses = [sel | 1 << j]
+                truncated = False
+            elif b == best:
+                if len(witnesses) < witness_cap:
+                    witnesses.append(sel | 1 << j)
+                else:
+                    truncated = True
+    sets = [canonical_set(candidates[i] for i in _bit_indices(w)) for w in witnesses]
     if symmetry_hints:
         group = _signed_permutation_closure(graph, symmetry_hints)
         seen = set()
@@ -217,9 +256,24 @@ def exhaustive_min_boundary(graph: PLGraph, m: int, box_radius: int, *,
 
 
 def _gauge(normals, p, center=None):
-    """Minkowski gauge of p in the zonotope with the given (normal, offset) pairs."""
-    q = p if center is None else tuple(Fraction(a) - c for a, c in zip(p, center))
-    return max(Fraction(abs(dot(u, q)), h) for u, h in normals)
+    """Minkowski gauge of p about `center` (default the origin) in the zonotope
+    with the given (normal, offset) pairs: the largest |<u, p - c>| / h.
+
+    Compared in integers: with D the common denominator of the centre and
+    a = |<u, D(p - c)>|, the ratio a / h beats a' / h' iff a h' > a' h, so
+    only the winner becomes a Fraction, a / (h D).
+    """
+    D, dc = 1, (0,) * len(p)
+    if center is not None:
+        D = math.lcm(*(Fraction(c).denominator for c in center))
+        dc = tuple(int(c * D) for c in center)
+    q = tuple(D * a - b for a, b in zip(p, dc))
+    best, h_best = 0, 1
+    for u, h in normals:
+        a = abs(dot(u, q))
+        if a * h_best > best * h:
+            best, h_best = a, h
+    return Fraction(best, h_best * D)
 
 
 def _normal_lines(Z: Zonotope):
@@ -278,10 +332,13 @@ def local_search_min_boundary(graph: PLGraph, m: int, iterations: int = 20000,
     best_set = frozenset(current)
     temperature = float(graph.degree)
     cooling = 0.999
+    order = sorted(current)  # kept sorted, so each seed draws as before
     if m > 1:
         for _ in range(iterations):
-            out = rng.choice(sorted(current))
-            anchor = rng.choice(sorted(current - {out}))
+            k = rng.choice(range(len(order)))
+            out = order[k]
+            i = rng.choice(range(len(order) - 1))
+            anchor = order[i + (i >= k)]
             v = rng.choice(gens)
             cand = vadd(anchor, v) if rng.random() < 0.5 else vadd(anchor, vneg(v))
             if cand in current and cand != out:
@@ -292,6 +349,8 @@ def local_search_min_boundary(graph: PLGraph, m: int, iterations: int = 20000,
                          - sum(vadd(cand, s) in current for s in steps))
             if delta <= 0 or rng.random() < math.exp(-delta / max(temperature, 1e-9)):
                 current.add(cand)
+                del order[k]
+                insort(order, cand)
                 cur_b += delta
                 if cur_b < best_b:
                     best_b = cur_b

@@ -17,6 +17,7 @@ from isozono.intmat import (
     embed,
     gram_det,
     gram_matrix,
+    independent_rows,
     integerize,
     kernel_basis,
     kernel_chart,
@@ -174,3 +175,38 @@ def test_kernel_chart_left_inverse_and_coordinates(data):
             coords = tuple(dot(l, x) for l in left)
             assert coords == y
             assert coords == _rational_solve(basis, x)
+
+
+def _greedy_independent_rows(rows, dim):
+    """Slow oracle: keep a row when it pairs nonzero with the kernel of the
+    rows kept so far."""
+    picked, perp = [], kernel_basis([], dim)
+    for i, r in enumerate(rows):
+        if perp and any(dot(r, k) for k in perp):
+            picked.append(i)
+            perp = kernel_basis([rows[j] for j in picked], dim)
+    return picked
+
+
+@st.composite
+def _dependent_rows(draw):
+    """Rows in dims 1..5, with integer combinations of earlier rows mixed in."""
+    dim = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.tuples(*[st.integers(-4, 4)] * dim), max_size=dim + 2))
+    for _ in range(draw(st.integers(0, 3))):
+        if rows:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            s, t = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+            rows.insert(draw(st.integers(0, len(rows))),
+                        tuple(s * x + t * y for x, y in zip(a, b)))
+    return dim, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(_dependent_rows())
+@example((3, [(2, 4, 6), (1, 2, 3), (0, 0, 0), (0, 5, 1), (2, 9, 7)]))
+def test_rank_counts_pivots_like_the_kernel(data):
+    dim, rows = data
+    picked = independent_rows(rows, dim)
+    assert picked == _greedy_independent_rows(rows, dim)
+    assert rank(rows, dim) == len(picked) == dim - len(kernel_basis(rows, dim))

@@ -7,7 +7,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from isozono import search
@@ -189,6 +189,104 @@ def test_symmetry_hints_collapse_witness_orbits():
     assert len(folded.witnesses) <= len(plain.witnesses)
 
 
+def _combinations_search(graph, m, r, witness_cap=100, symmetry_hints=None):
+    """Slow oracle: the box search as one flat loop over
+    combinations(range(1, npool + 1), m - 1), counting every m-set's inner
+    edges afresh with m popcounts."""
+    candidates, masks = search._candidate_masks(graph, r)
+    npool = len(candidates) - 1
+    const = 2 * len(graph.generators) * m
+    best, combos, truncated = None, [], False
+    for combo in combinations(range(1, npool + 1), m - 1):
+        sel = 1
+        for i in combo:
+            sel |= 1 << i
+        b = const - sum((masks[i] & sel).bit_count() for i in (0, *combo))
+        if best is None or b < best:
+            best, combos, truncated = b, [combo], False
+        elif b == best:
+            if len(combos) < witness_cap:
+                combos.append(combo)
+            else:
+                truncated = True
+    sets = [canonical_set([candidates[0]] + [candidates[i] for i in c]) for c in combos]
+    if symmetry_hints:
+        group = search._signed_permutation_closure(graph, symmetry_hints)
+        orbits = {}
+        for w in sets:
+            orbits.setdefault(search._orbit_canonical(w, group), w)
+        sets = list(orbits.values())
+    return SearchResult(m, best, tuple(sorted(sets)), True,
+                        witnesses_truncated=truncated,
+                        evaluated=math.comb(npool, m - 1))
+
+
+def _box_cases():
+    for name in BUILTIN_NAMES:
+        graph = builtin_graph(name).graph()
+        if graph.dim == 2:
+            for r in (1, 2):
+                npool = search._box_subsets(2, 1, r)[0]
+                yield from ((graph, m, r) for m in range(1, min(6, npool + 1) + 1))
+    l13 = builtin_graph("l1:3").graph()
+    yield from ((l13, m, 1) for m in range(1, 15))
+
+
+def test_depth_first_walk_matches_combinations_oracle():
+    for graph, m, r in _box_cases():
+        for cap in (1, 2, 100):
+            assert (exhaustive_min_boundary(graph, m, r, witness_cap=cap)
+                    == _combinations_search(graph, m, r, cap)), (graph.generators, m, r, cap)
+
+
+@st.composite
+def _box_search_cases(draw):
+    """Skewed generator sets in 2-D and 3-D (long generators leave few in-box
+    edges, so many sets tie), or linf:2 with its symmetry hints."""
+    cap = draw(st.sampled_from([1, 2, 100]))
+    if draw(st.booleans()):
+        spec = builtin_graph("linf:2")
+        r = draw(st.integers(1, 2))
+        m = draw(st.integers(1, min(search._box_subsets(2, 1, r)[0] + 1, 7)))
+        return spec.graph(), m, r, cap, spec.symmetry_hints
+    dim = draw(st.integers(2, 3))
+    vec = st.tuples(*[st.integers(-4, 4)] * dim)
+    gens = draw(st.lists(vec, min_size=dim, max_size=dim + 2))
+    try:
+        graph = validate_pl_graph(dim, gens)
+    except IsozonoError:
+        graph = SKEW if dim == 2 else builtin_graph("l1:3").graph()
+    r = draw(st.integers(1, 4 - dim))
+    npool = search._box_subsets(dim, 1, r)[0]
+    return graph, draw(st.integers(1, min(npool + 1, 7))), r, cap, None
+
+
+@settings(max_examples=200, deadline=None)
+@given(_box_search_cases())
+# A non-adjacent leaf ties the minimum here, so the leaf shortcut must not
+# be taken when the prefix's own boundary equals the best.
+@example((validate_pl_graph(2, [(1, 0), (1, 2)]), 3, 1, 100, None))
+def test_depth_first_walk_matches_oracle_on_skewed_graphs(case):
+    graph, m, r, cap, hints = case
+    assert (exhaustive_min_boundary(graph, m, r, witness_cap=cap, symmetry_hints=hints)
+            == _combinations_search(graph, m, r, cap, hints))
+
+
+def test_depth_first_walk_needs_no_recursion_on_a_deep_prefix():
+    # r = 22 has 1,012 candidates: the prefixes are 1,011 and 1,010 deep,
+    # beyond Python's default recursion limit.
+    npool = search._box_subsets(2, 1, 22)[0]
+    full = exhaustive_min_boundary(LINF, npool + 1, 22)
+    assert (full.evaluated, len(full.witnesses), full.witnesses_truncated) == (1, 1, False)
+    assert full.min_boundary == edge_boundary_direct(LINF, full.witnesses[0])
+    one_out = exhaustive_min_boundary(LINF, npool, 22)
+    assert one_out.evaluated == npool
+    # Dropping a point of least degree, a corner of the upper half-box.
+    assert one_out.min_boundary == full.min_boundary - 8 + 2 * 3
+    for w in one_out.witnesses:
+        assert edge_boundary_direct(LINF, w) == one_out.min_boundary
+
+
 def test_local_search_matches_exhaustive_small():
     for g in (L1, LINF, TRI):
         for m in (1, 2, 3, 4, 5):
@@ -244,6 +342,28 @@ def test_local_search_boundary_delta_matches_full_recount():
     for graph, m, seed in product(GRAPHS_WITH_SKEW, (1, 2, 5, 9, 14), (0, 3, 8)):
         assert (local_search_min_boundary(graph, m, 400, seed)
                 == _full_recount_local_search(graph, m, 400, seed)), (graph.generators, m, seed)
+
+
+def _fraction_gauge(normals, p, center):
+    """Slow oracle: one Fraction per normal."""
+    q = tuple(Fraction(a) - c for a, c in zip(p, center))
+    return max(Fraction(abs(dot(u, q)), h) for u, h in normals)
+
+
+def test_integer_gauge_matches_fraction_oracle():
+    rng = random.Random(4)
+    for name, per_center in (("linf:3", 15), ("linf:4", 3)):
+        Z = zonotope_of_graph(builtin_graph(name).graph())
+        normals = search._normal_lines(Z)
+        n = Z.dim
+        for center in product((Fraction(0), Fraction(1, 2)), repeat=n):
+            points = [(0,) * n, (1,) * n] + [tuple(rng.randint(-6, 6) for _ in range(n))
+                                             for _ in range(per_center)]
+            for p in points:
+                expected = _fraction_gauge(normals, p, center)
+                assert search._gauge(normals, p, center) == expected, (name, p, center)
+                if not any(center):
+                    assert search._gauge(normals, p) == expected
 
 
 def test_gauge_ball_start_is_the_smallest_gauge_prefix():
