@@ -4,7 +4,10 @@ Everything geometric is computed in exact rational arithmetic: lattice-graph
 edge boundaries and their projection/gap identity, limiting zonotopes with
 full face data, the continuous boundary functional with its sharp
 isoperimetric certificate, dual projection lattices, and discrete
-minimum-boundary search.  Floating point appears only in figure files.
+minimum-boundary search.  Floating point appears in three places only, none
+of them a reported number: figure files, the annealing acceptance draw of
+local search, and the wall-clock limits and percentage display of
+``isozono reproduce``.
 """
 
 from .boundary import (BMCertificate, BoundaryValue, ProbeRow,

@@ -29,7 +29,7 @@ from math import lcm
 
 from .errors import DimensionMismatchError, RankDeficientError, ZeroVectorError
 from .geometry import Polytope, minkowski_sum_segment
-from .intmat import dot, is_zero
+from .intmat import _norm_num, dot, is_zero
 from .plgraph import PLGraph
 from .zonotope import Zonotope, homothety_check, zonotope_of_graph
 
@@ -56,9 +56,7 @@ def directional_sweep(body, direction):
         s = dot(normal, direction)
         if s > 0:
             total += s * cell
-    if total.denominator == 1:
-        return int(total)
-    return total
+    return _norm_num(total)
 
 
 @dataclass(frozen=True)
@@ -76,10 +74,7 @@ def continuous_boundary(body, graph: PLGraph) -> BoundaryValue:
         raise DimensionMismatchError(
             f"body dimension {dim} does not match graph dimension {graph.dim}")
     sweeps = tuple((v, directional_sweep(body, v)) for v in graph.generators)
-    total = 2 * sum(s for _, s in sweeps)
-    if isinstance(total, Fraction) and total.denominator == 1:
-        total = int(total)
-    return BoundaryValue(total, sweeps)
+    return BoundaryValue(_norm_num(2 * sum(s for _, s in sweeps)), sweeps)
 
 
 def zonotope_boundary_identity(graph: PLGraph):
@@ -119,13 +114,9 @@ def brunn_minkowski_certificate(A: Polytope, graph: PLGraph) -> BMCertificate:
     vol_a = A.volume()
     vol_z = Z.volume()
     b = continuous_boundary(A, graph).value
-    lhs = Fraction(b) ** n
-    rhs = Fraction(n) ** n * Fraction(vol_a) ** (n - 1) * Fraction(vol_z)
+    lhs = _norm_num(Fraction(b) ** n)
+    rhs = _norm_num(Fraction(n) ** n * Fraction(vol_a) ** (n - 1) * Fraction(vol_z))
     hc = homothety_check(A, Z.polytope())
-    if lhs.denominator == 1:
-        lhs = int(lhs)
-    if rhs.denominator == 1:
-        rhs = int(rhs)
     return BMCertificate(
         dim=n,
         boundary_value=b,

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key, reduce
+from functools import cached_property, reduce
 from operator import and_
 
 from .errors import (
@@ -36,6 +36,7 @@ from .errors import (
     ZeroVectorError,
 )
 from .intmat import (
+    _norm_num,
     content,
     cross_nd,
     dot,
@@ -51,12 +52,6 @@ from .intmat import (
     vneg,
     vsub,
 )
-
-
-def _norm_num(a):
-    if isinstance(a, Fraction) and a.denominator == 1:
-        return int(a)
-    return a
 
 
 def _norm_point(p):
@@ -94,9 +89,6 @@ class Polytope:
             sorted((tuple(n), _norm_num(Fraction(c))) for n, c in facets)
         )
         self.chart = chart
-        self._volume = None
-        self._cells = None
-        self._cycle = None
 
     # -- basic queries ---------------------------------------------------
 
@@ -138,8 +130,6 @@ class Polytope:
             raise DimensionDeficiencyError(
                 f"volume requires a full-dimensional polytope "
                 f"(affine dim {self.affine_dim} in ambient dim {self.dim})")
-        if self._volume is None:
-            self._volume = self._compute_volume()
         return self._volume
 
     def volume_squared(self):
@@ -160,7 +150,8 @@ class Polytope:
             return 1
         return self.chart.body.volume()
 
-    def _compute_volume(self):
+    @cached_property
+    def _volume(self):
         n = self.dim
         if n == 1:
             xs = [v[0] for v in self.vertices]
@@ -183,21 +174,26 @@ class Polytope:
         """
         if self.facets is None:
             raise DimensionDeficiencyError("facet data requires a full-dimensional polytope")
-        if self._cells is None:
-            cells = []
-            for normal, offset in self.facets:
-                tight = [v for v in self.vertices if dot(normal, v) == offset]
-                cells.append((normal, offset, _facet_lattice_volume(self.dim, normal, tight)))
-            self._cells = tuple(cells)
         return self._cells
 
+    @cached_property
+    def _cells(self):
+        return tuple(
+            (normal, offset, _facet_lattice_volume(
+                self.dim, normal, [v for v in self.vertices if dot(normal, v) == offset]))
+            for normal, offset in self.facets)
+
     def cycle(self):
-        """Vertices of a 2-polytope in counterclockwise cyclic order."""
+        """Vertices of a 2-polytope in counterclockwise cyclic order, from the
+        lexicographically smallest."""
         if self.dim != 2 or self.chart is not None:
             raise DimensionDeficiencyError("cycle() is for full-dimensional polygons")
-        if self._cycle is None:
-            self._cycle = _ccw_cycle(self.vertices)
         return self._cycle
+
+    @cached_property
+    def _cycle(self):
+        # A polygon's vertices are in strictly convex position: the chain keeps all.
+        return tuple(_monotone_chain(self.vertices))
 
     # -- transforms --------------------------------------------------------
 
@@ -357,29 +353,6 @@ def _extreme_rays(rows, d):
                     w = tuple(s * b - t * a for a, b in zip(y, z))
                     rays.append((primitive_part(w), common | 1 << i))
     return rays
-
-
-def _ccw_cycle(vertices):
-    m = len(vertices)
-    if m <= 2:
-        return tuple(vertices)
-    cx = Fraction(sum(Fraction(v[0]) for v in vertices), m)
-    cy = Fraction(sum(Fraction(v[1]) for v in vertices), m)
-
-    def half(p):
-        dxy = (p[1] - cy, p[0] - cx)
-        return 0 if (dxy[0] > 0 or (dxy[0] == 0 and dxy[1] > 0)) else 1
-
-    def cmp(p, q):
-        hp, hq = half(p), half(q)
-        if hp != hq:
-            return -1 if hp < hq else 1
-        cr = (p[0] - cx) * (q[1] - cy) - (p[1] - cy) * (q[0] - cx)
-        if cr == 0:
-            return 0
-        return -1 if cr > 0 else 1
-
-    return tuple(sorted(vertices, key=cmp_to_key(cmp)))
 
 
 def _shoelace(cycle):

@@ -32,6 +32,21 @@ def is_zero(u):
     return all(a == 0 for a in u)
 
 
+def _norm_num(a):
+    """An integral Fraction as an int; anything else unchanged."""
+    if isinstance(a, Fraction) and a.denominator == 1:
+        return int(a)
+    return a
+
+
+def _bit_indices(x: int):
+    """Indices of the set bits of x, in increasing order."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
+
+
 def content(v) -> int:
     """gcd of the entries; 0 for the zero vector."""
     g = 0

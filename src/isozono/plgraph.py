@@ -94,11 +94,12 @@ def edge_boundary_direct(graph: PLGraph, points) -> int:
     return count
 
 
-def _lines_along(S, v):
-    """Group a finite set into lines x + Z*v; returns {key: sorted parameter list}.
+def _lines_and_gaps(S, v):
+    """(lines, gaps) of a finite set along v: the lines x + Z*v meeting it,
+    and its resumption gaps, (number of maximal runs) - 1 on each line.
 
-    Primitivity of v makes the parameter an integer: two set points on a
-    common line differ by an integer multiple of v.
+    Primitivity of v makes the parameter along a line an integer: two set
+    points on a common line differ by an integer multiple of v.
     """
     j = next(i for i, a in enumerate(v) if a != 0)
     lines = {}
@@ -106,15 +107,18 @@ def _lines_along(S, v):
         t = p[j] // v[j]
         key = tuple(a - t * b for a, b in zip(p, v))
         lines.setdefault(key, []).append(t)
+    gaps = 0
     for ts in lines.values():
         ts.sort()
-    return lines
+        for a, b in zip(ts, ts[1:]):
+            if b > a + 1:
+                gaps += 1
+    return len(lines), gaps
 
 
 def projection_count(graph: PLGraph, points, generator) -> int:
     """Number of distinct lines x + Z*generator meeting the set."""
-    S = as_lattice_set(points, graph.dim)
-    return len(_lines_along(S, tuple(generator)))
+    return _lines_and_gaps(as_lattice_set(points, graph.dim), tuple(generator))[0]
 
 
 def gap_count(graph: PLGraph, points, generator) -> int:
@@ -123,13 +127,7 @@ def gap_count(graph: PLGraph, points, generator) -> int:
     A gap is a point x with x - v in S, x not in S, and x + b*v in S for some
     b >= 1; on each line this counts (number of maximal runs) - 1.
     """
-    S = as_lattice_set(points, graph.dim)
-    total = 0
-    for ts in _lines_along(S, tuple(generator)).values():
-        for a, b in zip(ts, ts[1:]):
-            if b > a + 1:
-                total += 1
-    return total
+    return _lines_and_gaps(as_lattice_set(points, graph.dim), tuple(generator))[1]
 
 
 @dataclass(frozen=True)
@@ -153,16 +151,6 @@ def boundary_identity_report(graph: PLGraph, points) -> EdgeBoundaryReport:
     """
     S = as_lattice_set(points, graph.dim)
     direct = edge_boundary_direct(graph, S)
-    rows = []
-    for v in graph.generators:
-        lines = _lines_along(S, v)
-        projections = len(lines)
-        gaps = 0
-        for ts in lines.values():
-            for a, b in zip(ts, ts[1:]):
-                if b > a + 1:
-                    gaps += 1
-        rows.append((v, projections, gaps))
-    report = EdgeBoundaryReport(direct, tuple(rows), False)
-    holds = report.identity_count == direct
-    return EdgeBoundaryReport(direct, tuple(rows), holds)
+    rows = tuple((v, *_lines_and_gaps(S, v)) for v in graph.generators)
+    report = EdgeBoundaryReport(direct, rows, False)
+    return EdgeBoundaryReport(direct, rows, report.identity_count == direct)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DimensionDeficiencyError
-from .geometry import Polytope, _ccw_cycle
+from .geometry import Polytope, _monotone_chain
 from .intmat import det, dot, kernel_chart, vsub
 from .zonotope import Zonotope
 
@@ -58,7 +58,7 @@ def _facet_cycle(P: Polytope, normal, offset):
     basis, left = kernel_chart([normal], P.dim)
     base = P.vertices[tight[0]]
     chart = {tuple(dot(l, vsub(P.vertices[i], base)) for l in left): i for i in tight}
-    ordered = _ccw_cycle(sorted(chart))
+    ordered = _monotone_chain(chart)
     if det([list(basis[0]), list(basis[1]), list(normal)]) < 0:
         ordered = ordered[::-1]
     return [chart[y] for y in ordered]

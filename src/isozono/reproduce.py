@@ -48,6 +48,7 @@ def _check_fvectors():
     return True, "; ".join(details)
 
 
+@cache
 def _zc_polytope():
     return builtin_graph("d4cross").original_zonotope().polytope()
 

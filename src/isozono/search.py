@@ -31,7 +31,7 @@ from itertools import product
 from .catalog import _apply_hint, check_symmetry_hints
 from .errors import BudgetExceededError, DimensionMismatchError
 from .geometry import convex_hull
-from .intmat import dot, vadd, vneg
+from .intmat import _bit_indices, _norm_num, dot, vadd, vneg
 from .plgraph import PLGraph, edge_boundary_direct
 from .zonotope import Zonotope, zonotope_of_graph
 
@@ -40,16 +40,25 @@ DEFAULT_BUDGET = 10_000_000
 
 def default_budget() -> int:
     """Enumeration cap from ISOZONO_BUDGET (default 10^7)."""
-    raw = os.environ.get("ISOZONO_BUDGET")
-    if raw is None:
-        return DEFAULT_BUDGET
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"ISOZONO_BUDGET must be an integer, got {raw!r}") from exc
-    if value <= 0:
-        raise ValueError(f"ISOZONO_BUDGET must be positive, got {value}")
-    return value
+    return _budget(None)
+
+
+def _budget(budget) -> int:
+    """The enumeration cap: `budget` when given, else ISOZONO_BUDGET (default
+    10^7).  Either source must be a positive integer."""
+    source = "budget"
+    if budget is None:
+        raw = os.environ.get("ISOZONO_BUDGET")
+        if raw is None:
+            return DEFAULT_BUDGET
+        try:
+            budget = int(raw)
+        except ValueError as exc:
+            raise ValueError(f"ISOZONO_BUDGET must be an integer, got {raw!r}") from exc
+        source = "ISOZONO_BUDGET"
+    if not isinstance(budget, int) or budget <= 0:
+        raise ValueError(f"{source} must be a positive integer, got {budget!r}")
+    return budget
 
 
 def canonical_set(points):
@@ -132,16 +141,6 @@ def _candidate_masks(graph: PLGraph, box_radius: int):
     return candidates, masks
 
 
-def _bit_indices(x: int):
-    """Indices of the set bits of x, in increasing order."""
-    out = []
-    while x:
-        low = x & -x
-        out.append(low.bit_length() - 1)
-        x ^= low
-    return out
-
-
 def _box_subsets(n: int, m: int, box_radius: int):
     """(pool, subsets) of the box search: the ((2r+1)^n - 1)/2 candidates after
     the origin, and the C(pool, m-1) canonical m-sets (0 when none fits)."""
@@ -187,7 +186,7 @@ def exhaustive_min_boundary(graph: PLGraph, m: int, box_radius: int, *,
         raise ValueError(f"box radius must be >= 0, got {box_radius}")
     if witness_cap < 1:
         raise ValueError(f"witness cap must be >= 1, got {witness_cap}")
-    budget = default_budget() if budget is None else budget
+    budget = _budget(budget)
     npool, count = _box_subsets(graph.dim, m, box_radius)
     if not count:
         raise ValueError(
@@ -478,7 +477,7 @@ def convergence_experiment(graph: PLGraph, alphas, *, budget: int | None = None)
         raise ValueError("alphas must be positive")
     if any(b <= a for a, b in zip(alphas, alphas[1:])):
         raise ValueError("alphas must be strictly increasing")
-    budget = default_budget() if budget is None else budget
+    budget = _budget(budget)
     Z = zonotope_of_graph(graph)
     n = graph.dim
     vol_z = Z.volume()
@@ -489,12 +488,8 @@ def convergence_experiment(graph: PLGraph, alphas, *, budget: int | None = None)
         lines = _lattice_lines(Z, a, origin, budget)
         points = sum(hi - lo + 1 for lo, hi in lines.values())
         boundary = _lines_boundary(lines, graph.generators)
-        volume = a ** n * vol_z
-        cont = a ** (n - 1) * b_z
-        if volume.denominator == 1:
-            volume = int(volume)
-        if cont.denominator == 1:
-            cont = int(cont)
+        volume = _norm_num(a ** n * vol_z)
+        cont = _norm_num(a ** (n - 1) * b_z)
         rows.append(ConvergenceRow(
             alpha=a,
             points=points,
@@ -587,10 +582,13 @@ def limiting_shape_report(graph: PLGraph, m_max: int, *, box_radius: int | None 
     """
     if m_max < 1:
         raise ValueError(f"m_max must be >= 1, got {m_max}")
-    budget = default_budget() if budget is None else budget
+    budget = _budget(budget)
     n = graph.dim
     if box_radius is None:
-        box_radius = math.ceil(m_max ** (1.0 / n)) + 1
+        box_radius = 1  # the least r with r^n >= m_max, then one more
+        while box_radius ** n < m_max:
+            box_radius += 1
+        box_radius += 1
     catalog = _family_catalog(graph, m_max)
     all_cards = sorted(catalog)
     rows = []

@@ -32,6 +32,8 @@ from itertools import combinations
 from .errors import DimensionMismatchError, EmptySectionError, RankDeficientError
 from .geometry import Polytope, convex_hull, hrep_vertices
 from .intmat import (
+    _bit_indices,
+    _norm_num,
     canonical_sign,
     content,
     cross_nd,
@@ -88,20 +90,27 @@ class Zonotope:
         d = self.dim
         facets = {}
         for u in self.minor_table:
-            shift = (0,) * d
-            tight = []
-            for g in self.generators:
-                s = dot(u, g)
-                if s == 0:
-                    tight.append(g)
-                else:
-                    shift = vadd(shift, g) if s > 0 else vsub(shift, g)
+            shift, tight = self._face_split(u)
             basis, left = kernel_chart([u], d)
             sub = Zonotope(d - 1, tuple(tuple(dot(l, g) for l in left) for g in tight))
             verts = frozenset(vadd(shift, embed(basis, s)) for s in sub._vertex_set)
             facets[u] = verts
             facets[vneg(u)] = frozenset(vneg(w) for w in verts)
         return facets
+
+    def _face_split(self, u):
+        """(t_u, T_u): t_u = sum sign(<u, v>) v over the generators v not
+        orthogonal to u, and T_u the generators orthogonal to u.  The face of Z
+        maximising <u, .> is t_u + Z(T_u)."""
+        shift = (0,) * self.dim
+        tight = []
+        for g in self.generators:
+            s = dot(u, g)
+            if s == 0:
+                tight.append(g)
+            else:
+                shift = vadd(shift, g) if s > 0 else vsub(shift, g)
+        return shift, tight
 
     @cached_property
     def _vertex_set(self):
@@ -199,13 +208,6 @@ class FVector:
         return iter(self.counts)
 
 
-def _bit_indices(x):
-    while x:
-        lsb = x & -x
-        yield lsb.bit_length() - 1
-        x ^= lsb
-
-
 def f_vector(Z: Zonotope) -> FVector:
     """Face counts in every dimension, from the vertex-facet incidence that
     the vertex recursion records (`Zonotope.facet_vertices`).
@@ -277,13 +279,7 @@ def facet_polytope(Z: Zonotope, axis: int) -> FacetSlice:
     n = Z.dim
     if not 0 <= axis < n:
         raise IndexError(f"axis {axis} out of range for dimension {n}")
-    tight = [g for g in Z.generators if g[axis] == 0]
-    shift = [0] * n
-    for g in Z.generators:
-        if g[axis] > 0:
-            shift = [a + b for a, b in zip(shift, g)]
-        elif g[axis] < 0:
-            shift = [a - b for a, b in zip(shift, g)]
+    shift, tight = Z._face_split(tuple(int(i == axis) for i in range(n)))
     chart_gens = [tuple(a for i, a in enumerate(g) if i != axis) for g in tight]
     full_rank = bool(chart_gens) and rank(chart_gens, n - 1) == n - 1
     if full_rank:
@@ -294,7 +290,7 @@ def facet_polytope(Z: Zonotope, axis: int) -> FacetSlice:
         for g in chart_gens:
             face = convex_hull([vadd(p, g) for p in face.vertices]
                                + [vsub(p, g) for p in face.vertices])
-    return FacetSlice(face, tuple(shift), full_rank)
+    return FacetSlice(face, shift, full_rank)
 
 
 def hyperplane_section(Z: Zonotope, axis: int, level) -> Polytope:
@@ -350,10 +346,7 @@ def homothety_check(P: Polytope, Q: Polytope):
     target = {tuple(map(Fraction, v)) for v in Q.vertices}
     if image != target:
         return None
-    t = tuple(a if a.denominator != 1 else int(a) for a in t)
-    if scale.denominator == 1:
-        scale = int(scale)
-    return scale, t
+    return _norm_num(scale), tuple(map(_norm_num, t))
 
 
 def zonotope_volume(Z: Zonotope) -> int:

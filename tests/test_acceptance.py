@@ -10,16 +10,14 @@ README's "Reference data erratum"):
     and 100, where the exact ratio first meets them, not at 10 and 50.
 """
 
-import functools
 import random
 import time
 from fractions import Fraction
-from itertools import combinations, permutations, product
 
 from isozono.boundary import brunn_minkowski_certificate, zonotope_boundary_identity
 from isozono.catalog import BUILTIN_NAMES, builtin_graph
 from isozono.geometry import convex_hull
-from isozono.intmat import canonical_sign, content, gram_det, kernel_basis, vadd, vsub
+from isozono.intmat import content, gram_det, kernel_basis
 from isozono.lattice import (
     boundary_lattice_points,
     count_lattice_points,
@@ -27,6 +25,14 @@ from isozono.lattice import (
     projection_lattice_det_squared,
 )
 from isozono.plgraph import boundary_identity_report, edge_boundary_direct
+from isozono.reproduce import (
+    _independent_min_boundary,
+    _l1_rows,
+    _random_full_dim_hull,
+    _reference_zc_facets,
+    _zc_orbit,
+    _zc_polytope,
+)
 from isozono.search import (
     canonical_set,
     convergence_experiment,
@@ -39,11 +45,6 @@ from isozono.search import (
 from isozono.zonotope import f_vector, facet_polytope, homothety_check, hyperplane_section
 
 SEED = 20240811
-
-
-@functools.lru_cache(maxsize=None)
-def _zc_polytope():
-    return builtin_graph("d4cross").original_zonotope().polytope()
 
 
 # -- 1: f-vectors of the box-graph zonotopes, within time budgets -------------
@@ -63,20 +64,11 @@ def test_criterion_01_fvectors_within_time_budgets():
 
 # -- 2: the 24-segment 4d zonotope against its reference data -----------------
 
-def _reference_orbit():
-    """The reference vertex set: all signed permutations of (0, 2, 4, 6)."""
-    orbit = set()
-    for perm in permutations((0, 2, 4, 6)):
-        for mask in range(16):
-            orbit.add(tuple(c * (1 - 2 * ((mask >> i) & 1)) for i, c in enumerate(perm)))
-    return orbit
-
-
 def test_criterion_02a_vertex_orbit_within_time_budget():
     t0 = time.monotonic()
     P = _zc_polytope()
     dt = time.monotonic() - t0
-    assert set(P.vertices) == _reference_orbit()
+    assert set(P.vertices) == _zc_orbit()
     assert len(P.vertices) == 192
     assert dt < 60, f"vertex enumeration took {dt:.1f}s, budget 60s"
 
@@ -93,22 +85,9 @@ def test_criterion_02c_facet_offsets_match_reference():
     # 24 one-sided segments, whose vertices are the orbit of criterion 2a, so
     # each expected offset is the support value max <u, v> over that orbit.
     P = _zc_polytope()
-    normals = set()
-    for i, j in combinations(range(4), 2):
-        for si, sj in product((-1, 1), repeat=2):
-            v = [0] * 4
-            v[i], v[j] = si, sj
-            normals.add(tuple(v))
-    for i in range(4):
-        for s in (-1, 1):
-            e = [0] * 4
-            e[i] = s
-            normals.add(tuple(e))
-    normals.update(product((-1, 1), repeat=4))
+    reference = _reference_zc_facets()
+    normals = set(reference)
     assert len(normals) == 48
-    orbit = _reference_orbit()
-    reference = {u: max(sum(a * b for a, b in zip(u, v)) for v in orbit)
-                 for u in normals}
     computed = {(n, int(c)) for n, c in P.facets}
     assert {n for n, _ in computed} == normals
     by_normal = {n: c for n, c in computed}
@@ -171,15 +150,6 @@ def test_criterion_05_zonotope_boundary_equals_n_volume():
 
 # -- 6: discrete Brunn-Minkowski certificates ----------------------------------
 
-def _random_full_dim_hull(rng, dim, span, npts):
-    while True:
-        pts = {tuple(rng.randint(-span, span) for _ in range(dim))
-               for _ in range(npts)}
-        P = convex_hull(pts)
-        if P.affine_dim == dim:
-            return P
-
-
 def test_criterion_06_brunn_minkowski_certificates():
     rng = random.Random(SEED + 2)
     for name in ("l1:2", "linf:2", "tri", "l1:3", "linf:3"):
@@ -223,24 +193,6 @@ def test_criterion_07_sections_and_facet_slices():
 
 # -- 8: desk-scale exhaustive minima with an independent recount ---------------
 
-def _oracle_min_boundary(graph, m, box_radius):
-    """Independent recount: plain combinations + set-membership counting."""
-    n = graph.dim
-    origin = tuple([0] * n)
-    pool = sorted(p for p in product(range(-box_radius, box_radius + 1), repeat=n)
-                  if p > origin and canonical_sign(p) == p)
-    nbrs = {p: tuple(vadd(p, v) for v in graph.generators)
-               + tuple(vsub(p, v) for v in graph.generators)
-            for p in [origin] + pool}
-    best = None
-    for combo in combinations(pool, m - 1):
-        s = frozenset(combo + (origin,))
-        b = sum(1 for p in s for q in nbrs[p] if q not in s)
-        if best is None or b < best:
-            best = b
-    return best
-
-
 def test_criterion_08_desk_scale_exhaustive_with_recount():
     linf = builtin_graph("linf:2").graph()
     t0 = time.monotonic()
@@ -248,7 +200,7 @@ def test_criterion_08_desk_scale_exhaustive_with_recount():
     for m in range(1, 11):
         res = exhaustive_min_boundary(linf, m, box_radius=3)
         assert res.exhaustive
-        oracle = _oracle_min_boundary(linf, m, 3)
+        oracle = _independent_min_boundary(linf, m, 3)
         assert res.min_boundary == oracle, (
             f"m={m}: engine {res.min_boundary}, independent recount {oracle}")
         for w in res.witnesses:
@@ -290,14 +242,8 @@ def test_criterion_09_limiting_shape_evidence():
 
 # -- 10: convergence of lattice sections of the scaled zonotope -----------------
 
-@functools.lru_cache(maxsize=None)
-def _l1_rows():
-    graph = builtin_graph("l1:2").graph()
-    return convergence_experiment(graph, list(range(1, 51)))
-
-
 def test_criterion_10a_closed_form_rows():
-    for row in _l1_rows():
+    for row in _l1_rows(50):
         a = int(row.alpha)
         assert row.points == (2 * a + 1) ** 2
         assert row.volume == (2 * a) ** 2
@@ -308,7 +254,7 @@ def test_criterion_10a_closed_form_rows():
 
 
 def test_criterion_10b_boundary_ratio_within_tolerance():
-    rows = {int(r.alpha): r for r in _l1_rows()}
+    rows = {int(r.alpha): r for r in _l1_rows(50)}
     for a, tol in ((10, Fraction(5, 100)), (50, Fraction(1, 100))):
         dev = abs(rows[a].boundary_ratio - 1)
         assert dev <= tol, (
@@ -323,7 +269,7 @@ def test_criterion_10c_volume_ratio_within_tolerance():
     # met at a = 20 (81/1681; a = 19 gives 77/1521 > 5%) and 1% at a = 100
     # (401/40401; a = 99 gives 397/39601 > 1%).  At a = 10 and 50 no exact
     # count can meet them (41/441 and 201/10201).
-    rows = {int(r.alpha): r for r in _l1_rows()}
+    rows = {int(r.alpha): r for r in _l1_rows(50)}
     rows[100], = convergence_experiment(builtin_graph("l1:2").graph(), [100])
     failures = []
     for a, tol in ((20, Fraction(5, 100)), (100, Fraction(1, 100))):

@@ -269,6 +269,13 @@ def test_search_budget_exceeded_exits_2(capsys):
     assert "error:" in err
 
 
+def test_search_negative_budget_exits_2(capsys):
+    code, _, err = run(capsys, "search", "--graph", "linf:2", "--m", "3",
+                       "--box-radius", "2", "--budget", "-3")
+    assert_one_error_line(code, err)
+    assert "budget must be a positive integer" in err
+
+
 def test_search_out_prefix_writes_files(capsys, tmp_path):
     prefix = tmp_path / "run"
     code, out, _ = run(capsys, "search", "--graph", "l1:2", "--m", "4",

@@ -2,12 +2,14 @@
 
 import random
 from fractions import Fraction
+from functools import cmp_to_key
 from itertools import combinations, product
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from isozono.catalog import builtin_graph
 from isozono.errors import DimensionDeficiencyError, FormatError
 from isozono.geometry import (
     Polytope,
@@ -147,6 +149,41 @@ def test_cycle_is_counterclockwise():
     area2 = sum(cyc[i][0] * cyc[(i + 1) % 4][1] - cyc[(i + 1) % 4][0] * cyc[i][1]
                 for i in range(4))
     assert area2 == 32  # positive = counterclockwise
+
+
+def _ccw_cycle(vertices):
+    """Oracle: the vertices sorted by angle about their Fraction centroid,
+    counterclockwise from the direction of +x."""
+    m = len(vertices)
+    cx = Fraction(sum(Fraction(v[0]) for v in vertices), m)
+    cy = Fraction(sum(Fraction(v[1]) for v in vertices), m)
+
+    def half(p):
+        return 0 if (p[1] > cy or (p[1] == cy and p[0] > cx)) else 1
+
+    def cmp(p, q):
+        hp, hq = half(p), half(q)
+        if hp != hq:
+            return -1 if hp < hq else 1
+        cr = (p[0] - cx) * (q[1] - cy) - (p[1] - cy) * (q[0] - cx)
+        return (cr < 0) - (cr > 0)
+
+    return tuple(sorted(vertices, key=cmp_to_key(cmp)))
+
+
+@pytest.mark.parametrize("name", ["l1:2", "linf:2", "tri", "fraction"])
+def test_cycle_is_a_rotation_of_the_angular_sort(name):
+    # None of these polygons comes out of the hull, so cycle() computes its
+    # own chain rather than reading the one the hull preset.
+    if name == "fraction":
+        P = convex_hull(OCTAGON).scale(Fraction(2, 3)).translate((Fraction(1, 2), -1))
+    else:
+        P = builtin_graph(name).zonotope().polytope()
+    cyc = P.cycle()
+    oracle = _ccw_cycle(P.vertices)
+    k = oracle.index(cyc[0])
+    assert cyc == oracle[k:] + oracle[:k]
+    assert cyc[0] == min(P.vertices)
 
 
 def test_shoelace_matches_triangulation_fuzz():

@@ -4,10 +4,13 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from isozono.catalog import builtin_graph
 from isozono.errors import DimensionDeficiencyError
 from isozono.geometry import convex_hull
+from isozono.intmat import dot, vsub
 from isozono.render import render_off, render_polytope, render_svg
 
 
@@ -66,6 +69,38 @@ def test_off_faces_reconstruct_volume():
                         - a[1] * (b[0] * c[2] - b[2] * c[0])
                         + a[2] * (b[0] * c[1] - b[1] * c[0]))
     assert abs(six_vol - 6 * z.volume()) < 1e-6
+
+
+def _cross(a, b):
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+
+
+def _assert_faces_point_outward(P):
+    """Exactly, on P's own vertices: face row j lists the vertices of facet j,
+    and every corner of it turns counterclockwise seen from outside."""
+    lines = render_off(P).splitlines()
+    nv = len(P.vertices)
+    rows = [list(map(int, r.split()))[1:] for r in lines[2 + nv:]]
+    assert len(rows) == len(P.facets)
+    for idx, (normal, offset) in zip(rows, P.facets):
+        face = [P.vertices[i] for i in idx]
+        assert sorted(face) == [v for v in P.vertices if dot(normal, v) == offset]
+        for a, b, c in zip(face, face[1:] + face[:1], face[2:] + face[:2]):
+            assert dot(_cross(vsub(b, a), vsub(c, b)), normal) > 0
+
+
+@pytest.mark.parametrize("name", ["l1:3", "linf:3"])
+def test_off_faces_point_outward_on_zonotopes(name):
+    _assert_faces_point_outward(builtin_graph(name).zonotope().polytope())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(*[st.integers(-3, 3)] * 3), min_size=4, max_size=12),
+       st.integers(1, 3))
+def test_off_faces_point_outward_on_rational_hulls(points, denominator):
+    P = convex_hull([tuple(Fraction(a, denominator) for a in p) for p in points])
+    assume(P.is_full_dimensional())
+    _assert_faces_point_outward(P)
 
 
 def test_off_writes_file(tmp_path):

@@ -105,6 +105,23 @@ def test_default_budget_env_override(monkeypatch):
     assert default_budget() == 10_000_000
 
 
+def test_explicit_budget_must_be_positive(monkeypatch):
+    # One rule for both sources: an explicit budget is checked like the
+    # environment variable, before any work.
+    for budget in (0, -3):
+        with pytest.raises(ValueError, match="budget must be a positive integer"):
+            exhaustive_min_boundary(LINF, 3, box_radius=2, budget=budget)
+        with pytest.raises(ValueError, match="budget must be a positive integer"):
+            convergence_experiment(L1, [1], budget=budget)
+        with pytest.raises(ValueError, match="budget must be a positive integer"):
+            limiting_shape_report(LINF, 3, budget=budget)
+    monkeypatch.setenv("ISOZONO_BUDGET", "0")
+    with pytest.raises(ValueError, match="ISOZONO_BUDGET must be a positive integer"):
+        exhaustive_min_boundary(LINF, 3, box_radius=2)
+    # An explicit budget overrides the environment variable.
+    assert exhaustive_min_boundary(LINF, 2, box_radius=1, budget=1000).min_boundary == 14
+
+
 def _components(points, graph):
     """Connected components of a finite set, by breadth-first search."""
     left = set(points)
