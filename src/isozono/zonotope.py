@@ -10,29 +10,32 @@ h(u) = sum_i |<u, v_i>|, and the sweep along v is 2^(n-1) sum_u w(u) |<u, v>|.
 The volume is deliberately not read off the table: it stays the n-subset
 determinant sum, so b(Z) = n vol(Z) compares two independent routes.
 
-Vertices are enumerated recursively over the table's keys: the facet of Z
+Faces are enumerated recursively over the table's keys: the facet of Z
 with outward normal u is t_u + Z(T_u) where T_u are the generators orthogonal
-to u and t_u = sum sign(<u,v_i>) v_i over the rest; sub-zonotopes are taken
-in an integer basis of the facet hyperplane's lattice, which keeps every
+to u and t_u = sum sign(<u,v_i>) v_i over the rest, and the facet with normal
+-u is its negative.  Every face of Z is a translate t + Z(T) with centre t,
+which lies in its relative interior, so distinct faces have distinct centres
+and one recursion names every face by its centre.  Sub-zonotopes are taken in
+an integer basis of the facet hyperplane's lattice, which keeps every
 intermediate coordinate an integer: `intmat.kernel_chart` returns that basis
 with its integer left inverse, whose rows read the coordinates off as dot
-products.  Recursion bottoms out at exact zonogon cycles.  Every vertex lies
-on a facet, so the union over facets is complete, and the recursion records
-each facet's vertex set: that record is the vertex-facet incidence the
-f-vector walks, with no vertex-by-facet product.
+products.  Recursion bottoms out at exact zonogon cycles, whose edge midpoints
+are integers because consecutive vertices differ by 2v.  Every proper face
+lies on a facet and is a face of it, so the union over facets is complete:
+the vertices are the centres of dimension 0, and the f-vector counts centres
+by dimension.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, cmp_to_key
+from functools import cached_property, cmp_to_key, lru_cache
 from itertools import combinations
 
 from .errors import DimensionMismatchError, EmptySectionError, RankDeficientError
-from .geometry import Polytope, convex_hull, hrep_vertices
+from .geometry import Polytope, convex_hull, hrep_vertices, minkowski_sum_segment
 from .intmat import (
-    _bit_indices,
     _norm_num,
     canonical_sign,
     content,
@@ -62,6 +65,10 @@ class Zonotope:
 
     def volume(self) -> int:
         """Exact volume: 2^n times the sum of |det| over n-subsets of generators."""
+        return self._volume
+
+    @cached_property
+    def _volume(self) -> int:
         n = self.dim
         return 2 ** n * sum(abs(det(sub)) for sub in combinations(self.generators, n))
 
@@ -84,19 +91,28 @@ class Zonotope:
         return dict(sorted(table.items()))
 
     @cached_property
-    def facet_vertices(self):
-        """{outward normal: frozenset of the facet's vertices}, both signs of
-        every table key.  Needs dim >= 2."""
+    def _faces(self):
+        """{centre: dimension} of every proper face."""
         d = self.dim
-        facets = {}
+        if d == 1:
+            g = self.generators[0]
+            return {g: 0, vneg(g): 0}
+        if d == 2:
+            cycle = _zonogon_cycle(self.generators)
+            faces = dict.fromkeys(cycle, 0)
+            for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+                faces[((a[0] + b[0]) // 2, (a[1] + b[1]) // 2)] = 1
+            return faces
+        faces = {}
         for u in self.minor_table:
             shift, tight = self._face_split(u)
+            faces[shift] = faces[vneg(shift)] = d - 1
             basis, left = kernel_chart([u], d)
             sub = Zonotope(d - 1, tuple(tuple(dot(l, g) for l in left) for g in tight))
-            verts = frozenset(vadd(shift, embed(basis, s)) for s in sub._vertex_set)
-            facets[u] = verts
-            facets[vneg(u)] = frozenset(vneg(w) for w in verts)
-        return facets
+            for c, k in sub._faces.items():
+                p = vadd(shift, embed(basis, c))
+                faces[p] = faces[vneg(p)] = k
+        return faces
 
     def _face_split(self, u):
         """(t_u, T_u): t_u = sum sign(<u, v>) v over the generators v not
@@ -112,15 +128,6 @@ class Zonotope:
                 shift = vadd(shift, g) if s > 0 else vsub(shift, g)
         return shift, tight
 
-    @cached_property
-    def _vertex_set(self):
-        if self.dim == 1:
-            g = self.generators[0]
-            return frozenset((g, vneg(g)))
-        if self.dim == 2:
-            return frozenset(_zonogon_cycle(self.generators))
-        return frozenset().union(*self.facet_vertices.values())
-
     def polytope(self) -> Polytope:
         return self._polytope
 
@@ -131,7 +138,8 @@ class Zonotope:
             h = self.support(u)
             facets.append((u, h))
             facets.append((vneg(u), h))
-        return Polytope(self.dim, sorted(self._vertex_set), facets)
+        return Polytope(self.dim, sorted(c for c, k in self._faces.items() if k == 0),
+                        facets)
 
 
 def build_zonotope(dim: int, generators) -> Zonotope:
@@ -139,8 +147,12 @@ def build_zonotope(dim: int, generators) -> Zonotope:
     return Zonotope(dim, canonicalize_generators(dim, generators))
 
 
+@lru_cache(maxsize=64)
 def zonotope_of_graph(graph: PLGraph) -> Zonotope:
-    """The limiting shape of a lattice graph: one symmetric segment per generator."""
+    """The limiting shape of a lattice graph: one symmetric segment per generator.
+
+    Memoised per graph, so repeated callers share one polytope; the bound
+    keeps a long run over distinct graphs from holding all of them."""
     return Zonotope(graph.dim, graph.generators)
 
 
@@ -209,50 +221,12 @@ class FVector:
 
 
 def f_vector(Z: Zonotope) -> FVector:
-    """Face counts in every dimension, from the vertex-facet incidence that
-    the vertex recursion records (`Zonotope.facet_vertices`).
-
-    Faces are generated top-down: the (d-1)-faces of each d-face are the
-    maximal proper intersections with facets, restricted to facets that share
-    a vertex with the face.  f_0 is the vertex count, so the walk stops at
-    dimension 1.
-    """
-    P = Z.polytope()
-    n = Z.dim
-    nv, nf = len(P.vertices), len(P.facets)
-    if n == 1:
-        return FVector((2,))
-    if n == 2:
-        return FVector((nv, nf))
-    index = {v: i for i, v in enumerate(P.vertices)}
-    facet_mask = [sum(1 << index[v] for v in Z.facet_vertices[u]) for u, _ in P.facets]
-    vertex_mask = [0] * nv
-    for j, m in enumerate(facet_mask):
-        for i in _bit_indices(m):
-            vertex_mask[i] |= 1 << j
-
-    counts = {n - 1: nf}
-    current = set(facet_mask)
-    for level in range(n - 2, 0, -1):
-        nxt = set()
-        for face in current:
-            cand = 0
-            for vi in _bit_indices(face):
-                cand |= vertex_mask[vi]
-            children = set()
-            for fj in _bit_indices(cand):
-                inter = face & facet_mask[fj]
-                if inter and inter != face:
-                    children.add(inter)
-            ordered = sorted(children, key=lambda m: -m.bit_count())
-            kept = []
-            for c in ordered:
-                if not any(c & k == c for k in kept):
-                    kept.append(c)
-            nxt.update(kept)
-        counts[level] = len(nxt)
-        current = nxt
-    return FVector(tuple([nv] + [counts[l] for l in range(1, n - 1)] + [nf]))
+    """Face counts in every dimension: the face centres that the recursion
+    records (`Zonotope._faces`), counted by dimension."""
+    counts = [0] * Z.dim
+    for k in Z._faces.values():
+        counts[k] += 1
+    return FVector(tuple(counts))
 
 
 # -- slices ------------------------------------------------------------------
@@ -285,11 +259,10 @@ def facet_polytope(Z: Zonotope, axis: int) -> FacetSlice:
     if full_rank:
         face = Zonotope(n - 1, canonicalize_generators(n - 1, chart_gens)).polytope()
     else:
-        # One segment at a time: P + [-g, g] is the hull of P - g and P + g.
+        # One segment at a time, not the hull of all 2^k signed sums.
         face = convex_hull([(0,) * (n - 1)])
         for g in chart_gens:
-            face = convex_hull([vadd(p, g) for p in face.vertices]
-                               + [vsub(p, g) for p in face.vertices])
+            face = minkowski_sum_segment(face, vneg(g), g)
     return FacetSlice(face, shift, full_rank)
 
 

@@ -4,10 +4,15 @@ import random
 import time
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from operator import mul
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from isozono.catalog import builtin_graph
+from isozono import zonotope
+from isozono.boundary import brunn_minkowski_certificate
+from isozono.catalog import BUILTIN_NAMES, builtin_graph
 from isozono.errors import (
     AntipodalGeneratorError,
     DimensionMismatchError,
@@ -15,7 +20,8 @@ from isozono.errors import (
     RankDeficientError,
 )
 from isozono.geometry import convex_hull, hrep_vertices
-from isozono.intmat import det, dot
+from isozono.intmat import _bit_indices, canonical_sign, det, dot, primitive_part, rank, vadd
+from isozono.plgraph import PLGraph
 from isozono.zonotope import (
     FVector,
     build_zonotope,
@@ -32,6 +38,10 @@ OCTAGON = {(3, 1), (1, 3), (-1, 3), (-3, 1), (-3, -1), (-1, -3), (1, -3), (3, -1
 
 def Z(name):
     return builtin_graph(name).zonotope()
+
+
+FIVE = build_zonotope(5, [tuple(int(i == j) for j in range(5)) for i in range(5)]
+                      + [(1, 1, 1, 1, 1)])
 
 
 def test_octagon_vertices_hrep_volume():
@@ -84,16 +94,110 @@ def test_f_vector_euler_and_structure():
     assert fv.euler_ok
     v, e, f = fv.counts
     assert v - e + f == 2
-    # The facet vertex sets recorded by the vertex recursion, against a brute
-    # scan {v in V : <u, v> = h(u)} of every facet.
-    five = build_zonotope(5, [tuple(int(i == j) for j in range(5)) for i in range(5)]
-                          + [(1, 1, 1, 1, 1)])
-    for z in (Z("tri"), Z("linf:3"), Z("l1:4"), Z("d4cross"), five):
+    # The facet centres recorded by the face recursion, against the vertex
+    # mean of a brute scan {v in V : <u, v> = h(u)} of every facet.
+    for z in (Z("tri"), Z("linf:3"), Z("l1:4"), Z("d4cross"), FIVE):
         P = z.polytope()
-        assert sorted(z.facet_vertices) == sorted(u for u, _ in P.facets)
+        centres = {c for c, k in z._faces.items() if k == z.dim - 1}
+        means = set()
         for u, h in P.facets:
-            assert z.facet_vertices[u] == {v for v in P.vertices if dot(u, v) == h}
+            tight = [v for v in P.vertices if dot(u, v) == h]
+            means.add(tuple(Fraction(sum(c), len(tight)) for c in zip(*tight)))
+        assert centres == means and len(centres) == len(P.facets)
         assert f_vector(z).euler_ok
+
+
+def _walk_f_vector(P):
+    """Face counts by a top-down walk over the brute incidence
+    {v in V : <u, v> = h(u)}: the (d-1)-faces of a d-face are its maximal
+    proper intersections with facets."""
+    facet_mask = [sum(1 << i for i, v in enumerate(P.vertices) if sum(map(mul, u, v)) == h)
+                  for u, h in P.facets]
+    vertex_mask = [0] * len(P.vertices)
+    for j, m in enumerate(facet_mask):
+        for i in _bit_indices(m):
+            vertex_mask[i] |= 1 << j
+    counts = [len(facet_mask)]
+    current = set(facet_mask)
+    for _ in range(P.dim - 2):
+        nxt = set()
+        for face in current:
+            cand = 0
+            for vi in _bit_indices(face):
+                cand |= vertex_mask[vi]
+            children = {face & facet_mask[fj] for fj in _bit_indices(cand)} - {0, face}
+            kept = []
+            for c in sorted(children, key=lambda m: -m.bit_count()):
+                if not any(c & k == c for k in kept):
+                    kept.append(c)
+            nxt.update(kept)
+        counts.append(len(nxt))
+        current = nxt
+    return (len(P.vertices), *reversed(counts))[:P.dim]
+
+
+def _zaslavsky_f_vector(z):
+    """f_k = sum of r(M/F) over the rank-k flats F of the generator matroid M,
+    where r(M/F) = sum_{G >= F} |mu(F, G)| is Zaslavsky's region count of the
+    contracted arrangement.  Flats are generator bitmasks, found from integer
+    ranks alone: each cover of F is the closure of F plus one generator."""
+    gens, n = z.generators, z.dim
+    levels = [{0: []}]  # rank k: {flat mask: a basis of its span}
+    for k in range(n):
+        covers = {}
+        for F, basis in levels[k].items():
+            rest = ((1 << len(gens)) - 1) & ~F
+            while rest:
+                span = basis + [gens[(rest & -rest).bit_length() - 1]]
+                G = sum(1 << i for i, v in enumerate(gens) if rank(span + [v], n) == k + 1)
+                covers[G] = span
+                rest &= ~G
+        levels.append(covers)
+    flats = [(k, F) for k, level in enumerate(levels) for F in level]
+    counts = [0] * n
+    for k, F in flats[:-1]:
+        up = [G for _, G in flats if G & F == F]
+        mu = {F: 1}
+        for G in up[1:]:
+            mu[G] = -sum(m for H, m in mu.items() if H & G == H)
+        counts[k] += sum(abs(m) for m in mu.values())
+    return tuple(counts)
+
+
+def _assert_f_vector_oracles(z):
+    fv = tuple(f_vector(z))
+    assert fv == _walk_f_vector(z.polytope()) == _zaslavsky_f_vector(z), fv
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_f_vector_matches_walk_and_zaslavsky_oracles(name):
+    _assert_f_vector_oracles(Z(name))
+
+
+def test_f_vector_oracles_original_coordinates_and_5d():
+    _assert_f_vector_oracles(builtin_graph("d4cross").original_zonotope())
+    _assert_f_vector_oracles(FIVE)
+
+
+@st.composite
+def _generator_sets(draw):
+    """3-D and 4-D generator sets with small entries, some with a + b added
+    for drawn a and b, so coplanar triples are common."""
+    n = draw(st.sampled_from((3, 4)))
+    vec = st.tuples(*[st.integers(-2, 2)] * n)
+    base = draw(st.lists(vec, min_size=n, max_size=n + 3))
+    pairs = draw(st.lists(st.tuples(st.integers(0, len(base) - 1),
+                                    st.integers(0, len(base) - 1)), max_size=3))
+    raw = base + [vadd(base[i], base[j]) for i, j in pairs]
+    gens = {canonical_sign(primitive_part(v)) for v in raw if any(v)}
+    assume(len(gens) >= n and rank(list(gens), n) == n)
+    return build_zonotope(n, gens)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_generator_sets())
+def test_f_vector_oracles_on_random_generator_sets(z):
+    _assert_f_vector_oracles(z)
 
 
 def test_vertices_match_support_maximizers():
@@ -247,7 +351,7 @@ def test_hyperplane_section_at_support_level_is_facet():
 
 def test_hyperplane_section_matches_built_polytope_facets():
     # The section takes its facets from the minor table; the oracle reads
-    # them off the built polytope, vertex recursion included.
+    # them off the built polytope, face recursion included.
     for name in ("l1:3", "linf:3", "d4cross"):
         z = Z(name)
         for axis, level in product(range(z.dim), (0, 1, Fraction(5, 2))):
@@ -315,3 +419,16 @@ def test_zonotope_of_graph_shares_generators():
     z = zonotope_of_graph(g)
     assert z.generators == g.generators
     assert z.dim == g.dim
+
+
+def test_zonotope_of_graph_is_memoised_per_graph(monkeypatch):
+    g = builtin_graph("l1:3").graph()
+    assert zonotope_of_graph(g) is zonotope_of_graph(PLGraph(g.dim, g.generators))
+    zonotope_of_graph.cache_clear()
+    builds = []
+    real = zonotope.Polytope
+    monkeypatch.setattr(zonotope, "Polytope", lambda *a: builds.append(a) or real(*a))
+    body = convex_hull([(0, 0, 0), (3, 0, 0), (0, 2, 0), (0, 0, 1), (1, 1, 1)])
+    for k in range(1, 5):
+        assert brunn_minkowski_certificate(body.scale(k), g).holds
+    assert len(builds) == 1
