@@ -16,11 +16,11 @@ from fractions import Fraction
 from . import reproduce as reproduce_mod
 from .catalog import (BUILTIN_NAMES, builtin_graph, comparison_builtin,
                       parse_graph_spec)
-from .errors import IsozonoError
+from .errors import BudgetExceededError, IsozonoError
 from .geometry import points_from_text, points_to_text, polytope_from_text, polytope_to_text
 from .plgraph import boundary_identity_report
 from .render import render_polytope
-from .search import (convergence_experiment, exhaustive_min_boundary,
+from .search import (convergence_experiment, default_budget, exhaustive_min_boundary,
                      local_search_min_boundary)
 from .zonotope import f_vector, homothety_check, hyperplane_section
 
@@ -57,7 +57,11 @@ def _parse_alphas(spec: str):
         token = token.strip()
         if ":" in token:
             lo, _, hi = token.partition(":")
-            alphas.extend(range(int(lo), int(hi) + 1))
+            lo, hi, budget = int(lo), int(hi), default_budget()
+            if hi - lo >= budget:  # refused before the range is built
+                raise BudgetExceededError(f"alpha range {token} has more scales than the "
+                                          f"budget ({budget})")
+            alphas.extend(range(lo, hi + 1))
         elif token:
             alphas.append(_rational(token))
     return alphas

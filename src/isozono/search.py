@@ -15,7 +15,9 @@ table) after clearing the denominators of alpha and c.  The point count is
 the sum of hi - lo + 1, and the edge boundary is 2k|S| minus twice the edges
 inside S, where the edges along v from line y are the overlap of its interval
 with the next line's interval shifted back by v; convergence tables use both
-without building a point list.
+without building a point list.  A point has gauge at most alpha about c
+exactly when it lies in alpha Z + c, so the gauge prefixes behind the family
+catalog and the local-search start come from the same scan at doubling alpha.
 """
 
 from __future__ import annotations
@@ -254,19 +256,16 @@ def exhaustive_min_boundary(graph: PLGraph, m: int, box_radius: int, *,
                         witnesses_truncated=truncated, evaluated=count)
 
 
-def _gauge(normals, p, center=None):
-    """Minkowski gauge of p about `center` (default the origin) in the zonotope
-    with the given (normal, offset) pairs: the largest |<u, p - c>| / h.
+def _gauge(normals, p, center):
+    """Minkowski gauge of p about `center` (a tuple of Fractions) in the
+    zonotope with the given (normal, offset) pairs: the largest |<u, p - c>| / h.
 
     Compared in integers: with D the common denominator of the centre and
     a = |<u, D(p - c)>|, the ratio a / h beats a' / h' iff a h' > a' h, so
     only the winner becomes a Fraction, a / (h D).
     """
-    D, dc = 1, (0,) * len(p)
-    if center is not None:
-        D = math.lcm(*(Fraction(c).denominator for c in center))
-        dc = tuple(int(c * D) for c in center)
-    q = tuple(D * a - b for a, b in zip(p, dc))
+    D = math.lcm(*(c.denominator for c in center))
+    q = tuple(D * a - c.numerator * (D // c.denominator) for a, c in zip(p, center))
     best, h_best = 0, 1
     for u, h in normals:
         a = abs(dot(u, q))
@@ -275,35 +274,25 @@ def _gauge(normals, p, center=None):
     return Fraction(best, h_best * D)
 
 
-def _normal_lines(Z: Zonotope):
-    """(u, h(u)) for one outward normal u of each pair of opposite facets."""
-    return [(u, Z.support(u)) for u in Z.minor_table]
+def _smallest_gauges(Z: Zonotope, count: int, center):
+    """The `count` lattice points of smallest gauge about `center`, as
+    (gauge, p) pairs sorted by gauge, then p.
 
-
-def _smallest_gauges(Z: Zonotope, count: int, center=None):
-    """The `count` lattice points of smallest gauge about `center` (default the
-    origin), as (gauge, p) pairs sorted by gauge, then p.
-
-    The box [-r, r]^n doubles from r = 2 until the last of them has gauge at
-    most the safe radius (r - 1/2) / h(e_i) for every axis i: every lattice
-    point of gauge at most that about a center in [0, 1/2]^n lies in the
-    box, so no point outside it can enter the prefix.
+    A point has gauge at most alpha about c exactly when it lies in
+    alpha Z + c, so the line scan of alpha Z + c holds the points of gauge
+    <= alpha and no others.  Once it holds `count` points, every point outside
+    it sorts after all of them, so its first `count` are the prefix.  alpha
+    doubles from 1 / max h(u), below which no nonzero lattice point has gauge
+    <= alpha about the origin.
     """
-    normals = _normal_lines(Z)
-    n = Z.dim
-    reach = max(Z.support(tuple(1 if j == i else 0 for j in range(n))) for i in range(n))
-    r = 2
+    alpha = Fraction(1, max(h for _, h in Z.facet_offsets))
     while True:
-        gauges = sorted((_gauge(normals, p, center), p)
-                        for p in product(range(-r, r + 1), repeat=n))[:count]
-        if len(gauges) == count and gauges[-1][0] <= (r - Fraction(1, 2)) / reach:
-            return gauges
-        r *= 2
-
-
-def _gauge_ball_start(graph: PLGraph, m: int):
-    """Deterministic start: the m lattice points of smallest zonotope gauge."""
-    return [p for _, p in _smallest_gauges(zonotope_of_graph(graph), m)]
+        lines = _lattice_lines(Z, alpha, center)
+        if sum(hi - lo + 1 for lo, hi in lines.values()) >= count:
+            return sorted((_gauge(Z.facet_offsets, p, center), p) for p in
+                          ((t,) + y for y, (lo, hi) in lines.items()
+                           for t in range(lo, hi + 1)))[:count]
+        alpha *= 2
 
 
 def local_search_min_boundary(graph: PLGraph, m: int, iterations: int = 20000,
@@ -314,16 +303,22 @@ def local_search_min_boundary(graph: PLGraph, m: int, iterations: int = 20000,
     remaining set.  Acceptance is simulated-annealing style with a geometric
     temperature schedule; the reported value is the best state ever visited,
     so the result never degrades with more iterations.  Deterministic for a
-    fixed seed.  A move from S to S' u {cand}, with S' = S - {out}, changes
-    |dS| by 2|N(out) & S'| - 2|N(cand) & S'|: out's edges into S' become
-    boundary edges and cand's stop being ones.
+    fixed seed, and m is capped by the enumeration budget.  The start is the m
+    lattice points of smallest gauge about the origin.  A move from S to
+    S' u {cand}, with S' = S - {out}, changes |dS| by
+    2|N(out) & S'| - 2|N(cand) & S'|: out's edges into S' become boundary
+    edges and cand's stop being ones.
     """
     if m < 1:
         raise ValueError(f"cardinality must be >= 1, got {m}")
     if iterations < 0:
         raise ValueError(f"iterations must be >= 0, got {iterations}")
+    budget = _budget(None)
+    if m > budget:
+        raise BudgetExceededError(f"local search of {m} points, budget is {budget}")
     rng = random.Random(seed)
-    current = set(_gauge_ball_start(graph, m))
+    start = _smallest_gauges(zonotope_of_graph(graph), m, (Fraction(0),) * graph.dim)
+    current = {p for _, p in start}
     gens = graph.generators
     steps = [*gens, *map(vneg, gens)]
     cur_b = edge_boundary_direct(graph, current)
@@ -383,14 +378,14 @@ def _lattice_lines(Z: Zonotope, alpha: Fraction, center, budget=None):
     lines scanned times the normals, checked before the scan.
     """
     n = Z.dim
-    normals = _normal_lines(Z)
+    normals = Z.facet_offsets
     ranges = []
     for i in range(1, n):
         e = tuple(1 if j == i else 0 for j in range(n))
         h = alpha * Z.support(e)
         ranges.append(range(math.ceil(center[i] - h), math.floor(center[i] + h) + 1))
     if budget is not None:
-        lines = math.prod(len(r) for r in ranges)
+        lines = math.prod(r.stop - r.start for r in ranges)  # len() overflows past sys.maxsize
         if lines * len(normals) > budget:
             raise BudgetExceededError(
                 f"alpha = {alpha} scans {lines} lattice lines against {len(normals)} "
@@ -444,7 +439,7 @@ def zonotope_point_set(graph: PLGraph, alpha, center=None) -> ZonotopePointSet:
     lines = _lattice_lines(zonotope_of_graph(graph), alpha, center)
     pts = tuple(sorted((t,) + y for y, (lo, hi) in lines.items()
                        for t in range(lo, hi + 1)))
-    return ZonotopePointSet(pts, len(pts), edge_boundary_direct(graph, pts),
+    return ZonotopePointSet(pts, len(pts), _lines_boundary(lines, graph.generators),
                             alpha, center)
 
 

@@ -91,6 +91,12 @@ class Zonotope:
         return dict(sorted(table.items()))
 
     @cached_property
+    def facet_offsets(self):
+        """[(u, h(u))]: one outward normal u of each pair of opposite facets,
+        in minor-table order, with its facet offset."""
+        return [(u, self.support(u)) for u in self.minor_table]
+
+    @cached_property
     def _faces(self):
         """{centre: dimension} of every proper face."""
         d = self.dim
@@ -133,13 +139,8 @@ class Zonotope:
 
     @cached_property
     def _polytope(self) -> Polytope:
-        facets = []
-        for u in self.minor_table:
-            h = self.support(u)
-            facets.append((u, h))
-            facets.append((vneg(u), h))
         return Polytope(self.dim, sorted(c for c, k in self._faces.items() if k == 0),
-                        facets)
+                        [f for u, h in self.facet_offsets for f in ((u, h), (vneg(u), h))])
 
 
 def build_zonotope(dim: int, generators) -> Zonotope:
@@ -276,12 +277,8 @@ def hyperplane_section(Z: Zonotope, axis: int, level) -> Polytope:
     if abs(level) > h:
         raise EmptySectionError(
             f"|level| = {abs(level)} exceeds the support value {h} along axis {axis}")
-    ineqs = []
-    for u in Z.minor_table:
-        h = Z.support(u)
-        for normal in (u, vneg(u)):
-            reduced = tuple(a for i, a in enumerate(normal) if i != axis)
-            ineqs.append((reduced, h - normal[axis] * level))
+    ineqs = [(tuple(a for i, a in enumerate(normal) if i != axis), h - normal[axis] * level)
+             for u, h in Z.facet_offsets for normal in (u, vneg(u))]
     verts = hrep_vertices(ineqs, n - 1)
     if not verts:
         raise EmptySectionError(f"section at level {level} along axis {axis} is empty")

@@ -342,8 +342,14 @@ def test_render_4d_exits_2(capsys, tmp_path):
     ["search", "--graph", "linf:2", "--m", "3", "--mode", "local", "--iterations", "-5"],
     ["search", "--graph", "linf:2", "--m", "3", "--box-radius", "1", "--witness-cap", "0"],
     ["search", "--graph", "linf:2", "--m", "3", "--box-radius", "1", "--print-witnesses", "-1"],
+    ["converge", "--graph", "l1:2", "--alphas", "100000000000000000000"],
+    ["converge", "--graph", "l1:2", "--alphas", "1e400"],
+    ["converge", "--graph", "l1:2", "--alphas", "1:100000000000000000000"],
+    ["search", "--graph", "l1:2", "--m", "100000000000000000000", "--mode", "local"],
 ], ids=["section-level", "converge-alpha", "support-too-long", "support-too-short",
-        "search-negative-iterations", "search-witness-cap-0", "search-negative-print-witnesses"])
+        "search-negative-iterations", "search-witness-cap-0", "search-negative-print-witnesses",
+        "converge-alpha-1e20", "converge-alpha-1e400", "converge-range-1e20",
+        "search-local-m-1e20"])
 def test_bad_rational_or_direction_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert_one_error_line(code, err)

@@ -1,0 +1,40 @@
+"""`isozono reproduce` items report FAIL when a pinned value is wrong."""
+
+from dataclasses import replace
+
+from isozono import reproduce
+from isozono.zonotope import build_zonotope
+
+
+def _run(item):
+    lines = []
+    code = reproduce.run(only=[item], emit=lines.append)
+    return code, lines[0]
+
+
+def test_item_7_fails_on_a_12_vertex_level_3_section(monkeypatch):
+    dodecagon = build_zonotope(2, [(1, 0), (0, 1), (1, 1), (1, -1), (1, 2), (2, 1)]).polytope()
+    assert len(dodecagon.vertices) == 12
+    real = reproduce.hyperplane_section
+    monkeypatch.setattr(reproduce, "hyperplane_section",
+                        lambda Z, axis, level: dodecagon if level == 3 else real(Z, axis, level))
+    code, line = _run("7")
+    assert code == 1
+    assert line.startswith("FAIL   7") and "got 12 vertices" in line
+
+
+def test_item_8_fails_when_engine_and_recount_are_both_off_by_2(monkeypatch):
+    real = reproduce.exhaustive_min_boundary
+
+    def engine(graph, m, box_radius):
+        res = real(graph, m, box_radius)
+        # No witness has the shifted boundary, so none is reported.
+        return replace(res, min_boundary=res.min_boundary + 2, witnesses=()) if m == 7 else res
+
+    monkeypatch.setattr(reproduce, "exhaustive_min_boundary", engine)
+    monkeypatch.setattr(reproduce, "_independent_min_boundary",
+                        lambda graph, m, box_radius: engine(graph, m, box_radius).min_boundary)
+    code, line = _run("8")
+    assert code == 1
+    assert line.startswith("FAIL   8")
+    assert "8 14 18 20 24 26 30 30 32 34, expected 8 14 18 20 24 26 28 30 32 34" in line

@@ -325,7 +325,8 @@ def _full_recount_local_search(graph, m, iterations, seed):
     """Slow oracle: the annealing search recounting the whole boundary of
     every trial set, with the same random draws."""
     rng = random.Random(seed)
-    current = set(search._gauge_ball_start(graph, m))
+    origin = (Fraction(0),) * graph.dim
+    current = {p for _, p in search._smallest_gauges(zonotope_of_graph(graph), m, origin)}
     gens = graph.generators
     degree = 2 * len(gens)
 
@@ -371,7 +372,7 @@ def test_integer_gauge_matches_fraction_oracle():
     rng = random.Random(4)
     for name, per_center in (("linf:3", 15), ("linf:4", 3)):
         Z = zonotope_of_graph(builtin_graph(name).graph())
-        normals = search._normal_lines(Z)
+        normals = Z.facet_offsets
         n = Z.dim
         for center in product((Fraction(0), Fraction(1, 2)), repeat=n):
             points = [(0,) * n, (1,) * n] + [tuple(rng.randint(-6, 6) for _ in range(n))
@@ -379,19 +380,63 @@ def test_integer_gauge_matches_fraction_oracle():
             for p in points:
                 expected = _fraction_gauge(normals, p, center)
                 assert search._gauge(normals, p, center) == expected, (name, p, center)
-                if not any(center):
-                    assert search._gauge(normals, p) == expected
 
 
 def test_gauge_ball_start_is_the_smallest_gauge_prefix():
     # On this skewed graph a box sized by the point count alone ends at
     # |x| = 3 and misses a point of the true start.
-    normals = search._normal_lines(zonotope_of_graph(SKEW))
+    Z = zonotope_of_graph(SKEW)
+    origin = (Fraction(0),) * 2
     box = product(range(-20, 21), repeat=2)
-    expected = sorted(box, key=lambda p: (search._gauge(normals, p), p))[:10]
-    start = search._gauge_ball_start(SKEW, 10)
+    expected = sorted(box, key=lambda p: (search._gauge(Z.facet_offsets, p, origin), p))[:10]
+    start = [p for _, p in search._smallest_gauges(Z, 10, origin)]
     assert start == expected
     assert max(abs(p[0]) for p in start) == 4
+
+
+@st.composite
+def _gauge_cases(draw):
+    """A random primitive 2-D or 3-D generator set (skewed ones included), a
+    count 1..40 and a centre in {0, 1/2}^n."""
+    dim = draw(st.sampled_from([2, 3]))
+    r = draw(st.integers(1, 7 if dim == 2 else 3))
+    vec = st.tuples(*[st.integers(-r, r)] * dim)
+    gens = draw(st.lists(vec, min_size=dim, max_size=dim + 2))
+    try:
+        graph = validate_pl_graph(dim, gens)
+    except IsozonoError:
+        graph = SKEW if dim == 2 else builtin_graph("l1:3").graph()
+    center = tuple(draw(st.sampled_from([Fraction(0), Fraction(1, 2)])) for _ in range(dim))
+    return graph, draw(st.integers(1, 40)), center
+
+
+@settings(max_examples=60, deadline=None)
+@given(_gauge_cases())
+@example((SKEW, 10, (Fraction(0), Fraction(0))))
+@example((SKEW, 40, (Fraction(1, 2), Fraction(1, 2))))
+def test_smallest_gauges_match_box_oracle(case):
+    # Every point of gauge at most g about c in [0, 1/2]^n lies within
+    # g * h(e_i) + 1/2 of the origin along axis i, so a box of radius
+    # ceil(g * max_i h(e_i)) + 1 holds all points of the count-th gauge g or less.
+    graph, count, center = case
+    Z = zonotope_of_graph(graph)
+    got = search._smallest_gauges(Z, count, center)
+    n = graph.dim
+    reach = max(Z.support(tuple(int(j == i) for j in range(n))) for i in range(n))
+    radius = math.ceil(got[-1][0] * reach) + 1
+    box = product(range(-radius, radius + 1), repeat=n)
+    expected = sorted((_fraction_gauge(Z.facet_offsets, p, center), p) for p in box)[:count]
+    assert got == expected
+
+
+@pytest.mark.parametrize("name", [n for n in BUILTIN_NAMES
+                                  if builtin_graph(n).graph().dim in (2, 3)])
+def test_zonotope_point_set_boundary_matches_direct_count(name):
+    graph = builtin_graph(name).graph()
+    for alpha in (Fraction(1, 2), 1, Fraction(3, 2), 2):
+        for center in (None, (Fraction(1, 2),) * graph.dim):
+            ps = zonotope_point_set(graph, alpha, center)
+            assert ps.edge_boundary == edge_boundary_direct(graph, ps.points), (alpha, center)
 
 
 def test_zonotope_point_set_oracles():
