@@ -20,7 +20,7 @@ from .errors import BudgetExceededError, IsozonoError
 from .geometry import points_from_text, points_to_text, polytope_from_text, polytope_to_text
 from .plgraph import boundary_identity_report
 from .render import render_polytope
-from .search import (convergence_experiment, default_budget, exhaustive_min_boundary,
+from .search import (_budget, convergence_experiment, exhaustive_min_boundary,
                      local_search_min_boundary)
 from .zonotope import f_vector, homothety_check, hyperplane_section
 
@@ -51,13 +51,13 @@ def _rational(token: str) -> Fraction:
         raise ValueError(f"zero denominator in {token!r}") from None
 
 
-def _parse_alphas(spec: str):
+def _parse_alphas(spec: str, budget=None):
     alphas = []
     for token in spec.split(","):
         token = token.strip()
         if ":" in token:
             lo, _, hi = token.partition(":")
-            lo, hi, budget = int(lo), int(hi), default_budget()
+            lo, hi, budget = int(lo), int(hi), _budget(budget)
             if hi - lo >= budget:  # refused before the range is built
                 raise BudgetExceededError(f"alpha range {token} has more scales than the "
                                           f"budget ({budget})")
@@ -154,6 +154,9 @@ def _cmd_search(args):
             graph, args.m, args.box_radius, witness_cap=args.witness_cap,
             budget=args.budget, symmetry_hints=hints)
     else:
+        if args.budget is not None:
+            raise ValueError("--budget applies to exhaustive search; local search is "
+                             "capped by ISOZONO_BUDGET")
         result = local_search_min_boundary(graph, args.m,
                                            iterations=args.iterations,
                                            seed=args.seed)
@@ -213,7 +216,7 @@ def _cmd_section(args):
 def _cmd_converge(args):
     spec = _load_spec(args)
     graph = spec.graph()
-    rows = convergence_experiment(graph, _parse_alphas(args.alphas),
+    rows = convergence_experiment(graph, _parse_alphas(args.alphas, args.budget),
                                   budget=args.budget)
     lines = ["alpha\tpoints\tvolume\tdiscrete_boundary\tcontinuous_boundary"
              "\tvol_ratio\tboundary_ratio"]
@@ -284,7 +287,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--witness-cap", type=int, default=100)
     p.add_argument("--use-symmetry", action="store_true",
                    help="deduplicate witnesses modulo the graph's symmetry hints")
-    p.add_argument("--budget", type=int, help="override the enumeration budget")
+    p.add_argument("--budget", type=int,
+                   help="override the enumeration budget (exhaustive mode only; "
+                        "local search is capped by ISOZONO_BUDGET)")
     p.add_argument("--print-witnesses", type=int, default=3)
     p.add_argument("--out", metavar="PREFIX",
                    help="write PREFIX.tsv and PREFIX.witness-NNN.txt files")

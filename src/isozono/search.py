@@ -428,7 +428,10 @@ def _lines_boundary(lines, generators) -> int:
 
 
 def zonotope_point_set(graph: PLGraph, alpha, center=None) -> ZonotopePointSet:
-    """Z^n intersected with alpha * Z(G) + center, with its edge boundary."""
+    """Z^n intersected with alpha * Z(G) + center, with its edge boundary.
+
+    A set of more points than the enumeration budget raises
+    BudgetExceededError before any point is listed."""
     alpha = Fraction(alpha)
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
@@ -437,9 +440,13 @@ def zonotope_point_set(graph: PLGraph, alpha, center=None) -> ZonotopePointSet:
     if len(center) != n:
         raise DimensionMismatchError(f"center has {len(center)} coordinates, dim is {n}")
     lines = _lattice_lines(zonotope_of_graph(graph), alpha, center)
+    count, budget = sum(hi - lo + 1 for lo, hi in lines.values()), _budget(None)
+    if count > budget:
+        raise BudgetExceededError(f"alpha = {alpha} holds {count} lattice points, "
+                                  f"budget is {budget}")
     pts = tuple(sorted((t,) + y for y, (lo, hi) in lines.items()
                        for t in range(lo, hi + 1)))
-    return ZonotopePointSet(pts, len(pts), _lines_boundary(lines, graph.generators),
+    return ZonotopePointSet(pts, count, _lines_boundary(lines, graph.generators),
                             alpha, center)
 
 
@@ -574,10 +581,15 @@ def limiting_shape_report(graph: PLGraph, m_max: int, *, box_radius: int | None 
     that row's family sets, so an `exhaustive` row's minimum is always <= the
     family boundaries listed beside it.  Rows whose (possibly enlarged) window
     exceeds the budget report family data only, with `exhaustive=False`.
+    m_max itself is capped by the budget, as local search caps m, since the
+    family catalog lists m_max + 1 points about each centre.
     """
     if m_max < 1:
         raise ValueError(f"m_max must be >= 1, got {m_max}")
     budget = _budget(budget)
+    if m_max > budget:
+        raise BudgetExceededError(f"limiting-shape report up to m = {m_max}, "
+                                  f"budget is {budget}")
     n = graph.dim
     if box_radius is None:
         box_radius = 1  # the least r with r^n >= m_max, then one more

@@ -1,314 +1,39 @@
 """Acceptance criteria, one test (pass/fail line) per criterion clause.
 
-Criteria 2 and 10 are split into lettered sub-tests.  Two clauses were
-supplied with reference values that no correct program can meet; their tests
-check what the clause was written to check, with corrected values (see the
-README's "Reference data erratum"):
-  - 02c: the facet offsets are derived from the reference vertex orbit of
-    criterion 2a; the supplied 12/20/24 are the offsets of twice that body.
-  - 10c: the 5% and 1% volume-ratio tolerances are asserted at alpha = 20
-    and 100, where the exact ratio first meets them, not at 10 and 50.
+Each test runs the matching `isozono reproduce` item, the one copy of the
+clause's checks, and fails with the item's detail line.  Criteria 2 and 10
+are split into lettered items.
 """
 
-import random
-import time
-from fractions import Fraction
+from isozono.reproduce import ITEMS
 
-from isozono.boundary import brunn_minkowski_certificate, zonotope_boundary_identity
-from isozono.catalog import BUILTIN_NAMES, builtin_graph
-from isozono.geometry import convex_hull
-from isozono.intmat import content, gram_det, kernel_basis
-from isozono.lattice import (
-    boundary_lattice_points,
-    count_lattice_points,
-    pick_area,
-    projection_lattice_det_squared,
-)
-from isozono.plgraph import boundary_identity_report, edge_boundary_direct
-from isozono.reproduce import (
-    _independent_min_boundary,
-    _l1_rows,
-    _random_full_dim_hull,
-    _reference_zc_facets,
-    _zc_orbit,
-    _zc_polytope,
-)
-from isozono.search import (
-    canonical_set,
-    convergence_experiment,
-    exhaustive_min_boundary,
-    hull_direction_count,
-    limiting_shape_report,
-    local_search_min_boundary,
-    zonotope_point_set,
-)
-from isozono.zonotope import Zonotope, f_vector, facet_polytope, homothety_check, hyperplane_section
-
-SEED = 20240811
+NAMES = {
+    "1": "01_fvectors_within_time_budgets",
+    "2a": "02a_vertex_orbit_within_time_budget",
+    "2b": "02b_f_vector",
+    "2c": "02c_facet_offsets_match_reference",
+    "3": "03_boundary_identity_fuzz",
+    "4": "04_dual_lattice_determinant_identity",
+    "5": "05_zonotope_boundary_equals_n_volume",
+    "6": "06_brunn_minkowski_certificates",
+    "7": "07_sections_and_facet_slices",
+    "8": "08_desk_scale_exhaustive_with_recount",
+    "9": "09_limiting_shape_evidence",
+    "10a": "10a_closed_form_rows",
+    "10b": "10b_boundary_ratio_within_tolerance",
+    "10c": "10c_volume_ratio_within_tolerance",
+    "10d": "10d_ratio_trend_toward_one",
+    "11": "11_pick_point_counts",
+}
 
 
-# -- 1: f-vectors of the box-graph zonotopes, within time budgets -------------
-
-def test_criterion_01_fvectors_within_time_budgets():
-    budgets = {"linf:2": (1.0, (8, 8)),
-               "linf:3": (10.0, (96, 144, 50)),
-               "linf:4": (600.0, (5376, 11328, 7312, 1360))}
-    for name, (limit, expected) in budgets.items():
-        spec = builtin_graph(name)
-        z = Zonotope(spec.dim, spec.generators)  # fresh object: no cached faces
-        t0 = time.monotonic()
-        fv = tuple(f_vector(z))
-        dt = time.monotonic() - t0
-        assert fv == expected, f"{name}: f-vector {fv}, expected {expected}"
-        assert dt < limit, f"{name}: f-vector took {dt:.1f}s, budget {limit}s"
+def _criterion(label, check):
+    def test():
+        ok, detail = check()
+        assert ok, detail
+    test.__doc__ = label
+    return test
 
 
-# -- 2: the 24-segment 4d zonotope against its reference data -----------------
-
-def test_criterion_02a_vertex_orbit_within_time_budget():
-    t0 = time.monotonic()
-    P = _zc_polytope()
-    dt = time.monotonic() - t0
-    assert set(P.vertices) == _zc_orbit()
-    assert len(P.vertices) == 192
-    assert dt < 60, f"vertex enumeration took {dt:.1f}s, budget 60s"
-
-
-def test_criterion_02b_f_vector():
-    z = builtin_graph("d4cross").original_zonotope()
-    assert tuple(f_vector(z)) == (192, 384, 240, 48)
-
-
-def test_criterion_02c_facet_offsets_match_reference():
-    # The supplied offsets (12 for +-e_i, 20 for +-e_i+-e_j, 24 for
-    # (+-1,+-1,+-1,+-1)) are the support values of twice the reference orbit,
-    # i.e. of sum [-w, w] over all 24 roots.  The body is sum [0, w] over the
-    # 24 one-sided segments, whose vertices are the orbit of criterion 2a, so
-    # each expected offset is the support value max <u, v> over that orbit.
-    P = _zc_polytope()
-    reference = _reference_zc_facets()
-    normals = set(reference)
-    assert len(normals) == 48
-    computed = {(n, int(c)) for n, c in P.facets}
-    assert {n for n, _ in computed} == normals
-    by_normal = {n: c for n, c in computed}
-    mismatch = sorted((u, by_normal[u], c) for u, c in reference.items()
-                      if by_normal[u] != c)
-    assert not mismatch, (
-        "facet offsets differ from the support values of the reference vertex "
-        "orbit (normal, computed, expected): "
-        + ", ".join(f"{u}: {a} vs {b}" for u, a, b in mismatch))
-
-
-# -- 3: discrete boundary identity on random sets -----------------------------
-
-def test_criterion_03_boundary_identity_fuzz():
-    rng = random.Random(SEED)
-    checked = 0
-    for name in BUILTIN_NAMES:
-        g = builtin_graph(name).graph()
-        span = {1: 25, 2: 6, 3: 4, 4: 4}[g.dim]
-        for _ in range(1000):
-            m = rng.randint(1, 40)
-            pts = set()
-            while len(pts) < m:
-                pts.add(tuple(rng.randint(-span, span) for _ in range(g.dim)))
-            rep = boundary_identity_report(g, pts)
-            assert rep.identity_holds, f"{name}: identity failed on {sorted(pts)}"
-            checked += 1
-    assert checked == 10 * 1000
-
-
-# -- 4: dual projection lattice determinant identity --------------------------
-
-def test_criterion_04_dual_lattice_determinant_identity():
-    rng = random.Random(SEED + 1)
-    done = 0
-    while done < 200:
-        n = rng.randint(2, 4)
-        a = tuple(rng.randint(-9, 9) for _ in range(n))
-        if not any(a) or content(a) != 1:
-            continue
-        basis = kernel_basis([a], n)
-        norm2 = sum(c * c for c in a)
-        assert gram_det(basis) == norm2, f"{a}: Gram {gram_det(basis)} != {norm2}"
-        assert projection_lattice_det_squared(a) == Fraction(1, norm2)
-        done += 1
-
-
-# -- 5: boundary functional of the zonotope itself -----------------------------
-
-def test_criterion_05_zonotope_boundary_equals_n_volume():
-    for name in BUILTIN_NAMES:
-        g = builtin_graph(name).graph()
-        bv, expected, match = zonotope_boundary_identity(g)
-        assert match, f"{name}: b(Z) = {bv.value}, n*vol = {expected}"
-    l1 = builtin_graph("l1:2").graph()
-    assert zonotope_boundary_identity(l1)[0].value == 8
-    linf = builtin_graph("linf:2").graph()
-    assert zonotope_boundary_identity(linf)[0].value == 56
-
-
-# -- 6: discrete Brunn-Minkowski certificates ----------------------------------
-
-def test_criterion_06_brunn_minkowski_certificates():
-    rng = random.Random(SEED + 2)
-    for name in ("l1:2", "linf:2", "tri", "l1:3", "linf:3"):
-        spec = builtin_graph(name)
-        g = spec.graph()
-        Zp = spec.zonotope().polytope()
-        for i in range(100):
-            if i % 20 == 19:
-                lam = Fraction(rng.randint(1, 4), rng.randint(1, 2))
-                t = tuple(rng.randint(-3, 3) for _ in range(g.dim))
-                A = Zp.scale(lam).translate(t)
-                expect_equality = True
-            else:
-                span = 6 if g.dim == 2 else 4
-                npts = rng.randint(g.dim + 2, 12 if g.dim == 2 else 10)
-                A = _random_full_dim_hull(rng, g.dim, span, npts)
-                expect_equality = False
-            cert = brunn_minkowski_certificate(A, g)
-            assert cert.holds, f"{name}: b^n = {cert.lhs} < {cert.rhs}"
-            assert cert.consistent, (
-                f"{name}: equality {cert.is_equality} but homothetic {cert.homothetic}")
-            if expect_equality:
-                assert cert.is_equality, f"{name}: homothet of Z missed equality"
-
-
-# -- 7: hyperplane sections and facet slices -----------------------------------
-
-def test_criterion_07_sections_and_facet_slices():
-    z3 = builtin_graph("linf:3").zonotope()
-    z2 = builtin_graph("linf:2").zonotope().polytope()
-    fs = facet_polytope(z3, 0)
-    assert fs.is_facet
-    hom = homothety_check(z2, fs.face)
-    assert hom is not None and hom[0] == 1, "facet is not a unit copy"
-    central = hyperplane_section(z3, 0, 0)
-    assert homothety_check(z2, central) == (3, (0, 0))
-    inner = hyperplane_section(z3, 0, 3)
-    assert len(inner.vertices) == 16
-    assert homothety_check(z2, inner) is None
-
-
-# -- 8: desk-scale exhaustive minima with an independent recount ---------------
-
-def test_criterion_08_desk_scale_exhaustive_with_recount():
-    linf = builtin_graph("linf:2").graph()
-    t0 = time.monotonic()
-    minima = []
-    for m in range(1, 11):
-        res = exhaustive_min_boundary(linf, m, box_radius=3)
-        assert res.exhaustive
-        oracle = _independent_min_boundary(linf, m, 3)
-        assert res.min_boundary == oracle, (
-            f"m={m}: engine {res.min_boundary}, independent recount {oracle}")
-        for w in res.witnesses:
-            assert edge_boundary_direct(linf, w) == res.min_boundary
-        minima.append(res.min_boundary)
-    assert minima == [8, 14, 18, 20, 24, 26, 28, 30, 32, 34]
-    l1 = builtin_graph("l1:2").graph()
-    for s in (0, 1, 2):
-        res = exhaustive_min_boundary(l1, (s + 1) ** 2, box_radius=3)
-        assert res.min_boundary == 4 * (s + 1)
-        box = canonical_set([(i, j) for i in range(s + 1) for j in range(s + 1)])
-        assert box in res.witnesses, f"{s+1}x{s+1} box missing from witnesses"
-    dt = time.monotonic() - t0
-    assert dt < 300, f"took {dt:.0f}s, budget 300s"
-
-
-# -- 9: limiting-shape evidence -------------------------------------------------
-
-def test_criterion_09_limiting_shape_evidence():
-    linf = builtin_graph("linf:2").graph()
-    octagon = zonotope_point_set(linf, 1)
-    assert octagon.cardinality == 37
-    assert octagon.edge_boundary == 64
-    for seed in range(5):
-        res = local_search_min_boundary(linf, 37, iterations=6000, seed=seed)
-        assert res.min_boundary == 64, f"seed {seed}: best found {res.min_boundary}"
-    report = limiting_shape_report(linf, 37, budget=150_000)
-    row = next(r for r in report if r.cardinality == 37)
-    assert not row.exhaustive  # beyond the enumeration budget, by design
-    assert row.family_sets
-    assert any(hull_direction_count(f.points) == 8 for f in row.family_sets)
-    assert any(f.edge_boundary == 64 for f in row.family_sets)
-    tri = builtin_graph("tri").graph()
-    res = exhaustive_min_boundary(tri, 7, box_radius=2)
-    assert res.min_boundary == 18
-    ball = canonical_set([(0, 0), (1, 0), (0, 1), (1, 1), (-1, 0), (0, -1), (-1, -1)])
-    assert ball in res.witnesses
-
-
-# -- 10: convergence of lattice sections of the scaled zonotope -----------------
-
-def test_criterion_10a_closed_form_rows():
-    for row in _l1_rows(50):
-        a = int(row.alpha)
-        assert row.points == (2 * a + 1) ** 2
-        assert row.volume == (2 * a) ** 2
-        assert row.discrete_boundary == 4 * (2 * a + 1)
-        assert row.continuous_boundary == 8 * a
-        assert row.vol_ratio == Fraction((2 * a) ** 2, (2 * a + 1) ** 2)
-        assert row.boundary_ratio == Fraction(2 * a, 2 * a + 1)
-
-
-def test_criterion_10b_boundary_ratio_within_tolerance():
-    rows = {int(r.alpha): r for r in _l1_rows(50)}
-    for a, tol in ((10, Fraction(5, 100)), (50, Fraction(1, 100))):
-        dev = abs(rows[a].boundary_ratio - 1)
-        assert dev <= tol, (
-            f"alpha={a}: |boundary_ratio - 1| = {dev} (~{float(dev):.3%}) "
-            f"exceeds {tol}")
-
-
-def test_criterion_10c_volume_ratio_within_tolerance():
-    # The l1:2 row at integer alpha is exact: (2a+1)^2 points against volume
-    # (2a)^2 (criterion 10a), so |vol_ratio - 1| = (4a+1)/(2a+1)^2, about
-    # 1/a -- twice the boundary-ratio deviation of about 1/(2a).  5% is first
-    # met at a = 20 (81/1681; a = 19 gives 77/1521 > 5%) and 1% at a = 100
-    # (401/40401; a = 99 gives 397/39601 > 1%).  At a = 10 and 50 no exact
-    # count can meet them (41/441 and 201/10201).
-    rows = {int(r.alpha): r for r in _l1_rows(50)}
-    rows[100], = convergence_experiment(builtin_graph("l1:2").graph(), [100])
-    failures = []
-    for a, tol in ((20, Fraction(5, 100)), (100, Fraction(1, 100))):
-        assert rows[a].vol_ratio == Fraction((2 * a) ** 2, (2 * a + 1) ** 2)
-        dev = abs(rows[a].vol_ratio - 1)
-        if dev > tol:
-            failures.append(f"|vol_ratio - 1| = {dev} (~{float(dev):.3%}) "
-                            f"at alpha={a} exceeds the {float(tol):.0%} tolerance")
-    assert not failures, "; ".join(failures)
-
-
-def test_criterion_10d_ratio_trend_toward_one():
-    for name in ("linf:2", "tri"):
-        graph = builtin_graph(name).graph()
-        rows = convergence_experiment(graph, list(range(1, 21)))
-        vol_dev = [abs(r.vol_ratio - 1) for r in rows]
-        bd_dev = [abs(r.boundary_ratio - 1) for r in rows]
-        assert all(x >= y for x, y in zip(vol_dev, vol_dev[1:])), name
-        assert all(x >= y for x, y in zip(bd_dev, bd_dev[1:])), name
-
-
-# -- 11: lattice point counts and the counting area formula ---------------------
-
-def test_criterion_11_pick_point_counts():
-    octagon = convex_hull([(3, 1), (1, 3), (-1, 3), (-3, 1),
-                           (-3, -1), (-1, -3), (1, -3), (3, -1)])
-    assert octagon.volume() == 28
-    total = count_lattice_points(octagon)
-    boundary = boundary_lattice_points(octagon)
-    assert (total, boundary, total - boundary) == (37, 16, 21)
-    assert pick_area(octagon) == 28
-    rng = random.Random(SEED + 3)
-    checked = 0
-    while checked < 100:
-        pts = {(rng.randint(-7, 7), rng.randint(-7, 7))
-               for _ in range(rng.randint(3, 10))}
-        P = convex_hull(pts)
-        if P.affine_dim < 2:
-            continue
-        assert pick_area(P) == P.volume(), f"vertices {P.vertices}"
-        checked += 1
+for _id, _label, _check in ITEMS:
+    globals()[f"test_criterion_{NAMES[_id]}"] = _criterion(_label, _check)

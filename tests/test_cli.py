@@ -276,6 +276,17 @@ def test_search_negative_budget_exits_2(capsys):
     assert "budget must be a positive integer" in err
 
 
+@pytest.mark.parametrize("env, budget", [(None, "5"), ("5", "100000")])
+def test_search_local_mode_refuses_budget(capsys, monkeypatch, env, budget):
+    if env is not None:
+        monkeypatch.setenv("ISOZONO_BUDGET", env)
+    code, out, err = run(capsys, "search", "--graph", "linf:2", "--m", "30",
+                         "--mode", "local", "--budget", budget)
+    assert_one_error_line(code, err)
+    assert "ISOZONO_BUDGET" in err
+    assert out == ""
+
+
 def test_search_out_prefix_writes_files(capsys, tmp_path):
     prefix = tmp_path / "run"
     code, out, _ = run(capsys, "search", "--graph", "l1:2", "--m", "4",
@@ -301,6 +312,14 @@ def test_converge_over_budget_exits_2(capsys):
                          "--alphas", "1000000", "--budget", "100")
     assert_one_error_line(code, err)
     assert out == ""
+
+
+def test_converge_alpha_range_reads_the_explicit_budget(capsys, monkeypatch):
+    monkeypatch.setenv("ISOZONO_BUDGET", "50")
+    code, out, _ = run(capsys, "converge", "--graph", "l1:2",
+                       "--alphas", "1:60", "--budget", "100000")
+    assert code == 0
+    assert len(out.splitlines()) == 61  # header + 60 rows
 
 
 def test_converge_alpha_range_syntax(capsys):

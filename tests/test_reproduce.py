@@ -3,6 +3,7 @@
 from dataclasses import replace
 
 from isozono import reproduce
+from isozono.catalog import builtin_graph
 from isozono.zonotope import build_zonotope
 
 
@@ -38,3 +39,30 @@ def test_item_8_fails_when_engine_and_recount_are_both_off_by_2(monkeypatch):
     assert code == 1
     assert line.startswith("FAIL   8")
     assert "8 14 18 20 24 26 30 30 32 34, expected 8 14 18 20 24 26 28 30 32 34" in line
+
+
+def test_item_5_fails_when_the_identity_mismatches_on_linf_4(monkeypatch):
+    real = reproduce.zonotope_boundary_identity
+    linf4 = builtin_graph("linf:4").graph()
+
+    def identity(graph):
+        bv, rhs, ok = real(graph)
+        return (bv, rhs + 1, False) if graph == linf4 else (bv, rhs, ok)
+
+    monkeypatch.setattr(reproduce, "zonotope_boundary_identity", identity)
+    code, line = _run("5")
+    assert code == 1
+    assert line.startswith("FAIL   5") and line.endswith("linf:4: b(Z) = 10495040, n*vol = 10495041")
+
+
+def test_item_9_fails_when_the_engine_is_2_high_on_tri_at_radius_2(monkeypatch):
+    real = reproduce.exhaustive_min_boundary
+
+    def engine(graph, m, box_radius):
+        res = real(graph, m, box_radius)
+        return replace(res, min_boundary=res.min_boundary + 2) if box_radius == 2 else res
+
+    monkeypatch.setattr(reproduce, "exhaustive_min_boundary", engine)
+    code, line = _run("9")
+    assert code == 1
+    assert line.startswith("FAIL   9") and "tri m=7, r=2: min 20" in line

@@ -465,6 +465,14 @@ def test_zonotope_point_set_rejects_center_of_wrong_length():
         zonotope_point_set(L1, 1, center=(0,))
 
 
+def test_zonotope_point_set_refuses_more_points_than_the_budget(monkeypatch):
+    monkeypatch.setenv("ISOZONO_BUDGET", "37")
+    assert zonotope_point_set(LINF, 1).cardinality == 37
+    monkeypatch.setenv("ISOZONO_BUDGET", "36")
+    with pytest.raises(BudgetExceededError, match="37 lattice points"):
+        zonotope_point_set(LINF, 1)
+
+
 def test_convergence_experiment_exact_rows():
     rows = convergence_experiment(L1, [1, 10, 50])
     by_alpha = {int(r.alpha): r for r in rows}
@@ -649,6 +657,15 @@ def test_limiting_shape_report_family_matches():
     below, above = rows[5].nearest_cardinalities
     assert below.cardinality == 4
     assert above.cardinality == 6
+
+
+def test_limiting_shape_report_refuses_m_max_over_the_budget(monkeypatch):
+    assert len(limiting_shape_report(L1, 6, budget=6)) == 6
+    with pytest.raises(BudgetExceededError):
+        limiting_shape_report(L1, 6, budget=5)
+    monkeypatch.setenv("ISOZONO_BUDGET", "36")
+    with pytest.raises(BudgetExceededError):
+        limiting_shape_report(LINF, 37)
 
 
 def test_limiting_shape_report_skips_over_budget_rows():
