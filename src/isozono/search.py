@@ -367,7 +367,7 @@ class ZonotopePointSet:
     center: tuple
 
 
-def _lattice_lines(Z: Zonotope, alpha: Fraction, center, budget=None):
+def _lattice_lines(Z: Zonotope, alpha: Fraction, center, budget=None, per_normal=True):
     """{y: (lo, hi)}: the points (t, y) of Z^n cap (alpha Z + center), lo <= t <= hi.
 
     One line per y in the box of coordinates 1..n-1; lines with no lattice
@@ -375,7 +375,8 @@ def _lattice_lines(Z: Zonotope, alpha: Fraction, center, budget=None):
     each facet normal u bounds the line by -H - B <= A t <= H - B in integers,
     where A = D u_0, B = D (<u', y> - <u, center>) and H = D alpha h(u).
     Normals with u_0 = 0 keep or drop the whole line.  `budget` caps the
-    lines scanned times the normals, checked before the scan.
+    lines scanned, times the normals when `per_normal`, checked before the
+    scan.
     """
     n = Z.dim
     normals = Z.facet_offsets
@@ -386,10 +387,13 @@ def _lattice_lines(Z: Zonotope, alpha: Fraction, center, budget=None):
         ranges.append(range(math.ceil(center[i] - h), math.floor(center[i] + h) + 1))
     if budget is not None:
         lines = math.prod(r.stop - r.start for r in ranges)  # len() overflows past sys.maxsize
-        if lines * len(normals) > budget:
+        if per_normal and lines * len(normals) > budget:
             raise BudgetExceededError(
                 f"alpha = {alpha} scans {lines} lattice lines against {len(normals)} "
                 f"facet normals, budget is {budget} line-normal pairs")
+        if lines > budget:
+            raise BudgetExceededError(
+                f"alpha = {alpha} scans {lines} lattice lines, budget is {budget}")
     D = math.lcm(alpha.denominator, *(c.denominator for c in center))
     dc = tuple(c.numerator * (D // c.denominator) for c in center)
     scale = D // alpha.denominator * alpha.numerator
@@ -430,8 +434,9 @@ def _lines_boundary(lines, generators) -> int:
 def zonotope_point_set(graph: PLGraph, alpha, center=None) -> ZonotopePointSet:
     """Z^n intersected with alpha * Z(G) + center, with its edge boundary.
 
-    A set of more points than the enumeration budget raises
-    BudgetExceededError before any point is listed."""
+    A box of more lattice lines, or a set of more points, than the
+    enumeration budget raises BudgetExceededError before any point is
+    listed; the lines are counted before the scan."""
     alpha = Fraction(alpha)
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
@@ -439,8 +444,9 @@ def zonotope_point_set(graph: PLGraph, alpha, center=None) -> ZonotopePointSet:
     center = tuple([Fraction(0)] * n) if center is None else tuple(map(Fraction, center))
     if len(center) != n:
         raise DimensionMismatchError(f"center has {len(center)} coordinates, dim is {n}")
-    lines = _lattice_lines(zonotope_of_graph(graph), alpha, center)
-    count, budget = sum(hi - lo + 1 for lo, hi in lines.values()), _budget(None)
+    budget = _budget(None)
+    lines = _lattice_lines(zonotope_of_graph(graph), alpha, center, budget, per_normal=False)
+    count = sum(hi - lo + 1 for lo, hi in lines.values())
     if count > budget:
         raise BudgetExceededError(f"alpha = {alpha} holds {count} lattice points, "
                                   f"budget is {budget}")

@@ -10,27 +10,26 @@ h(u) = sum_i |<u, v_i>|, and the sweep along v is 2^(n-1) sum_u w(u) |<u, v>|.
 The volume is deliberately not read off the table: it stays the n-subset
 determinant sum, so b(Z) = n vol(Z) compares two independent routes.
 
-Faces are enumerated recursively over the table's keys: the facet of Z
-with outward normal u is t_u + Z(T_u) where T_u are the generators orthogonal
-to u and t_u = sum sign(<u,v_i>) v_i over the rest, and the facet with normal
--u is its negative.  Every face of Z is a translate t + Z(T) with centre t,
-which lies in its relative interior, so distinct faces have distinct centres
-and one recursion names every face by its centre.  Sub-zonotopes are taken in
-an integer basis of the facet hyperplane's lattice, which keeps every
-intermediate coordinate an integer: `intmat.kernel_chart` returns that basis
-with its integer left inverse, whose rows read the coordinates off as dot
-products.  Recursion bottoms out at exact zonogon cycles, whose edge midpoints
-are integers because consecutive vertices differ by 2v.  Every proper face
-lies on a facet and is a face of it, so the union over facets is complete:
-the vertices are the centres of dimension 0, and the f-vector counts centres
-by dimension.
+Faces are enumerated over flats, the generator subsets T that contain every
+generator of their span.  Each face of Z(F) = sum_{v in F} [-v, v] is
+t + Z(T) for a flat T of F, and the facet with relative outward normal u is
+t_u + Z(T_u) with T_u the generators orthogonal to u and
+t_u = sum sign(<u, v>) v over the rest; the facet with normal -u is its
+negative.  The centre t of a face lies in its relative interior, so distinct
+faces have distinct centres and one recursion (`_flat_faces`) names every
+face by its centre, a signed sum of generators and so an integer point of
+Z^n.  The top level takes its normals from the minor table; a lower flat
+takes them, by the same rule, in a chart of coordinates on which it projects
+injectively.  Every proper face lies on a facet and is a face of it, so the
+union over facets is complete: the vertices are the centres of dimension 0,
+and the f-vector counts centres by dimension.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, cmp_to_key, lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 
 from .errors import DimensionMismatchError, EmptySectionError, RankDeficientError
@@ -42,8 +41,7 @@ from .intmat import (
     cross_nd,
     det,
     dot,
-    embed,
-    kernel_chart,
+    independent_rows,
     rank,
     vadd,
     vneg,
@@ -82,12 +80,8 @@ class Zonotope:
         """{u: w(u)}, sorted by u: the facet normals (one per +- pair) and the
         summed |w_S| of the (n-1)-subsets S with cross_nd(S) = w_S * u."""
         table = {}
-        for sub in combinations(self.generators, self.dim - 1):
-            c = cross_nd(sub, self.dim)
-            w = content(c)
-            if w:
-                u = canonical_sign(tuple(a // w for a in c))
-                table[u] = table.get(u, 0) + w
+        for u, w in _minors(self.generators, self.dim):
+            table[u] = table.get(u, 0) + w
         return dict(sorted(table.items()))
 
     @cached_property
@@ -99,40 +93,7 @@ class Zonotope:
     @cached_property
     def _faces(self):
         """{centre: dimension} of every proper face."""
-        d = self.dim
-        if d == 1:
-            g = self.generators[0]
-            return {g: 0, vneg(g): 0}
-        if d == 2:
-            cycle = _zonogon_cycle(self.generators)
-            faces = dict.fromkeys(cycle, 0)
-            for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-                faces[((a[0] + b[0]) // 2, (a[1] + b[1]) // 2)] = 1
-            return faces
-        faces = {}
-        for u in self.minor_table:
-            shift, tight = self._face_split(u)
-            faces[shift] = faces[vneg(shift)] = d - 1
-            basis, left = kernel_chart([u], d)
-            sub = Zonotope(d - 1, tuple(tuple(dot(l, g) for l in left) for g in tight))
-            for c, k in sub._faces.items():
-                p = vadd(shift, embed(basis, c))
-                faces[p] = faces[vneg(p)] = k
-        return faces
-
-    def _face_split(self, u):
-        """(t_u, T_u): t_u = sum sign(<u, v>) v over the generators v not
-        orthogonal to u, and T_u the generators orthogonal to u.  The face of Z
-        maximising <u, .> is t_u + Z(T_u)."""
-        shift = (0,) * self.dim
-        tight = []
-        for g in self.generators:
-            s = dot(u, g)
-            if s == 0:
-                tight.append(g)
-            else:
-                shift = vadd(shift, g) if s > 0 else vsub(shift, g)
-        return shift, tight
+        return _flat_faces(self.generators, self.dim, self.minor_table, {})
 
     def polytope(self) -> Polytope:
         return self._polytope
@@ -178,28 +139,77 @@ def build_zonotope_from_segments(dim: int, segment_vectors) -> Zonotope:
     return build_zonotope(dim, gens)
 
 
-# -- vertex enumeration ------------------------------------------------------
+# -- face enumeration --------------------------------------------------------
 
 
-def _zonogon_cycle(gens):
-    """Counterclockwise vertex cycle of a 2D zonotope (exact angular sort)."""
-    ups = [g if (g[0] > 0 or (g[0] == 0 and g[1] > 0)) else vneg(g) for g in gens]
+def _minors(vectors, r):
+    """(u, w) for each (r-1)-subset S of the r-vectors with cross_nd(S) = w * u
+    nonzero, u canonical and primitive, w > 0."""
+    for sub in combinations(vectors, r - 1):
+        c = cross_nd(sub, r)
+        w = content(c)
+        if w:
+            yield canonical_sign(tuple(a // w for a in c)), w
 
-    def cmp(u, v):
-        cr = u[0] * v[1] - u[1] * v[0]
-        return -1 if cr > 0 else (1 if cr < 0 else 0)
 
-    ups.sort(key=cmp_to_key(cmp))
-    x = -sum(u[0] for u in ups)
-    y = -sum(u[1] for u in ups)
-    cycle = [(x, y)]
-    for u in ups:
-        x, y = x + 2 * u[0], y + 2 * u[1]
-        cycle.append((x, y))
-    for u in ups[:-1]:
-        x, y = x - 2 * u[0], y - 2 * u[1]
-        cycle.append((x, y))
-    return cycle
+def _face_split(u, gens, chart):
+    """(t_u, T_u) for the functional u read on chart[i], the image of gens[i]:
+    t_u = sum sign(<u, chart[i]>) gens[i] over the pairings that are nonzero,
+    and T_u the gens[i] whose pairing is zero.  The face of Z(gens) that
+    maximises u is t_u + Z(T_u)."""
+    shift = (0,) * len(gens[0])
+    tight = []
+    for g, p in zip(gens, chart):
+        s = dot(u, p)
+        if s == 0:
+            tight.append(g)
+        else:
+            shift = vadd(shift, g) if s > 0 else vsub(shift, g)
+    return shift, tight
+
+
+def _flat_faces(flat, n, normals, memo):
+    """{centre: dimension} of every proper face of Z(flat), in Z^n.
+
+    `normals` are the relative facet normals of a flat of rank n read in all
+    n coordinates (the minor-table keys), or None: a flat of rank r < n is
+    then read in the first r coordinates on which a basis of its span
+    (`independent_rows`) has a nonzero r x r minor.  That projection is a
+    linear isomorphism of span(flat), so it keeps the sign of every pairing
+    with a generator and with it every face; the normals are the canonical
+    cross_nd of the projected (r-1)-subsets.  Centres are sums of signed
+    ambient generators, so nothing is mapped back.
+
+    A flat's faces depend on its generators alone, and a flat of rank r <= n-2
+    is shared by the facets that meet in it, so `memo` (one per top-level
+    call) keeps those, keyed by the generator tuple: a flat is fixed by its
+    generators, and every parent lists them in top-level order.  Facets
+    (rank n-1) are distinct per normal and each is read once, so keeping
+    them would only hold memory.
+    """
+    if not flat:
+        return {}
+    if normals is None:
+        if flat in memo:
+            return memo[flat]
+        basis = [flat[i] for i in independent_rows(flat, n)]
+        r = len(basis)
+        coords = next(c for c in combinations(range(n), r)
+                      if det([[b[i] for i in c] for b in basis]))
+        chart = [tuple(g[i] for i in coords) for g in flat]
+        normals = dict.fromkeys(u for u, _ in _minors(chart, r))
+    else:
+        r, chart = n, flat
+    faces = {}
+    for u in normals:
+        shift, tight = _face_split(u, flat, chart)
+        faces[shift] = faces[vneg(shift)] = r - 1
+        for c, k in _flat_faces(tuple(tight), n, None, memo).items():
+            p = vadd(shift, c)
+            faces[p] = faces[vneg(p)] = k
+    if r <= n - 2:
+        memo[flat] = faces
+    return faces
 
 
 # -- face counting -----------------------------------------------------------
@@ -254,7 +264,8 @@ def facet_polytope(Z: Zonotope, axis: int) -> FacetSlice:
     n = Z.dim
     if not 0 <= axis < n:
         raise IndexError(f"axis {axis} out of range for dimension {n}")
-    shift, tight = Z._face_split(tuple(int(i == axis) for i in range(n)))
+    shift, tight = _face_split(tuple(int(i == axis) for i in range(n)),
+                               Z.generators, Z.generators)
     chart_gens = [tuple(a for i, a in enumerate(g) if i != axis) for g in tight]
     full_rank = bool(chart_gens) and rank(chart_gens, n - 1) == n - 1
     if full_rank:

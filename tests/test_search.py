@@ -473,6 +473,17 @@ def test_zonotope_point_set_refuses_more_points_than_the_budget(monkeypatch):
         zonotope_point_set(LINF, 1)
 
 
+def test_zonotope_point_set_refuses_more_lines_than_the_budget_before_the_scan(monkeypatch):
+    def no_scan(*ranges):
+        raise AssertionError("the lattice lines were scanned")
+
+    monkeypatch.setenv("ISOZONO_BUDGET", "100")
+    monkeypatch.setattr(search, "product", no_scan)
+    # 2 * 3 * 10**5 + 1 lines across |y| <= alpha h(e_1), h(e_1) = 3.
+    with pytest.raises(BudgetExceededError, match="scans 600001 lattice lines, budget is 100"):
+        zonotope_point_set(LINF, 10 ** 5)
+
+
 def test_convergence_experiment_exact_rows():
     rows = convergence_experiment(L1, [1, 10, 50])
     by_alpha = {int(r.alpha): r for r in rows}

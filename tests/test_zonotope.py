@@ -200,6 +200,27 @@ def test_f_vector_oracles_on_random_generator_sets(z):
     _assert_f_vector_oracles(z)
 
 
+@settings(max_examples=40, deadline=None)
+@given(_generator_sets())
+def test_face_centres_on_random_generator_sets(z):
+    # The vertices against the brute hull of all 2^k signed sums; every face
+    # centre against the vertex mean of the smallest face through it, the
+    # vertices on every facet through the centre, which must span its dimension.
+    P = z.polytope()
+    if len(z.generators) <= 8:
+        sums = {tuple(map(sum, zip(*(g if s else tuple(-a for a in g)
+                                     for g, s in zip(z.generators, signs)))))
+                for signs in product((0, 1), repeat=len(z.generators))}
+        assert P.vertices == convex_hull(sums).vertices
+    on = [sum(1 << j for j, (u, h) in enumerate(P.facets) if dot(u, v) == h)
+          for v in P.vertices]
+    for c, k in z._faces.items():
+        through = sum(1 << j for j, (u, h) in enumerate(P.facets) if dot(u, c) == h)
+        face = [v for v, m in zip(P.vertices, on) if m & through == through]
+        assert tuple(Fraction(sum(x), len(face)) for x in zip(*face)) == c
+        assert rank([tuple(a - b for a, b in zip(v, face[0])) for v in face], z.dim) == k
+
+
 def test_vertices_match_support_maximizers():
     # Every enumerated vertex attains the support function in some direction,
     # and every facet's tight-vertex count is at least dim.
