@@ -10,7 +10,7 @@ from fractions import Fraction
 from math import gcd
 from operator import mul
 
-from .errors import ZeroVectorError
+from .errors import DimensionMismatchError, ZeroVectorError
 
 
 def dot(u, v):
@@ -50,10 +50,7 @@ def _bit_indices(x: int):
 
 def content(v) -> int:
     """gcd of the entries; 0 for the zero vector."""
-    g = 0
-    for a in v:
-        g = gcd(g, abs(a))
-    return g
+    return gcd(*v)
 
 
 def primitive_part(v):
@@ -177,10 +174,31 @@ def rank(rows, dim: int) -> int:
 
 
 def det(matrix) -> Fraction | int:
-    """Determinant by fraction-free (Bareiss) elimination; exact for int input."""
+    """Determinant: closed form up to 4 x 4, fraction-free (Bareiss)
+    elimination above; exact for int and Fraction input.
+
+    The closed forms use only + - *: 3 x 3 by expansion along the first row,
+    4 x 4 by Laplace expansion over the six 2 x 2 minors of the top row pair
+    and the six of the bottom pair."""
     n = len(matrix)
     if n == 0:
         return 1
+    if n == 1:
+        return matrix[0][0]
+    if n == 2:
+        (a, b), (c, d) = matrix
+        return a * d - b * c
+    if n == 3:
+        (a, b, c), (d, e, f), (g, h, i) = matrix
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    if n == 4:
+        (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = matrix
+        return ((a0 * b1 - a1 * b0) * (c2 * d3 - c3 * d2)
+                - (a0 * b2 - a2 * b0) * (c1 * d3 - c3 * d1)
+                + (a0 * b3 - a3 * b0) * (c1 * d2 - c2 * d1)
+                + (a1 * b2 - a2 * b1) * (c0 * d3 - c3 * d0)
+                - (a1 * b3 - a3 * b1) * (c0 * d2 - c2 * d0)
+                + (a2 * b3 - a3 * b2) * (c0 * d1 - c1 * d0))
     m = [list(row) for row in matrix]
     sign = 1
     prev = 1
@@ -209,13 +227,26 @@ def cross_nd(vectors, dim: int):
     """The vector of signed maximal minors of (dim-1) row vectors in R^dim.
 
     Orthogonal to every input row; zero iff the rows are linearly dependent.
-    Generalizes the 3D cross product.
+    Generalizes the 3D cross product.  In 3-D it is that product; in 4-D the
+    six 2 x 2 minors of the last two rows are combined with the first row.
     """
-    n = dim
-    assert len(vectors) == n - 1
+    if len(vectors) != dim - 1:
+        raise DimensionMismatchError(
+            f"cross_nd in dimension {dim} takes {dim - 1} vectors, got {len(vectors)}")
+    if dim == 3:
+        (a0, a1, a2), (b0, b1, b2) = vectors
+        return (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
+    if dim == 4:
+        (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3) = vectors
+        m01, m02, m03 = b0 * c1 - b1 * c0, b0 * c2 - b2 * c0, b0 * c3 - b3 * c0
+        m12, m13, m23 = b1 * c2 - b2 * c1, b1 * c3 - b3 * c1, b2 * c3 - b3 * c2
+        return (a1 * m23 - a2 * m13 + a3 * m12,
+                -a0 * m23 + a2 * m03 - a3 * m02,
+                a0 * m13 - a1 * m03 + a3 * m01,
+                -a0 * m12 + a1 * m02 - a2 * m01)
     result = []
-    for j in range(n):
-        minor = [[row[i] for i in range(n) if i != j] for row in vectors]
+    for j in range(dim):
+        minor = [[row[i] for i in range(dim) if i != j] for row in vectors]
         result.append((-1) ** j * det(minor))
     return tuple(result)
 

@@ -23,6 +23,11 @@ takes them, by the same rule, in a chart of coordinates on which it projects
 injectively.  Every proper face lies on a facet and is a face of it, so the
 union over facets is complete: the vertices are the centres of dimension 0,
 and the f-vector counts centres by dimension.
+
+Coordinate i of a centre lies in [-h(e_i), h(e_i)], so the recursion keeps
+each centre packed as one int, sum_i t_i R^(n-1-i) with balanced digits in
+the radix R = 2 max_i h(e_i) + 1.  Codes add and negate like the vectors,
+int order is tuple order, and only the vertices are unpacked.
 """
 
 from __future__ import annotations
@@ -43,9 +48,7 @@ from .intmat import (
     dot,
     independent_rows,
     rank,
-    vadd,
     vneg,
-    vsub,
 )
 from .plgraph import PLGraph, canonicalize_generators
 
@@ -91,16 +94,42 @@ class Zonotope:
         return [(u, self.support(u)) for u in self.minor_table]
 
     @cached_property
+    def _radix(self) -> int:
+        """2 max_i h(e_i) + 1: coordinate i of a face centre lies in
+        [-h(e_i), h(e_i)], so every centre is one balanced digit per
+        coordinate in this radix."""
+        return 2 * max(sum(abs(g[i]) for g in self.generators) for i in range(self.dim)) + 1
+
+    @cached_property
+    def _codes(self):
+        """{generator: packed code sum_i g_i R^(n-1-i)} in radix R = `_radix`."""
+        R, n = self._radix, self.dim
+        return {g: sum(a * R ** (n - 1 - i) for i, a in enumerate(g)) for g in self.generators}
+
+    def _centre(self, code):
+        """The point whose packed code is `code`: its balanced digits."""
+        R, n = self._radix, self.dim
+        half = R // 2
+        code += half * (R ** n - 1) // (R - 1)  # the code of (half, ..., half)
+        digits = []
+        for _ in range(n):
+            code, d = divmod(code, R)
+            digits.append(d - half)
+        return tuple(reversed(digits))
+
+    @cached_property
     def _faces(self):
-        """{centre: dimension} of every proper face."""
-        return _flat_faces(self.generators, self.dim, self.minor_table, {})
+        """{code: dimension} of every proper face, keyed by the packed code of
+        its centre (`_codes`, `_centre`)."""
+        return _flat_faces(self.generators, self.dim, self.minor_table, self._codes, {})
 
     def polytope(self) -> Polytope:
         return self._polytope
 
     @cached_property
     def _polytope(self) -> Polytope:
-        return Polytope(self.dim, sorted(c for c, k in self._faces.items() if k == 0),
+        return Polytope(self.dim, [self._centre(c) for c in sorted(
+                            c for c, k in self._faces.items() if k == 0)],
                         [f for u, h in self.facet_offsets for f in ((u, h), (vneg(u), h))])
 
 
@@ -152,24 +181,28 @@ def _minors(vectors, r):
             yield canonical_sign(tuple(a // w for a in c)), w
 
 
-def _face_split(u, gens, chart):
+def _face_split(u, gens, chart, codes):
     """(t_u, T_u) for the functional u read on chart[i], the image of gens[i]:
     t_u = sum sign(<u, chart[i]>) gens[i] over the pairings that are nonzero,
-    and T_u the gens[i] whose pairing is zero.  The face of Z(gens) that
-    maximises u is t_u + Z(T_u)."""
-    shift = (0,) * len(gens[0])
+    as a packed code (`codes[g]` per generator), and T_u the gens[i] whose
+    pairing is zero.  The face of Z(gens) that maximises u is t_u + Z(T_u)."""
+    shift = 0
     tight = []
     for g, p in zip(gens, chart):
         s = dot(u, p)
         if s == 0:
             tight.append(g)
+        elif s > 0:
+            shift += codes[g]
         else:
-            shift = vadd(shift, g) if s > 0 else vsub(shift, g)
+            shift -= codes[g]
     return shift, tight
 
 
-def _flat_faces(flat, n, normals, memo):
-    """{centre: dimension} of every proper face of Z(flat), in Z^n.
+def _flat_faces(flat, n, normals, codes, memo):
+    """{code: dimension} of every proper face of Z(flat), keyed by the packed
+    code of its centre in Z^n (`codes[g]` per generator; codes add like
+    vectors).
 
     `normals` are the relative facet normals of a flat of rank n read in all
     n coordinates (the minor-table keys), or None: a flat of rank r < n is
@@ -178,7 +211,8 @@ def _flat_faces(flat, n, normals, memo):
     linear isomorphism of span(flat), so it keeps the sign of every pairing
     with a generator and with it every face; the normals are the canonical
     cross_nd of the projected (r-1)-subsets.  Centres are sums of signed
-    ambient generators, so nothing is mapped back.
+    ambient generators, so nothing is mapped back: a shift is an int add and
+    a reflection an int negation.
 
     A flat's faces depend on its generators alone, and a flat of rank r <= n-2
     is shared by the facets that meet in it, so `memo` (one per top-level
@@ -202,11 +236,11 @@ def _flat_faces(flat, n, normals, memo):
         r, chart = n, flat
     faces = {}
     for u in normals:
-        shift, tight = _face_split(u, flat, chart)
-        faces[shift] = faces[vneg(shift)] = r - 1
-        for c, k in _flat_faces(tuple(tight), n, None, memo).items():
-            p = vadd(shift, c)
-            faces[p] = faces[vneg(p)] = k
+        shift, tight = _face_split(u, flat, chart, codes)
+        faces[shift] = faces[-shift] = r - 1
+        for c, k in _flat_faces(tuple(tight), n, None, codes, memo).items():
+            p = shift + c
+            faces[p] = faces[-p] = k
     if r <= n - 2:
         memo[flat] = faces
     return faces
@@ -265,7 +299,7 @@ def facet_polytope(Z: Zonotope, axis: int) -> FacetSlice:
     if not 0 <= axis < n:
         raise IndexError(f"axis {axis} out of range for dimension {n}")
     shift, tight = _face_split(tuple(int(i == axis) for i in range(n)),
-                               Z.generators, Z.generators)
+                               Z.generators, Z.generators, Z._codes)
     chart_gens = [tuple(a for i, a in enumerate(g) if i != axis) for g in tight]
     full_rank = bool(chart_gens) and rank(chart_gens, n - 1) == n - 1
     if full_rank:
@@ -275,7 +309,7 @@ def facet_polytope(Z: Zonotope, axis: int) -> FacetSlice:
         face = convex_hull([(0,) * (n - 1)])
         for g in chart_gens:
             face = minkowski_sum_segment(face, vneg(g), g)
-    return FacetSlice(face, shift, full_rank)
+    return FacetSlice(face, Z._centre(shift), full_rank)
 
 
 def hyperplane_section(Z: Zonotope, axis: int, level) -> Polytope:

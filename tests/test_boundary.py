@@ -16,8 +16,9 @@ from isozono.boundary import (
 from isozono.catalog import BUILTIN_NAMES, builtin_graph
 from isozono.errors import DimensionMismatchError, ZeroVectorError
 from isozono.geometry import convex_hull, minkowski_sum_segment
-from isozono.intmat import canonical_sign, content, det
+from isozono.intmat import canonical_sign, content
 from isozono.zonotope import build_zonotope, zonotope_of_graph
+from test_intmat import leibniz_det
 
 OCTAGON = [(3, 1), (1, 3), (-1, 3), (-3, 1), (-3, -1), (-1, -3), (1, -3), (3, -1)]
 
@@ -46,7 +47,7 @@ def test_sweep_matches_minkowski_difference():
 
 def _sweep_by_determinants(z, v):
     """2^(n-1) * sum of |det(S + {v})| over the (n-1)-subsets S of generators."""
-    return 2 ** (z.dim - 1) * sum(abs(det(list(sub) + [v]))
+    return 2 ** (z.dim - 1) * sum(abs(leibniz_det(list(sub) + [v]))
                                   for sub in combinations(z.generators, z.dim - 1))
 
 
@@ -179,6 +180,6 @@ def test_probe_3d_matches_zonotope_determinant_sum():
                      for signs in product((0, 1), repeat=len(ws))])
     (row,) = finite_difference_probe(A, linf3, [1])
     gens = ws + [tuple(2 * a for a in v) for v in linf3.generators]
-    expected = sum(abs(det(list(S))) for S in combinations(gens, 3))
+    expected = sum(abs(leibniz_det(list(S))) for S in combinations(gens, 3))
     assert row.volume == expected
     assert row.quotient == expected - A.volume()

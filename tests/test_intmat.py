@@ -3,11 +3,14 @@
 import math
 import random
 from fractions import Fraction
+from functools import lru_cache
+from itertools import permutations
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from isozono.errors import DimensionMismatchError
 from isozono.intmat import (
     canonical_sign,
     content,
@@ -74,6 +77,77 @@ def test_det_random_row_expansion_consistency():
         assert det(swapped) == -d
         scaled = [[3 * x for x in M[0]]] + M[1:]
         assert det(scaled) == 3 * d
+
+
+@lru_cache(maxsize=None)
+def _signed_permutations(n):
+    """(sign, p) for every permutation p of range(n), the sign by inversions."""
+    return [((-1) ** sum(p[i] > p[j] for i in range(n) for j in range(i + 1, n)), p)
+            for p in permutations(range(n))]
+
+
+def leibniz_det(matrix):
+    """Determinant oracle: the permutation sum of sign(p) prod_i m[i][p(i)],
+    sharing no code with `isozono.intmat.det`."""
+    total = 0
+    for sign, p in _signed_permutations(len(matrix)):
+        term = sign
+        for row, j in zip(matrix, p):
+            term *= row[j]
+        total += term
+    return total
+
+
+def signed_minors(vectors, dim):
+    """cross_nd oracle: (-1)^j times the Leibniz determinant of the rows
+    with column j deleted."""
+    return tuple((-1) ** j * leibniz_det([[row[i] for i in range(dim) if i != j]
+                                          for row in vectors])
+                 for j in range(dim))
+
+
+_BIG = st.one_of(st.integers(-2, 2), st.integers(-10 ** 30, 10 ** 30))
+_FRACTION = st.one_of(st.integers(-2, 2),
+                      st.fractions(min_value=-10 ** 6, max_value=10 ** 6, max_denominator=10 ** 4))
+
+
+@st.composite
+def _square_and_cross(draw):
+    """An n x n matrix (n = 0..5) and dim - 1 rows in dim = 2..5, all entries
+    ints up to 10^30 or all Fractions, small entries mixed in so that zero
+    pivots and dependent rows occur."""
+    entry = draw(st.sampled_from((_BIG, _FRACTION)))
+    n = draw(st.integers(0, 5))
+    matrix = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)]
+    dim = draw(st.integers(2, 5))
+    rows = [tuple(draw(st.lists(entry, min_size=dim, max_size=dim))) for _ in range(dim - 1)]
+    if dim > 2 and draw(st.booleans()):
+        rows[-1] = rows[0]
+    return matrix, dim, rows
+
+
+@settings(max_examples=400, deadline=None)
+@given(_square_and_cross())
+@example(([[0, 1, 2, 3, 4], [1, 0, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0],
+           [0, 0, 0, 0, 1]], 4, [(1, 2, 3, 4), (0, 1, 0, 0), (0, 0, 0, 1)]))
+@example(([[Fraction(1, 2), 3, 0], [0, 0, Fraction(-2, 7)], [1, 1, 1]], 3,
+          [(Fraction(1, 3), 0, 2), (1, Fraction(5, 2), -1)]))
+def test_det_and_cross_nd_match_the_permutation_sum(data):
+    matrix, dim, rows = data
+    d = det(matrix)
+    assert d == leibniz_det(matrix)
+    if all(isinstance(a, int) for row in matrix for a in row):
+        assert isinstance(d, int)
+    c = cross_nd(rows, dim)
+    assert c == signed_minors(rows, dim)
+    assert all(dot(r, c) == 0 for r in rows)
+
+
+@pytest.mark.parametrize("dim, count", [(2, 0), (2, 2), (3, 1), (3, 3), (4, 2), (4, 4), (5, 3)])
+def test_cross_nd_rejects_the_wrong_number_of_vectors(dim, count):
+    vectors = [tuple(range(1 + i, 1 + i + dim)) for i in range(count)]
+    with pytest.raises(DimensionMismatchError, match=f"takes {dim - 1} vectors, got {count}"):
+        cross_nd(vectors, dim)
 
 
 def test_kernel_basis_orthogonality_and_rank():

@@ -20,7 +20,7 @@ from isozono.errors import (
     RankDeficientError,
 )
 from isozono.geometry import convex_hull, hrep_vertices
-from isozono.intmat import _bit_indices, canonical_sign, det, dot, primitive_part, rank, vadd
+from isozono.intmat import _bit_indices, canonical_sign, dot, primitive_part, rank, vadd
 from isozono.plgraph import PLGraph
 from isozono.zonotope import (
     FVector,
@@ -32,6 +32,7 @@ from isozono.zonotope import (
     hyperplane_section,
     zonotope_of_graph,
 )
+from test_intmat import leibniz_det
 
 OCTAGON = {(3, 1), (1, 3), (-1, 3), (-3, 1), (-3, -1), (-1, -3), (1, -3), (3, -1)}
 
@@ -71,7 +72,7 @@ def test_volume_is_determinant_sum():
         z = Z(name)
         total = 0
         for sub in combinations(z.generators, z.dim):
-            total += abs(det([list(v) for v in sub]))
+            total += abs(leibniz_det([list(v) for v in sub]))
         assert z.volume() == 2 ** z.dim * total
 
 
@@ -98,7 +99,7 @@ def test_f_vector_euler_and_structure():
     # mean of a brute scan {v in V : <u, v> = h(u)} of every facet.
     for z in (Z("tri"), Z("linf:3"), Z("l1:4"), Z("d4cross"), FIVE):
         P = z.polytope()
-        centres = {c for c, k in z._faces.items() if k == z.dim - 1}
+        centres = {z._centre(c) for c, k in z._faces.items() if k == z.dim - 1}
         means = set()
         for u, h in P.facets:
             tight = [v for v in P.vertices if dot(u, v) == h]
@@ -214,11 +215,47 @@ def test_face_centres_on_random_generator_sets(z):
         assert P.vertices == convex_hull(sums).vertices
     on = [sum(1 << j for j, (u, h) in enumerate(P.facets) if dot(u, v) == h)
           for v in P.vertices]
-    for c, k in z._faces.items():
+    for code, k in z._faces.items():
+        c = z._centre(code)
         through = sum(1 << j for j, (u, h) in enumerate(P.facets) if dot(u, c) == h)
         face = [v for v, m in zip(P.vertices, on) if m & through == through]
         assert tuple(Fraction(sum(x), len(face)) for x in zip(*face)) == c
         assert rank([tuple(a - b for a, b in zip(v, face[0])) for v in face], z.dim) == k
+
+
+def _packing_edge_cases():
+    """3-D and 4-D generator sets with entries of 10^6..10^7, and small ones
+    whose generators are all positive in x_1."""
+    rng = random.Random(41)
+    sets = []
+    for n, k in ((3, 5), (3, 8), (4, 6), (4, 8)):
+        gens = set()
+        while len(gens) < k:
+            v = tuple(rng.choice((-1, 1)) * rng.randint(10 ** 6, 10 ** 7) for _ in range(n))
+            gens.add(canonical_sign(primitive_part(v)))
+        sets.append(build_zonotope(n, gens))
+    sets.append(build_zonotope(3, [(1, 0, 0), (1, 1, 0), (1, 0, 1), (1, -1, 2), (2, 1, -1)]))
+    sets.append(build_zonotope(4, [(1, 0, 0, 0), (3, 1, 0, 0), (1, 0, 1, 0), (1, 0, 0, 1),
+                                   (2, -1, 1, 1), (1, 1, -1, 2)]))
+    return sets
+
+
+@pytest.mark.parametrize("z", _packing_edge_cases())
+def test_packed_centres_at_the_radix_edges(z):
+    # Every vertex coordinate reaches +-h(e_i), the extreme balanced digit of
+    # the packed centres; a radix one too small aliases these.
+    P = z.polytope()
+    sums = {tuple(map(sum, zip(*(g if s else tuple(-a for a in g)
+                                 for g, s in zip(z.generators, signs)))))
+            for signs in product((0, 1), repeat=len(z.generators))}
+    assert P.vertices == convex_hull(sums).vertices
+    for i in range(z.dim):
+        h = z.support(tuple(int(j == i) for j in range(z.dim)))
+        assert max(v[i] for v in P.vertices) == h == -min(v[i] for v in P.vertices)
+    assert f_vector(z).euler_ok
+    # Every generator here is positive in x_1, so the x_1-maximal face's
+    # centre is the sum of all generators and reaches h(e_1).
+    assert facet_polytope(z, 0).translation == tuple(map(sum, zip(*z.generators)))
 
 
 def test_vertices_match_support_maximizers():
