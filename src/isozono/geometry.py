@@ -16,10 +16,10 @@ H-representation are extreme rays of its homogenisation.  Dimensions 1 and
 3 to 40 points; volumes and sweeps of 3-polytopes build many 2-D facet
 hulls.  Zonotopes use their own dedicated enumeration elsewhere.
 
-Flat bodies and facets are handled in one integer chart,
-`intmat.kernel_chart`: a lattice basis of the direction space plus integer
-rows `left` with left . basis = I, so the chart coordinates of a point are
-dot products, exact for rational points, with no Gram matrix to invert.
+Flat bodies are handled in one integer chart, `intmat.kernel_chart`: a
+lattice basis of the direction space plus integer rows `left` with
+left . basis = I, so chart coordinates are dot products, exact for rational
+points.  Facets are read in coordinate shadows (`_facet_lattice_volume`).
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ from .intmat import (
     kernel_basis,
     kernel_chart,
     primitive_part,
+    rank,
     vadd,
     vneg,
     vsub,
@@ -252,19 +253,16 @@ def convex_hull(points) -> Polytope:
             raise DimensionMismatchError("dimension mismatch among input points")
     pts = sorted(set(pts))
     base = pts[0]
-    diffs = [vsub(p, base) for p in pts[1:]]
-    int_diffs = [integerize(d) for d in diffs if not is_zero(d)]
-    perp = kernel_basis(int_diffs, dim)
-    arank = dim - len(perp)
-    if arank == dim and dim:
+    int_diffs = [integerize(vsub(p, base)) for p in pts[1:]]  # distinct points
+    if dim and rank(int_diffs, dim) == dim:
         return _hull_full(pts, dim)
     # flat: saturated integer basis of the direction space, then hull in chart
-    basis, left = map(tuple, kernel_chart(perp, dim))
-    if arank == 0:
+    basis, left = map(tuple, kernel_chart(kernel_basis(int_diffs, dim), dim))
+    if not basis:
         body = Polytope(0, [()], facets=(), chart=None)
         return Polytope(dim, [base], None, Chart(base, (), (), body))
     point_of = {_norm_point(tuple(dot(l, vsub(p, base)) for l in left)): p for p in pts}
-    body = _hull_full(sorted(point_of), arank)
+    body = _hull_full(sorted(point_of), len(basis))
     verts = [point_of[y] for y in body.vertices]
     return Polytope(dim, verts, None, Chart(base, basis, left, body))
 
@@ -356,25 +354,32 @@ def _extreme_rays(rows, d):
 
 
 def _shoelace(cycle):
-    total = Fraction(0)
+    total = 0
     m = len(cycle)
     for i in range(m):
         x0, y0 = cycle[i]
         x1, y1 = cycle[(i + 1) % m]
-        total += Fraction(x0) * y1 - Fraction(x1) * y0
-    return _norm_num(abs(total) / 2)
+        total += x0 * y1 - x1 * y0
+    return _norm_num(Fraction(abs(total), 2))
 
 
 def _facet_lattice_volume(dim, normal, tight_vertices):
-    """(dim-1)-volume of a facet in an integer basis of its hyperplane."""
+    """(dim-1)-volume of a facet in an integer basis of H = normal-perp: the
+    volume of its shadow with coordinate k dropped, over |normal[k]|, for the
+    first k with normal[k] != 0.
+
+    Dropping k is injective on H (x in H with x_j = 0 for j != k has
+    normal[k] x_k = 0) and maps H cap Z^dim onto the kernel of
+    y -> <normal_-k, y> mod |normal[k]|, which is onto Z/|normal[k]| as the
+    normal is primitive: a sublattice of index |normal[k]| (Beck and Robins,
+    Computing the Continuous Discretely, ch. 3 and 5).  So every shadow is
+    full-dimensional, and a 1-D one measures max - min.
+    """
     if dim == 1:
         return 1
-    _, left = kernel_chart([normal], dim)
-    base = tight_vertices[0]
-    ys = [tuple(dot(l, vsub(v, base)) for l in left) for v in tight_vertices]
-    if dim == 2:
-        return _norm_num(max(ys)[0] - min(ys)[0])
-    return convex_hull(ys).volume()
+    k = next(i for i, a in enumerate(normal) if a)
+    shadow = convex_hull([v[:k] + v[k + 1:] for v in tight_vertices])
+    return _norm_num(Fraction(shadow.volume(), abs(normal[k])))
 
 
 # -- named operations --------------------------------------------------------

@@ -51,11 +51,6 @@ def _check_fvectors():
     return True, "; ".join(details)
 
 
-@cache
-def _zc_polytope():
-    return builtin_graph("d4cross").original_zonotope().polytope()
-
-
 def _zc_orbit():
     """The reference vertex set: all signed permutations of (0, 2, 4, 6)."""
     return {tuple(s * a for s, a in zip(signs, perm))
@@ -64,8 +59,9 @@ def _zc_orbit():
 
 
 def _check_zc_vertices():
-    t0 = time.monotonic()  # a fresh body: _zc_polytope is cached
-    got = builtin_graph("d4cross").original_zonotope().polytope().vertices
+    Z = builtin_graph("d4cross").original_zonotope()
+    t0 = time.monotonic()  # a fresh body: original_zonotope() is memoised
+    got = Zonotope(Z.dim, Z.generators).polytope().vertices
     dt = time.monotonic() - t0
     if len(got) != 192 or set(got) != _zc_orbit():
         return False, f"{len(got)} vertices, expected the 192-point orbit of (0,2,4,6)"
@@ -95,7 +91,7 @@ def _reference_zc_facets():
 
 
 def _check_zc_facets():
-    got = {n: int(c) for n, c in _zc_polytope().facets}
+    got = {n: int(c) for n, c in builtin_graph("d4cross").original_zonotope().polytope().facets}
     want = _reference_zc_facets()
     if len(want) != 48 or got.keys() != want.keys():
         return False, "facet normal sets differ"

@@ -133,18 +133,21 @@ class Zonotope:
                         [f for u, h in self.facet_offsets for f in ((u, h), (vneg(u), h))])
 
 
+@lru_cache(maxsize=16)
+def _zonotope(dim: int, generators: tuple) -> Zonotope:
+    """One Zonotope per canonical generator set, shared by repeated callers;
+    the bound keeps a run over many generator sets from holding them all."""
+    return Zonotope(dim, generators)
+
+
 def build_zonotope(dim: int, generators) -> Zonotope:
     """Zonotope from symmetric generators (validated and canonicalized)."""
-    return Zonotope(dim, canonicalize_generators(dim, generators))
+    return _zonotope(dim, canonicalize_generators(dim, generators))
 
 
-@lru_cache(maxsize=64)
 def zonotope_of_graph(graph: PLGraph) -> Zonotope:
-    """The limiting shape of a lattice graph: one symmetric segment per generator.
-
-    Memoised per graph, so repeated callers share one polytope; the bound
-    keeps a long run over distinct graphs from holding all of them."""
-    return Zonotope(graph.dim, graph.generators)
+    """The limiting shape of a lattice graph: one symmetric segment per generator."""
+    return _zonotope(graph.dim, graph.generators)
 
 
 def build_zonotope_from_segments(dim: int, segment_vectors) -> Zonotope:
@@ -331,10 +334,13 @@ def hyperplane_section(Z: Zonotope, axis: int, level) -> Polytope:
 
 
 def homothety_check(P: Polytope, Q: Polytope):
-    """(scale, translation) with Q = scale * P + translation, or None.
+    """(scale, translation) with Q = scale * P + translation, scale > 0, or
+    None; P and Q must be full-dimensional in a common dimension.
 
-    Both polytopes must be full-dimensional in a common dimension; the scale
-    is required to be positive.
+    A positive homothety keeps lexicographic order, so it maps P.vertices[i]
+    to Q.vertices[i].  The first and last vertices of a full-dimensional body
+    differ in coordinate 0, so those pairs fix a positive scale and the first
+    pair the translation; every pair must then agree.
     """
     if P.dim != Q.dim:
         raise DimensionMismatchError("homothety requires equal dimensions")
@@ -342,24 +348,11 @@ def homothety_check(P: Polytope, Q: Polytope):
         raise RankDeficientError("homothety check requires full-dimensional polytopes")
     if len(P.vertices) != len(Q.vertices):
         return None
-    scale = None
-    for i in range(P.dim):
-        ep = max(v[i] for v in P.vertices) - min(v[i] for v in P.vertices)
-        eq = max(v[i] for v in Q.vertices) - min(v[i] for v in Q.vertices)
-        s = Fraction(eq) / Fraction(ep)
-        if scale is None:
-            scale = s
-        elif scale != s:
-            return None
-    if scale is None or scale <= 0:
-        return None
-    m = len(P.vertices)
-    cp = tuple(Fraction(sum(Fraction(v[i]) for v in P.vertices), m) for i in range(P.dim))
-    cq = tuple(Fraction(sum(Fraction(v[i]) for v in Q.vertices), m) for i in range(Q.dim))
-    t = tuple(b - scale * a for a, b in zip(cp, cq))
-    image = {tuple(scale * Fraction(a) + b for a, b in zip(v, t)) for v in P.vertices}
-    target = {tuple(map(Fraction, v)) for v in Q.vertices}
-    if image != target:
+    (p0, *_, p1), (q0, *_, q1) = P.vertices, Q.vertices
+    scale = Fraction(q1[0] - q0[0]) / (p1[0] - p0[0])
+    t = tuple(b - scale * a for a, b in zip(p0, q0))
+    if any(q != tuple(scale * a + b for a, b in zip(p, t))
+           for p, q in zip(P.vertices, Q.vertices)):
         return None
     return _norm_num(scale), tuple(map(_norm_num, t))
 

@@ -1,5 +1,6 @@
 """Exact polytope kernel: hulls, volumes, charts, serialization."""
 
+import math
 import random
 from fractions import Fraction
 from functools import cmp_to_key
@@ -23,7 +24,8 @@ from isozono.geometry import (
     polytope_volume,
     project_polytope,
 )
-from isozono.intmat import cross_nd, det, dot, integerize, is_zero, rank, vneg, vsub
+from isozono.intmat import dot, integerize, is_zero, kernel_chart, rank, vneg, vsub
+from test_intmat import leibniz_det, signed_minors
 
 OCTAGON = [(3, 1), (1, 3), (-1, 3), (-3, 1), (-3, -1), (-1, -3), (1, -3), (3, -1)]
 
@@ -133,6 +135,54 @@ def test_facet_cells_interval_endpoints():
     seg = convex_hull([(-2,), (3,)])
     cells = {normal: (offset, cell) for normal, offset, cell in seg.facet_cells()}
     assert cells == {(1,): (3, 1), (-1,): (2, 1)}
+
+
+def _chart_cells(P):
+    """Oracle: each facet's tight vertices in the chart coordinates of
+    kernel_chart([normal]), an integer basis of normal-perp, then the volume
+    of their hull."""
+    cells = []
+    for normal, offset in P.facets:
+        _, left = kernel_chart([normal], P.dim)
+        ys = [tuple(dot(l, v) for l in left) for v in P.vertices if dot(normal, v) == offset]
+        cells.append((normal, offset, convex_hull(ys).volume()))
+    return tuple(cells)
+
+
+@pytest.mark.parametrize("scale", [1, Fraction(1, 2)])
+def test_facet_cells_of_simplices_with_no_unit_normal_entry(scale):
+    # The slanted facet's normal has |normal[k]| > 1 in every coordinate, so
+    # its shadow over-counts the facet's lattice cells by |normal[0]|.  The
+    # cone volume sum(offset * cell) / n over the facets, apex at the
+    # origin, is the simplex volume prod(intercepts) / n!.
+    for normal, offset, cell in [((2, 3, 5), 30, 15), ((2, 3, 5, 7), 210, 7350)]:
+        n = len(normal)
+        verts = [(0,) * n] + [tuple(scale * Fraction(offset, a) * (i == j) for j in range(n))
+                              for i, a in enumerate(normal)]
+        P = convex_hull(verts)
+        cells = {u: (c, v) for u, c, v in P.facet_cells()}
+        assert cells[normal] == (scale * offset, scale ** (n - 1) * cell)
+        assert P.facet_cells() == _chart_cells(P)
+        assert Fraction(offset * cell, n) == Fraction(math.prod(offset // a for a in normal),
+                                                      math.factorial(n))
+
+
+@st.composite
+def _rational_bodies(draw):
+    """Full-dimensional hulls of rational points in dims 2..4."""
+    dim = draw(st.integers(2, 4))
+    coord = st.fractions(-3, 3, max_denominator=3)
+    pts = draw(st.lists(st.tuples(*[coord] * dim), min_size=dim + 1, max_size=12 - dim))
+    P = convex_hull(pts)
+    assume(P.chart is None)
+    return P
+
+
+@settings(max_examples=60, deadline=None)
+@given(_rational_bodies())
+def test_facet_cells_match_the_chart_oracle(P):
+    # Equal values of equal types: an integral cell stays an int.
+    assert list(map(repr, P.facet_cells())) == list(map(repr, _chart_cells(P)))
 
 
 def test_translate_scale_round_trip():
@@ -302,7 +352,7 @@ def _hull_oracle(pts, dim):
     planes = set()
     for idx in combinations(range(len(pts)), dim):
         basep = pts[idx[0]]
-        normal = cross_nd([vsub(pts[i], basep) for i in idx[1:]], dim)
+        normal = signed_minors([vsub(pts[i], basep) for i in idx[1:]], dim)
         if is_zero(normal):
             continue
         normal = integerize(normal)
@@ -321,10 +371,10 @@ def _hrep_oracle(inequalities, dim):
     verts = set()
     for rows in combinations(inequalities, dim):
         normals = [tuple(n) for n, _ in rows]
-        d = det(normals)
+        d = leibniz_det(normals)
         if d == 0:
             continue
-        x = tuple(Fraction(det([n[:j] + (c,) + n[j + 1:] for n, c in rows])) / d
+        x = tuple(Fraction(leibniz_det([n[:j] + (c,) + n[j + 1:] for n, c in rows])) / d
                   for j in range(dim))
         if all(dot(n, x) <= c for n, c in inequalities):
             verts.add(tuple(int(a) if a.denominator == 1 else a for a in x))

@@ -14,7 +14,7 @@ from isozono import search
 from isozono.catalog import BUILTIN_NAMES, builtin_graph
 from isozono.errors import BudgetExceededError, DimensionMismatchError, IsozonoError
 from isozono.geometry import convex_hull
-from isozono.intmat import det, dot
+from isozono.intmat import dot
 from isozono.plgraph import boundary_identity_report, edge_boundary_direct, validate_pl_graph
 from isozono.search import (
     SearchResult,
@@ -30,6 +30,7 @@ from isozono.search import (
     zonotope_point_set,
 )
 from isozono.zonotope import zonotope_of_graph
+from test_intmat import leibniz_det
 
 L1 = builtin_graph("l1:2").graph()
 LINF = builtin_graph("linf:2").graph()
@@ -607,7 +608,7 @@ def _ehrhart_coefficients(graph):
     for j in range(n + 1):
         total = 0
         for S in combinations(ws, j):
-            total += math.gcd(*(det([[w[c] for c in cols] for w in S])
+            total += math.gcd(*(leibniz_det([[w[c] for c in cols] for w in S])
                                 for cols in combinations(range(n), j)))
         coeffs.append(total)
     return coeffs

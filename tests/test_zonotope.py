@@ -20,7 +20,8 @@ from isozono.errors import (
     RankDeficientError,
 )
 from isozono.geometry import convex_hull, hrep_vertices
-from isozono.intmat import _bit_indices, canonical_sign, dot, primitive_part, rank, vadd
+from isozono.intmat import (_bit_indices, _norm_num, canonical_sign, dot, primitive_part, rank,
+                            vadd)
 from isozono.plgraph import PLGraph
 from isozono.zonotope import (
     FVector,
@@ -463,6 +464,71 @@ def test_homothety_check_rational_scale():
     assert hom == (Fraction(3, 2), (Fraction(1, 2), 0))
 
 
+def _homothety_oracle(P, Q):
+    """The per-axis route: equal extent ratios on every axis fix the scale,
+    the centroids fix the translation, and the image of P's vertex set must
+    be Q's."""
+    if len(P.vertices) != len(Q.vertices):
+        return None
+    scales = {Fraction(max(v[i] for v in Q.vertices) - min(v[i] for v in Q.vertices))
+              / (max(v[i] for v in P.vertices) - min(v[i] for v in P.vertices))
+              for i in range(P.dim)}
+    if len(scales) != 1:
+        return None
+    s, = scales
+    m = len(P.vertices)
+    cp = [Fraction(sum(v[i] for v in P.vertices), m) for i in range(P.dim)]
+    cq = [Fraction(sum(v[i] for v in Q.vertices), m) for i in range(P.dim)]
+    t = tuple(b - s * a for a, b in zip(cp, cq))
+    if {tuple(s * a + b for a, b in zip(v, t)) for v in P.vertices} != set(Q.vertices):
+        return None
+    return _norm_num(s), tuple(map(_norm_num, t))
+
+
+_COORD = st.fractions(-4, 4, max_denominator=3)
+
+
+@st.composite
+def _homothety_pairs(draw):
+    """(P, Q, the homothety (s, t) expected or None) on full-dimensional
+    hulls in dims 2..4: Q a positive homothet, a negative one, a positive one
+    with one vertex moved, or another body with P's vertex count."""
+    dim = draw(st.integers(2, 4))
+    pts = draw(st.lists(st.tuples(*[_COORD] * dim), min_size=dim + 1, max_size=10 - dim))
+    P = convex_hull(pts)
+    assume(P.chart is None)
+    s = draw(st.fractions(Fraction(1, 5), 5, max_denominator=5).filter(bool))
+    t = draw(st.tuples(*[_COORD] * dim))
+    kind = draw(st.sampled_from(["positive", "negative", "moved", "other"]))
+    if kind == "other":
+        others = draw(st.lists(st.tuples(*[_COORD] * dim), min_size=dim + 1, max_size=10 - dim))
+        Q = convex_hull(others)
+        assume(Q.chart is None and len(Q.vertices) == len(P.vertices))
+        return P, Q, _homothety_oracle(P, Q)
+    sign = -1 if kind == "negative" else 1
+    image = [tuple(sign * s * a + b for a, b in zip(v, t)) for v in P.vertices]
+    if kind == "moved":
+        i = draw(st.integers(0, len(image) - 1))
+        move = draw(st.tuples(*[_COORD] * dim).filter(any))
+        image[i] = tuple(a + b for a, b in zip(image[i], move))
+    Q = convex_hull(image)
+    assume(Q.chart is None)
+    return P, Q, (s, t) if kind == "positive" else _homothety_oracle(P, Q)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_homothety_pairs())
+def test_homothety_check_matches_the_per_axis_oracle(case):
+    P, Q, want = case
+    got = homothety_check(P, Q)
+    assert repr(got) == repr(_homothety_oracle(P, Q))
+    assert got == want
+    if got is not None:
+        s, t = got
+        assert s > 0
+        assert {tuple(s * a + b for a, b in zip(v, t)) for v in P.vertices} == set(Q.vertices)
+
+
 def test_homothety_check_requires_full_dimensional():
     seg = convex_hull([(0, 0), (1, 1)])
     P = convex_hull([(0, 0), (2, 0), (0, 2), (2, 2)])
@@ -482,7 +548,8 @@ def test_zonotope_of_graph_shares_generators():
 def test_zonotope_of_graph_is_memoised_per_graph(monkeypatch):
     g = builtin_graph("l1:3").graph()
     assert zonotope_of_graph(g) is zonotope_of_graph(PLGraph(g.dim, g.generators))
-    zonotope_of_graph.cache_clear()
+    assert build_zonotope(g.dim, reversed(g.generators)) is zonotope_of_graph(g)
+    zonotope._zonotope.cache_clear()
     builds = []
     real = zonotope.Polytope
     monkeypatch.setattr(zonotope, "Polytope", lambda *a: builds.append(a) or real(*a))
