@@ -5,6 +5,11 @@ points orthogonal to a has squared determinant equal to a.a, so the projection
 of Z^n along a onto a-perp has squared determinant 1/(a.a).  Both routes
 (Gram determinant of a computed kernel basis, and the closed form) are
 evaluated and must agree.
+
+Lattice points are found one line at a time by one integer kernel,
+`lattice_lines`: a line parallel to axis 0 meets integer slabs lo <= <u, x> <= hi
+in an interval, by floor and ceiling division.  <u, x> is an integer on Z^n,
+so each caller rounds its rational facet bounds inward once.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from .errors import (
     ZeroVectorError,
 )
 from .geometry import Polytope
-from .intmat import content, dot, gram_det, is_zero, kernel_basis, vsub
+from .intmat import content, dot, gram_det, is_zero, kernel_basis, vneg, vsub
 
 
 @dataclass(frozen=True)
@@ -66,32 +71,47 @@ def projection_lattice_det_squared(a) -> Fraction:
     return closed
 
 
+def lattice_lines(slabs, ranges):
+    """{y: (lo, hi)}: the points (t, y) of Z^n in every slab (u, lo_u, hi_u), lo <= t <= hi,
+    one line per y in the box `ranges` of coordinates 1..n-1 (empty lines left out)."""
+    steep, flat = [], []
+    for u, lo, hi in slabs:
+        if u[0] < 0:
+            u, lo, hi = vneg(u), -hi, -lo
+        (steep if u[0] else flat).append((u[0], u[1:], lo, hi))
+    out = {}
+    for y in product(*ranges):
+        if any(not lo <= dot(w, y) <= hi for _, w, lo, hi in flat):
+            continue
+        bounds = [(a, dot(w, y), lo, hi) for a, w, lo, hi in steep]
+        lo = max(-((b - l) // a) for a, b, l, _ in bounds)
+        hi = min((h - b) // a for a, b, _, h in bounds)
+        if lo <= hi:
+            out[y] = (lo, hi)
+    return out
+
+
 def count_lattice_points(P: Polytope) -> int:
-    """Number of integer points in a polytope, by bounding-box enumeration."""
+    """Number of integer points in a full-dimensional polytope: facet (a, c) is the slab
+    (least <a, x> on the bounding box's integer points) <= <a, x> <= floor(c)."""
     if P.chart is not None:
         raise DimensionDeficiencyError("lattice point counting requires a full-dimensional polytope")
-    lows, highs = P.bounding_box()
-    ranges = [range(ceil(lo), floor(hi) + 1) for lo, hi in zip(lows, highs)]
-    facets = P.facets
-    count = 0
-    for p in product(*ranges):
-        if all(dot(n, p) <= c for n, c in facets):
-            count += 1
-    return count
+    box = [(ceil(lo), floor(hi)) for lo, hi in zip(*P.bounding_box())]
+    slabs = [(a, sum(min(x * s, x * e) for x, (s, e) in zip(a, box)), floor(c))
+             for a, c in P.facets]
+    lines = lattice_lines(slabs, [range(s, e + 1) for s, e in box[1:]])
+    return sum(hi - lo + 1 for lo, hi in lines.values())
 
 
 def boundary_lattice_points(P: Polytope) -> int:
     """Number of integer points on the boundary of a lattice polygon."""
     if P.dim != 2 or P.chart is not None:
         raise DimensionDeficiencyError("boundary point counting is for full-dimensional polygons")
+    for v in P.vertices:
+        if any(Fraction(a).denominator != 1 for a in v):
+            raise ValueError(f"vertex {v} is not a lattice point")
     cycle = P.cycle()
-    total = 0
-    for i in range(len(cycle)):
-        d = vsub(cycle[(i + 1) % len(cycle)], cycle[i])
-        if any(not isinstance(a, int) and Fraction(a).denominator != 1 for a in d):
-            raise ValueError("boundary point counting requires integer vertices")
-        total += gcd(int(d[0]), int(d[1]))
-    return total
+    return sum(gcd(*vsub(q, p)) for p, q in zip(cycle, cycle[1:] + cycle[:1]))
 
 
 def pick_area(P: Polytope) -> Fraction:
@@ -100,9 +120,6 @@ def pick_area(P: Polytope) -> Fraction:
     Deliberately computed only from counting, as an independent cross-check
     of the shoelace volume.
     """
-    for v in P.vertices:
-        if any(Fraction(a).denominator != 1 for a in v):
-            raise ValueError(f"vertex {v} is not a lattice point")
     B = boundary_lattice_points(P)
     I = count_lattice_points(P) - B
     return Fraction(I) + Fraction(B, 2) - 1

@@ -15,7 +15,7 @@ import random
 import time
 from fractions import Fraction
 from functools import cache
-from itertools import combinations, permutations, product
+from itertools import permutations, product
 
 from .boundary import (brunn_minkowski_certificate, continuous_boundary,
                        zonotope_boundary_identity)
@@ -214,29 +214,30 @@ def _check_sections():
 
 
 def _independent_min_boundary(graph, m, box_radius):
-    """Brute-force recount over canonical sets, via plain set membership."""
+    """Brute-force recount over canonical sets, via plain set membership: depth
+    first in `combinations` order with no cut, each prefix carrying its inner
+    edges (boundary = 2km - 2 * inner edges)."""
     n = graph.dim
     origin = tuple([0] * n)
-    pool = sorted(p for p in product(range(-box_radius, box_radius + 1), repeat=n)
-                  if p > origin and canonical_sign(p) == p)
-    nbrs = {}
-    for p in [origin] + pool:
-        out = []
-        for v in graph.generators:
-            out.append(vadd(p, v))
-            out.append(vsub(p, v))
-        nbrs[p] = tuple(out)
-    best = None
-    for combo in combinations(pool, m - 1):
-        s = frozenset(combo + (origin,))
-        b = 0
-        for p in s:
-            for q in nbrs[p]:
-                if q not in s:
-                    b += 1
-        if best is None or b < best:
-            best = b
-    return best
+    pts = [origin] + sorted(p for p in product(range(-box_radius, box_radius + 1), repeat=n)
+                            if p > origin and canonical_sign(p) == p)
+    index = {p: i for i, p in enumerate(pts)}
+    back = [[index[q] for v in graph.generators for q in (vadd(p, v), vsub(p, v))
+             if index.get(q, i) < i] for i, p in enumerate(pts)]
+    member = [True] + [False] * (len(pts) - 1)
+
+    def most_edges(start, left, edges):
+        if not left:
+            return edges
+        best = -1
+        for i in range(start, len(pts) - left + 1):
+            member[i] = True
+            best = max(best, most_edges(i + 1, left - 1, edges + sum(member[j] for j in back[i])))
+            member[i] = False
+        return best
+
+    edges = most_edges(1, m - 1, 0)
+    return None if edges < 0 else 2 * len(graph.generators) * m - 2 * edges
 
 
 def _check_desk_scale():

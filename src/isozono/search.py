@@ -9,9 +9,8 @@ ISOZONO_BUDGET environment variable, default 10 million) and oversized
 instances raise BudgetExceededError rather than truncating silently.
 
 Lattice points of a scaled zonotope alpha Z + c are found one line at a
-time: each lattice line parallel to axis 0 meets the body in an integer
-interval [lo, hi], read off the facet inequalities (normals from the minor
-table) after clearing the denominators of alpha and c.  The point count is
+time by the integer line scan of `lattice.lattice_lines`, with one slab per
+facet pair (normals from the minor table).  The point count is
 the sum of hi - lo + 1, and the edge boundary is 2k|S| minus twice the edges
 inside S, where the edges along v from line y are the overlap of its interval
 with the next line's interval shifted back by v; convergence tables use both
@@ -34,6 +33,7 @@ from .catalog import _apply_hint, check_symmetry_hints
 from .errors import BudgetExceededError, DimensionMismatchError
 from .geometry import convex_hull
 from .intmat import _bit_indices, _norm_num, dot, vadd, vneg
+from .lattice import lattice_lines
 from .plgraph import PLGraph, edge_boundary_direct
 from .zonotope import Zonotope, zonotope_of_graph
 
@@ -370,13 +370,10 @@ class ZonotopePointSet:
 def _lattice_lines(Z: Zonotope, alpha: Fraction, center, budget=None, per_normal=True):
     """{y: (lo, hi)}: the points (t, y) of Z^n cap (alpha Z + center), lo <= t <= hi.
 
-    One line per y in the box of coordinates 1..n-1; lines with no lattice
-    point are left out.  With D the common denominator of alpha and center,
-    each facet normal u bounds the line by -H - B <= A t <= H - B in integers,
-    where A = D u_0, B = D (<u', y> - <u, center>) and H = D alpha h(u).
-    Normals with u_0 = 0 keep or drop the whole line.  `budget` caps the
-    lines scanned, times the normals when `per_normal`, checked before the
-    scan.
+    With D the common denominator of alpha and center, facet normal u gives
+    the slab |D <u, x> - <u, D center>| <= D alpha h(u), divided by D and
+    rounded inward.  `budget` caps the lines scanned, times the normals when
+    `per_normal`, checked before the scan.
     """
     n = Z.dim
     normals = Z.facet_offsets
@@ -397,20 +394,11 @@ def _lattice_lines(Z: Zonotope, alpha: Fraction, center, budget=None, per_normal
     D = math.lcm(alpha.denominator, *(c.denominator for c in center))
     dc = tuple(c.numerator * (D // c.denominator) for c in center)
     scale = D // alpha.denominator * alpha.numerator
-    steep, flat = [], []
-    for u, h in normals:  # minor-table keys are canonical: u[0] >= 0
-        row = (D * u[0], tuple(D * a for a in u[1:]), dot(u, dc), scale * h)
-        (steep if u[0] else flat).append(row)
-    out = {}
-    for y in product(*ranges):
-        if any(abs(dot(w, y) - k) > H for _, w, k, H in flat):
-            continue
-        bounds = [(A, dot(w, y) - k, H) for A, w, k, H in steep]
-        lo = max(-((H + B) // A) for A, B, H in bounds)
-        hi = min((H - B) // A for A, B, H in bounds)
-        if lo <= hi:
-            out[y] = (lo, hi)
-    return out
+    slabs = []
+    for u, h in normals:
+        k, H = dot(u, dc), scale * h
+        slabs.append((u, -((H - k) // D), (k + H) // D))
+    return lattice_lines(slabs, ranges)
 
 
 def _lines_boundary(lines, generators) -> int:

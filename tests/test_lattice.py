@@ -2,9 +2,14 @@
 
 import random
 from fractions import Fraction
+from itertools import product
+from math import ceil, floor
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from isozono.catalog import BUILTIN_NAMES, builtin_graph
 from isozono.errors import NonPrimitiveGeneratorError, ZeroVectorError
 from isozono.geometry import convex_hull
 from isozono.intmat import dot, gram_det
@@ -15,6 +20,7 @@ from isozono.lattice import (
     pick_area,
     projection_lattice_det_squared,
 )
+from isozono.zonotope import zonotope_of_graph
 
 OCTAGON = [(3, 1), (1, 3), (-1, 3), (-3, 1), (-3, -1), (-1, -3), (1, -3), (3, -1)]
 
@@ -92,3 +98,58 @@ def test_pick_matches_volume_fuzz():
 def test_count_points_unit_cube_3d():
     cube = convex_hull([(x, y, z) for x in (0, 2) for y in (0, 2) for z in (0, 2)])
     assert count_lattice_points(cube) == 27
+
+
+def _box_scan_count(P):
+    """Oracle: test every integer point of the bounding box against every facet."""
+    lows, highs = P.bounding_box()
+    ranges = [range(ceil(lo), floor(hi) + 1) for lo, hi in zip(lows, highs)]
+    return sum(all(dot(a, p) <= c for a, c in P.facets) for p in product(*ranges))
+
+
+@st.composite
+def _hulls(draw):
+    """A full-dimensional hull in dims 1..4 with integer or half-integer
+    vertices, scaled and translated by Fractions."""
+    dim = draw(st.integers(1, 4))
+    den = draw(st.sampled_from([1, 2]))
+    reach = (12, 6, 3, 2)[dim - 1] * den
+    coord = st.integers(-reach, reach).map(lambda k: Fraction(k, den))
+    pts = draw(st.lists(st.tuples(*[coord] * dim), min_size=dim + 1, max_size=dim + 5))
+    P = convex_hull(pts)
+    assume(P.is_full_dimensional())
+    s = Fraction(draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    t = tuple(Fraction(draw(st.integers(-7, 7)), draw(st.integers(1, 5))) for _ in range(dim))
+    return P.scale(s).translate(t)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_hulls())
+def test_count_lattice_points_matches_box_scan_oracle(P):
+    assert count_lattice_points(P) == _box_scan_count(P)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([n for n in BUILTIN_NAMES if builtin_graph(n).graph().dim in (2, 3)]),
+       st.integers(1, 12), st.integers(1, 4))
+def test_count_lattice_points_of_scaled_zonotopes_matches_box_scan_oracle(name, num, den):
+    # The body the bench's `discrete` check counts.
+    alpha = Fraction(num, den)
+    graph = builtin_graph(name).graph()
+    assume(graph.dim == 2 or alpha <= 2)
+    body = zonotope_of_graph(graph).polytope().scale(alpha)
+    assert count_lattice_points(body) == _box_scan_count(body)
+
+
+@pytest.mark.parametrize("vertices", [
+    [(Fraction(1, 2), Fraction(1, 2)), (Fraction(3, 2), Fraction(1, 2)),
+     (Fraction(3, 2), Fraction(3, 2)), (Fraction(1, 2), Fraction(3, 2))],
+    [(Fraction(1, 2), 0), (Fraction(5, 2), 0), (Fraction(1, 2), 2)],
+])
+def test_boundary_counts_refuse_polygons_with_non_lattice_vertices(vertices):
+    # Integral edge vectors between non-lattice vertices: the counts were 4
+    # and 6, though the boundaries hold 0 and 2 lattice points.
+    P = convex_hull(vertices)
+    for count in (boundary_lattice_points, pick_area):
+        with pytest.raises(ValueError, match="is not a lattice point"):
+            count(P)

@@ -1,6 +1,9 @@
 """`isozono reproduce` items report FAIL when a pinned value is wrong."""
 
 from dataclasses import replace
+from itertools import combinations, product
+
+import pytest
 
 from isozono import reproduce
 from isozono.catalog import builtin_graph
@@ -66,3 +69,26 @@ def test_item_9_fails_when_the_engine_is_2_high_on_tri_at_radius_2(monkeypatch):
     code, line = _run("9")
     assert code == 1
     assert line.startswith("FAIL   9") and "tri m=7, r=2: min 20" in line
+
+
+def _membership_min_boundary(graph, m, r):
+    """Oracle: the minimum over the origin plus m - 1 lexicographically
+    positive points of the box, each set's boundary counted by membership."""
+    origin = (0,) * graph.dim
+    pool = [p for p in product(range(-r, r + 1), repeat=graph.dim) if p > origin]
+    steps = [s for v in graph.generators for s in (v, tuple(-a for a in v))]
+    best = None
+    for combo in combinations(pool, m - 1):
+        s = {origin, *combo}
+        b = sum(tuple(a + d for a, d in zip(p, step)) not in s for p in s for step in steps)
+        best = b if best is None else min(best, b)
+    return best
+
+
+@pytest.mark.parametrize("name, r, m_max", [
+    ("l1:2", 2, 5), ("linf:2", 2, 5), ("tri", 2, 5), ("l1:3", 1, 4)])
+def test_item_8_recount_matches_a_membership_count(name, r, m_max):
+    graph = builtin_graph(name).graph()
+    for m in range(1, m_max + 1):
+        expected = _membership_min_boundary(graph, m, r)
+        assert reproduce._independent_min_boundary(graph, m, r) == expected

@@ -474,15 +474,25 @@ def test_zonotope_point_set_refuses_more_points_than_the_budget(monkeypatch):
         zonotope_point_set(LINF, 1)
 
 
-def test_zonotope_point_set_refuses_more_lines_than_the_budget_before_the_scan(monkeypatch):
-    def no_scan(*ranges):
-        raise AssertionError("the lattice lines were scanned")
+def _no_scan(slabs, ranges):
+    raise AssertionError("the lattice lines were scanned")
 
+
+def test_zonotope_point_set_refuses_more_lines_than_the_budget_before_the_scan(monkeypatch):
     monkeypatch.setenv("ISOZONO_BUDGET", "100")
-    monkeypatch.setattr(search, "product", no_scan)
+    monkeypatch.setattr(search, "lattice_lines", _no_scan)
     # 2 * 3 * 10**5 + 1 lines across |y| <= alpha h(e_1), h(e_1) = 3.
     with pytest.raises(BudgetExceededError, match="scans 600001 lattice lines, budget is 100"):
         zonotope_point_set(LINF, 10 ** 5)
+
+
+def test_convergence_experiment_refuses_more_line_normal_pairs_than_the_budget_before_the_scan(
+        monkeypatch):
+    monkeypatch.setattr(search, "lattice_lines", _no_scan)
+    with pytest.raises(BudgetExceededError) as err:
+        convergence_experiment(LINF, [10 ** 5], budget=100)
+    assert str(err.value) == ("alpha = 100000 scans 600001 lattice lines against 4 facet "
+                              "normals, budget is 100 line-normal pairs")
 
 
 def test_convergence_experiment_exact_rows():
