@@ -33,11 +33,10 @@ from .plgraph import (EdgeBoundaryReport, PLGraph, boundary_identity_report,
                       canonicalize_generators, edge_boundary_direct,
                       gap_count, projection_count, validate_pl_graph)
 from .render import render_off, render_polytope, render_svg
-from .search import (ConvergenceRow, FamilySet, LimitingShapeRow, SearchResult,
-                     ZonotopePointSet, canonical_set, convergence_experiment,
-                     default_budget, exhaustive_min_boundary,
-                     hull_direction_count, limiting_shape_report,
-                     local_search_min_boundary, zonotope_point_set)
+from .search import (ConvergenceRow, LimitingShapeRow, SearchResult, ZonotopePointSet,
+                     canonical_set, convergence_experiment, default_budget,
+                     exhaustive_min_boundary, hull_direction_count,
+                     limiting_shape_report, local_search_min_boundary, zonotope_point_set)
 from .zonotope import (FacetSlice, FVector, Zonotope, build_zonotope,
                        build_zonotope_from_segments, f_vector, facet_polytope,
                        homothety_check, hyperplane_section, zonotope_hrep,

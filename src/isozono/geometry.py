@@ -373,12 +373,13 @@ def _facet_lattice_volume(dim, normal, tight_vertices):
     y -> <normal_-k, y> mod |normal[k]|, which is onto Z/|normal[k]| as the
     normal is primitive: a sublattice of index |normal[k]| (Beck and Robins,
     Computing the Continuous Discretely, ch. 3 and 5).  So every shadow is
-    full-dimensional, and a 1-D one measures max - min.
+    full-dimensional, needs none of the checks of `convex_hull`, and a 1-D
+    one measures max - min.
     """
     if dim == 1:
         return 1
     k = next(i for i, a in enumerate(normal) if a)
-    shadow = convex_hull([v[:k] + v[k + 1:] for v in tight_vertices])
+    shadow = _hull_full(sorted(v[:k] + v[k + 1:] for v in tight_vertices), dim - 1)
     return _norm_num(Fraction(shadow.volume(), abs(normal[k])))
 
 

@@ -367,13 +367,13 @@ class ZonotopePointSet:
     center: tuple
 
 
-def _lattice_lines(Z: Zonotope, alpha: Fraction, center, budget=None, per_normal=True):
+def _lattice_lines(Z: Zonotope, alpha: Fraction, center, budget=None):
     """{y: (lo, hi)}: the points (t, y) of Z^n cap (alpha Z + center), lo <= t <= hi.
 
     With D the common denominator of alpha and center, facet normal u gives
     the slab |D <u, x> - <u, D center>| <= D alpha h(u), divided by D and
-    rounded inward.  `budget` caps the lines scanned, times the normals when
-    `per_normal`, checked before the scan.
+    rounded inward.  `budget` caps the lines scanned times the facet normals,
+    checked before the scan.
     """
     n = Z.dim
     normals = Z.facet_offsets
@@ -384,13 +384,10 @@ def _lattice_lines(Z: Zonotope, alpha: Fraction, center, budget=None, per_normal
         ranges.append(range(math.ceil(center[i] - h), math.floor(center[i] + h) + 1))
     if budget is not None:
         lines = math.prod(r.stop - r.start for r in ranges)  # len() overflows past sys.maxsize
-        if per_normal and lines * len(normals) > budget:
+        if lines * len(normals) > budget:
             raise BudgetExceededError(
                 f"alpha = {alpha} scans {lines} lattice lines against {len(normals)} "
                 f"facet normals, budget is {budget} line-normal pairs")
-        if lines > budget:
-            raise BudgetExceededError(
-                f"alpha = {alpha} scans {lines} lattice lines, budget is {budget}")
     D = math.lcm(alpha.denominator, *(c.denominator for c in center))
     dc = tuple(c.numerator * (D // c.denominator) for c in center)
     scale = D // alpha.denominator * alpha.numerator
@@ -422,9 +419,9 @@ def _lines_boundary(lines, generators) -> int:
 def zonotope_point_set(graph: PLGraph, alpha, center=None) -> ZonotopePointSet:
     """Z^n intersected with alpha * Z(G) + center, with its edge boundary.
 
-    A box of more lattice lines, or a set of more points, than the
-    enumeration budget raises BudgetExceededError before any point is
-    listed; the lines are counted before the scan."""
+    More lattice lines times facet normals than the enumeration budget,
+    counted before the scan, or more points than the budget, raises
+    BudgetExceededError before any point is listed."""
     alpha = Fraction(alpha)
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
@@ -433,7 +430,7 @@ def zonotope_point_set(graph: PLGraph, alpha, center=None) -> ZonotopePointSet:
     if len(center) != n:
         raise DimensionMismatchError(f"center has {len(center)} coordinates, dim is {n}")
     budget = _budget(None)
-    lines = _lattice_lines(zonotope_of_graph(graph), alpha, center, budget, per_normal=False)
+    lines = _lattice_lines(zonotope_of_graph(graph), alpha, center, budget)
     count = sum(hi - lo + 1 for lo, hi in lines.values())
     if count > budget:
         raise BudgetExceededError(f"alpha = {alpha} holds {count} lattice points, "
@@ -513,17 +510,6 @@ def hull_direction_count(points) -> int:
 
 
 @dataclass(frozen=True)
-class FamilySet:
-    """A member of the shifted-zonotope lattice family Z^n cap (alpha Z + c)."""
-
-    alpha: Fraction
-    center: tuple
-    cardinality: int
-    points: tuple  # canonical form
-    edge_boundary: int
-
-
-@dataclass(frozen=True)
 class LimitingShapeRow:
     """Per-cardinality comparison of exhaustive optima with the zonotope family."""
 
@@ -532,13 +518,15 @@ class LimitingShapeRow:
     min_boundary: int | None
     witness_count: int
     witness_hull_directions: tuple
-    family_sets: tuple  # FamilySet entries with this cardinality
+    family_sets: tuple  # ZonotopePointSet members with this cardinality
     family_match: bool | None  # None when either side is unavailable
-    nearest_cardinalities: tuple  # (below, above) FamilySet summaries when no match
+    nearest_cardinalities: tuple  # (below, above) members when no match
 
 
 def _family_catalog(graph: PLGraph, m_max: int):
-    """All realizable family cardinalities <= m_max, by half-integer center."""
+    """{m: members}: the sets Z^n cap (g Z + c) of m <= m_max points, c in {0, 1/2}^n,
+    read from the gauge prefixes where the gauge jumps (the origin alone has
+    g = 0); the first in (g, c) order of each canonical form is kept."""
     Z = zonotope_of_graph(graph)
     sets = {}
     for center in product((Fraction(0), Fraction(1, 2)), repeat=graph.dim):
@@ -554,14 +542,14 @@ def _family_catalog(graph: PLGraph, m_max: int):
         for g, center, member in sorted(entries):
             canon = canonical_set(member)
             if canon not in uniq:
-                uniq[canon] = FamilySet(g, center, m, canon,
-                                        edge_boundary_direct(graph, member))
+                uniq[canon] = ZonotopePointSet(member, m, edge_boundary_direct(graph, member),
+                                               g, center)
         catalog[m] = tuple(uniq.values())
     return catalog
 
 
 def limiting_shape_report(graph: PLGraph, m_max: int, *, box_radius: int | None = None,
-                          budget: int | None = None, witness_cap: int = 100):
+                          budget: int | None = None):
     """Compare exhaustive optima with the shifted-zonotope lattice family.
 
     For each m <= m_max: run exhaustive search (when it fits the budget) and
@@ -595,26 +583,19 @@ def limiting_shape_report(graph: PLGraph, m_max: int, *, box_radius: int | None 
     rows = []
     for m in range(1, m_max + 1):
         family = catalog.get(m, ())
+        canons = {canonical_set(f.points) for f in family}
         # Enlarge the window to contain every same-cardinality family set:
         # otherwise a small window could report a "minimum" that one of the
         # family sets printed next to it visibly beats.
-        radius = box_radius
-        for f in family:
-            needed = max((abs(c) for p in f.points for c in p), default=0)
-            radius = max(radius, needed)
+        radius = max([box_radius] + [abs(c) for s in canons for p in s for c in p])
         result = None
         if 0 < _box_subsets(n, m, radius)[1] <= budget:
-            result = exhaustive_min_boundary(graph, m, radius,
-                                             witness_cap=witness_cap, budget=budget)
+            result = exhaustive_min_boundary(graph, m, radius, budget=budget)
+        directions, match = (), None
         if result is not None:
             directions = tuple(hull_direction_count(w) for w in result.witnesses)
-            match = None
             if family:
-                fam_canons = {f.points for f in family}
-                match = any(w in fam_canons for w in result.witnesses)
-        else:
-            directions = ()
-            match = None
+                match = any(w in canons for w in result.witnesses)
         nearest = ()
         if not family:
             below = max((c for c in all_cards if c < m), default=None)

@@ -482,8 +482,22 @@ def test_zonotope_point_set_refuses_more_lines_than_the_budget_before_the_scan(m
     monkeypatch.setenv("ISOZONO_BUDGET", "100")
     monkeypatch.setattr(search, "lattice_lines", _no_scan)
     # 2 * 3 * 10**5 + 1 lines across |y| <= alpha h(e_1), h(e_1) = 3.
-    with pytest.raises(BudgetExceededError, match="scans 600001 lattice lines, budget is 100"):
+    with pytest.raises(BudgetExceededError, match="scans 600001 lattice lines against 4 facet "
+                       "normals, budget is 100 line-normal pairs"):
         zonotope_point_set(LINF, 10 ** 5)
+
+
+@pytest.mark.parametrize("alpha, lines", [(1, 55 ** 3), (Fraction(1, 2), 27 ** 3)])
+def test_zonotope_point_set_refuses_linf4_before_the_scan_under_the_default_budget(
+        monkeypatch, alpha, lines):
+    # Each scan is fewer lines than the budget but, against 680 facet normals,
+    # more line-normal pairs: the bound convergence_experiment applies.
+    monkeypatch.delenv("ISOZONO_BUDGET", raising=False)
+    monkeypatch.setattr(search, "lattice_lines", _no_scan)
+    with pytest.raises(BudgetExceededError) as err:
+        zonotope_point_set(builtin_graph("linf:4").graph(), alpha)
+    assert str(err.value) == (f"alpha = {alpha} scans {lines} lattice lines against 680 facet "
+                              "normals, budget is 10000000 line-normal pairs")
 
 
 def test_convergence_experiment_refuses_more_line_normal_pairs_than_the_budget_before_the_scan(
@@ -679,6 +693,22 @@ def test_limiting_shape_report_family_matches():
     below, above = rows[5].nearest_cardinalities
     assert below.cardinality == 4
     assert above.cardinality == 6
+
+
+@pytest.mark.parametrize("name, m_max", [("l1:2", 20), ("linf:2", 20), ("tri", 20),
+                                         ("l1:3", 12)])
+def test_family_members_are_the_scaled_zonotope_point_sets(name, m_max):
+    # Two routes to Z^n cap (g Z + c): the gauge prefix of the catalog and the
+    # line scan of zonotope_point_set at the member's own alpha and center.
+    graph = builtin_graph(name).graph()
+    catalog = search._family_catalog(graph, m_max)
+    origin = catalog[1][0]
+    assert (origin.alpha, origin.points, origin.edge_boundary) == (
+        0, ((0,) * graph.dim,), 2 * len(graph.generators))
+    members = [f for fam in catalog.values() for f in fam if f.alpha > 0]
+    assert members
+    for f in members:
+        assert zonotope_point_set(graph, f.alpha, f.center) == f
 
 
 def test_limiting_shape_report_refuses_m_max_over_the_budget(monkeypatch):
