@@ -154,9 +154,6 @@ class Polytope:
     @cached_property
     def _volume(self):
         n = self.dim
-        if n == 1:
-            xs = [v[0] for v in self.vertices]
-            return _norm_num(Fraction(max(xs) - min(xs)))
         if n == 2:
             return _shoelace(self.cycle())
         apex = self.vertices[0]
@@ -199,34 +196,27 @@ class Polytope:
     # -- transforms --------------------------------------------------------
 
     def translate(self, t):
-        t = tuple(t)
-        verts = [vadd(v, t) for v in self.vertices]
-        facets = None
-        if self.facets is not None:
-            facets = [(n, Fraction(c) + dot(n, t)) for n, c in self.facets]
-        chart = None
-        if self.chart is not None:
-            chart = Chart(_norm_point(vadd(self.chart.base, t)), self.chart.basis,
-                          self.chart.left, self.chart.body)
-        return Polytope(self.dim, verts, facets, chart)
+        return self._image(1, tuple(t))
 
     def scale(self, factor):
         factor = Fraction(factor)
         if factor <= 0:
             raise ValueError("scale factor must be positive")
-        verts = [tuple(factor * a for a in v) for v in self.vertices]
+        return self._image(factor, (0,) * self.dim)
+
+    def _image(self, f, t):
+        """f P + t for f > 0: vertices, facet offsets and chart base map, and
+        the chart body (in chart coordinates) scales by f."""
+        def image(p):
+            return tuple(f * a + b for a, b in zip(p, t))
         facets = None
         if self.facets is not None:
-            facets = [(n, factor * Fraction(c)) for n, c in self.facets]
-        chart = None
-        if self.chart is not None:
-            chart = Chart(
-                _norm_point(tuple(factor * a for a in self.chart.base)),
-                self.chart.basis,
-                self.chart.left,
-                self.chart.body.scale(factor),
-            )
-        return Polytope(self.dim, verts, facets, chart)
+            facets = [(n, f * Fraction(c) + dot(n, t)) for n, c in self.facets]
+        chart = self.chart
+        if chart is not None:
+            body = chart.body if f == 1 else chart.body._image(f, (0,) * len(chart.basis))
+            chart = Chart(_norm_point(image(chart.base)), chart.basis, chart.left, body)
+        return Polytope(self.dim, map(image, self.vertices), facets, chart)
 
     # -- dunder ------------------------------------------------------------
 

@@ -7,7 +7,7 @@ lists/tuples of row vectors.  Everything here is exact: no floats.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 
 from .errors import DimensionMismatchError, ZeroVectorError
@@ -72,14 +72,10 @@ def canonical_sign(v):
 
 
 def integerize(v):
-    """Scale a rational vector by the lcm of denominators to a primitive int vector."""
-    scale = 1
-    for a in v:
-        if isinstance(a, Fraction):
-            d = a.denominator
-            scale = scale * d // gcd(scale, d)
-    w = tuple(int(a * scale) for a in v)
-    return primitive_part(w)
+    """Scale a rational vector by the lcm of its denominators (1 for an int)
+    to a primitive int vector."""
+    scale = lcm(*(a.denominator for a in v))
+    return primitive_part(tuple(int(a * scale) for a in v))
 
 
 def xgcd(a: int, b: int):

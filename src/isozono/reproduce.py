@@ -17,8 +17,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import permutations, product
 
-from .boundary import (brunn_minkowski_certificate, continuous_boundary,
-                       zonotope_boundary_identity)
+from .boundary import brunn_minkowski_certificate, zonotope_boundary_identity
 from .catalog import BUILTIN_NAMES, builtin_graph
 from .geometry import convex_hull
 from .intmat import canonical_sign, content, gram_det, kernel_basis, vadd, vsub

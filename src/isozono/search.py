@@ -118,18 +118,10 @@ def _orbit_canonical(points, group):
 
 def _candidate_masks(graph: PLGraph, box_radius: int):
     """Canonical-form candidate points and their in-box adjacency bitmasks."""
-    n = graph.dim
-    r = box_radius
-    pool = []
-    for p in product(range(-r, r + 1), repeat=n):
-        for c in p:
-            if c > 0:
-                pool.append(p)
-                break
-            if c < 0:
-                break
-    pool.sort()
-    candidates = [tuple([0] * n)] + pool
+    origin = (0,) * graph.dim
+    # product lists the box in lexicographic order, the order of tuples.
+    box = product(range(-box_radius, box_radius + 1), repeat=graph.dim)
+    candidates = [origin] + [p for p in box if p > origin]
     index = {p: i for i, p in enumerate(candidates)}
     masks = []
     for p in candidates:
@@ -240,7 +232,8 @@ def exhaustive_min_boundary(graph: PLGraph, m: int, box_radius: int, *,
                     witnesses.append(sel | 1 << j)
                 else:
                     truncated = True
-    sets = [canonical_set(candidates[i] for i in _bit_indices(w)) for w in witnesses]
+    # Increasing indices into the sorted candidates, origin first: canonical.
+    sets = [tuple(candidates[i] for i in _bit_indices(w)) for w in witnesses]
     if symmetry_hints:
         group = _signed_permutation_closure(graph, symmetry_hints)
         seen = set()
@@ -274,7 +267,7 @@ def _gauge(normals, p, center):
     return Fraction(best, h_best * D)
 
 
-def _smallest_gauges(Z: Zonotope, count: int, center):
+def _smallest_gauges(Z: Zonotope, count: int, center, budget=None):
     """The `count` lattice points of smallest gauge about `center`, as
     (gauge, p) pairs sorted by gauge, then p.
 
@@ -283,12 +276,18 @@ def _smallest_gauges(Z: Zonotope, count: int, center):
     <= alpha and no others.  Once it holds `count` points, every point outside
     it sorts after all of them, so its first `count` are the prefix.  alpha
     doubles from 1 / max h(u), below which no nonzero lattice point has gauge
-    <= alpha about the origin.
+    <= alpha about the origin.  `budget` caps each scan's lines, and the
+    scored scan's points, times the facet normals.
     """
     alpha = Fraction(1, max(h for _, h in Z.facet_offsets))
     while True:
-        lines = _lattice_lines(Z, alpha, center)
-        if sum(hi - lo + 1 for lo, hi in lines.values()) >= count:
+        lines = _lattice_lines(Z, alpha, center, budget)
+        size = sum(hi - lo + 1 for lo, hi in lines.values())
+        if budget is not None and size * len(Z.facet_offsets) > budget:
+            raise BudgetExceededError(
+                f"alpha = {alpha} holds {size} lattice points to score against "
+                f"{len(Z.facet_offsets)} facet normals, budget is {budget}")
+        if size >= count:
             return sorted((_gauge(Z.facet_offsets, p, center), p) for p in
                           ((t,) + y for y, (lo, hi) in lines.items()
                            for t in range(lo, hi + 1)))[:count]
@@ -303,9 +302,9 @@ def local_search_min_boundary(graph: PLGraph, m: int, iterations: int = 20000,
     remaining set.  Acceptance is simulated-annealing style with a geometric
     temperature schedule; the reported value is the best state ever visited,
     so the result never degrades with more iterations.  Deterministic for a
-    fixed seed, and m is capped by the enumeration budget.  The start is the m
-    lattice points of smallest gauge about the origin.  A move from S to
-    S' u {cand}, with S' = S - {out}, changes |dS| by
+    fixed seed.  The start is the m lattice points of smallest gauge about
+    the origin; the enumeration budget caps m and that start's line scans.
+    A move from S to S' u {cand}, with S' = S - {out}, changes |dS| by
     2|N(out) & S'| - 2|N(cand) & S'|: out's edges into S' become boundary
     edges and cand's stop being ones.
     """
@@ -317,7 +316,7 @@ def local_search_min_boundary(graph: PLGraph, m: int, iterations: int = 20000,
     if m > budget:
         raise BudgetExceededError(f"local search of {m} points, budget is {budget}")
     rng = random.Random(seed)
-    start = _smallest_gauges(zonotope_of_graph(graph), m, (Fraction(0),) * graph.dim)
+    start = _smallest_gauges(zonotope_of_graph(graph), m, (Fraction(0),) * graph.dim, budget)
     current = {p for _, p in start}
     gens = graph.generators
     steps = [*gens, *map(vneg, gens)]
@@ -496,17 +495,11 @@ def convergence_experiment(graph: PLGraph, alphas, *, budget: int | None = None)
 
 
 def hull_direction_count(points) -> int:
-    """Number of supporting facet directions of the convex hull.
-
-    Counted within the hull's affine span: 0 for a single point, 2 for a
-    segment, the edge count for a polygon, and so on.
-    """
+    """Number of supporting facet directions of the convex hull, counted in
+    its affine span (on the chart body `convex_hull` builds when it is flat):
+    0 for a single point, 2 for a segment, the edge count for a polygon."""
     hull = convex_hull(list(points))
-    if hull.is_full_dimensional():
-        return len(hull.facets)
-    if hull.chart is None or not hull.chart.basis:
-        return 0
-    return hull_direction_count(hull.chart.body.vertices)
+    return len((hull.chart.body if hull.chart else hull).facets)
 
 
 @dataclass(frozen=True)

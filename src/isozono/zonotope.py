@@ -38,7 +38,7 @@ from functools import cached_property, lru_cache
 from itertools import combinations
 
 from .errors import DimensionMismatchError, EmptySectionError, RankDeficientError
-from .geometry import Polytope, convex_hull, hrep_vertices, minkowski_sum_segment
+from .geometry import Polytope, convex_hull, hrep_vertices
 from .intmat import (
     _norm_num,
     canonical_sign,
@@ -47,7 +47,6 @@ from .intmat import (
     det,
     dot,
     independent_rows,
-    rank,
     vneg,
 )
 from .plgraph import PLGraph, canonicalize_generators
@@ -293,26 +292,21 @@ def facet_polytope(Z: Zonotope, axis: int) -> FacetSlice:
     """The face of Z maximizing coordinate `axis` (0-based).
 
     Returned in the chart that drops that coordinate, together with the
-    ambient translation vector t = sum sign(v_i[axis]) * v_i; the face itself
-    is the sub-zonotope of generators with vanishing `axis` coordinate.  When
-    those generators do not span the hyperplane the face is lower-dimensional
-    and `is_facet` is False.
+    ambient translation vector t = sum sign(v_i[axis]) * v_i: the face is the
+    hull of the vertices of Z with v[axis] = t[axis], moved by -t.  It is the
+    sub-zonotope of the generators with vanishing `axis` coordinate; when
+    those do not span the hyperplane the face is lower-dimensional and
+    `is_facet` is False.
     """
     n = Z.dim
     if not 0 <= axis < n:
         raise IndexError(f"axis {axis} out of range for dimension {n}")
-    shift, tight = _face_split(tuple(int(i == axis) for i in range(n)),
-                               Z.generators, Z.generators, Z._codes)
-    chart_gens = [tuple(a for i, a in enumerate(g) if i != axis) for g in tight]
-    full_rank = bool(chart_gens) and rank(chart_gens, n - 1) == n - 1
-    if full_rank:
-        face = Zonotope(n - 1, canonicalize_generators(n - 1, chart_gens)).polytope()
-    else:
-        # One segment at a time, not the hull of all 2^k signed sums.
-        face = convex_hull([(0,) * (n - 1)])
-        for g in chart_gens:
-            face = minkowski_sum_segment(face, vneg(g), g)
-    return FacetSlice(face, Z._centre(shift), full_rank)
+    shift, _ = _face_split(tuple(int(i == axis) for i in range(n)),
+                           Z.generators, Z.generators, Z._codes)
+    t = Z._centre(shift)
+    face = convex_hull([tuple(a - b for i, (a, b) in enumerate(zip(v, t)) if i != axis)
+                        for v in Z.polytope().vertices if v[axis] == t[axis]])
+    return FacetSlice(face, t, face.is_full_dimensional())
 
 
 def hyperplane_section(Z: Zonotope, axis: int, level) -> Polytope:

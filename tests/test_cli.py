@@ -287,6 +287,16 @@ def test_search_local_mode_refuses_budget(capsys, monkeypatch, env, budget):
     assert out == ""
 
 
+def test_search_local_mode_refuses_a_start_scan_over_the_budget(capsys, monkeypatch):
+    # m = 200 passes the m <= budget check; the start's 200 points alone
+    # score against every facet normal of linf:3, over 2,000 pairs.
+    monkeypatch.setenv("ISOZONO_BUDGET", "2000")
+    code, out, err = run(capsys, "search", "--graph", "linf:3", "--m", "200",
+                         "--mode", "local")
+    assert_one_error_line(code, err)
+    assert out == ""
+
+
 def test_search_out_prefix_writes_files(capsys, tmp_path):
     prefix = tmp_path / "run"
     code, out, _ = run(capsys, "search", "--graph", "l1:2", "--m", "4",

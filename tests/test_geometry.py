@@ -24,7 +24,8 @@ from isozono.geometry import (
     polytope_volume,
     project_polytope,
 )
-from isozono.intmat import dot, integerize, is_zero, kernel_chart, rank, vneg, vsub
+from isozono.intmat import (dot, embed, integerize, is_zero, kernel_chart, rank, vadd, vneg,
+                            vsub)
 from test_intmat import leibniz_det, signed_minors
 
 OCTAGON = [(3, 1), (1, 3), (-1, 3), (-3, 1), (-3, -1), (-1, -3), (1, -3), (3, -1)]
@@ -191,6 +192,44 @@ def test_translate_scale_round_trip():
     assert Q.volume() == Fraction(9, 4) * 28
     R = Q.scale(Fraction(2, 3)).translate((-2, 1))
     assert set(R.vertices) == set(P.vertices)
+
+
+@st.composite
+def _rational_hulls(draw):
+    """Hulls of rational points in dims 1..4, full or flat: the points are a
+    base plus rational combinations of k <= dim integer directions."""
+    dim = draw(st.integers(1, 4))
+    coord = st.fractions(-3, 3, max_denominator=3)
+    k = draw(st.integers(0, dim))
+    dirs = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * dim), min_size=k, max_size=k))
+    base = draw(st.tuples(*[coord] * dim))
+    coeffs = draw(st.lists(st.tuples(*[coord] * k), min_size=1, max_size=8))
+    return convex_hull([tuple(b + sum(c * d[i] for c, d in zip(cs, dirs))
+                              for i, b in enumerate(base)) for cs in coeffs])
+
+
+def _charted_vertices(P):
+    """The vertices the chart reads: base + embed(basis, y) per body vertex."""
+    c = P.chart
+    return tuple(sorted(vadd(c.base, embed(c.basis, y)) if c.basis else c.base
+                        for y in c.body.vertices))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_rational_hulls(), st.fractions(Fraction(1, 4), 4, max_denominator=4), st.data())
+def test_affine_image_is_the_hull_of_the_mapped_vertices(P, f, data):
+    t = data.draw(st.tuples(*[st.fractions(-3, 3, max_denominator=3)] * P.dim))
+    image = P.scale(f).translate(t)
+    hull = convex_hull([tuple(f * a + b for a, b in zip(v, t)) for v in P.vertices])
+    assert (image.vertices, image.facets) == (hull.vertices, hull.facets)
+    assert image.affine_dim == hull.affine_dim
+    if image.chart is not None:
+        # P's chart basis came from all of its input points and the oracle's
+        # from the vertices alone: two bases of one lattice, maybe of
+        # opposite sign, so the charts agree in what they read, not in form.
+        assert image.chart.base == hull.chart.base
+        assert _charted_vertices(image) == image.vertices
+    assert image.chart_volume() == f ** P.affine_dim * P.chart_volume() == hull.chart_volume()
 
 
 def test_cycle_is_counterclockwise():

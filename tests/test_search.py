@@ -290,6 +290,15 @@ def test_depth_first_walk_matches_oracle_on_skewed_graphs(case):
             == _combinations_search(graph, m, r, cap, hints))
 
 
+@settings(max_examples=100, deadline=None)
+@given(_box_search_cases())
+def test_box_search_witnesses_are_canonical(case):
+    graph, m, r, cap, hints = case
+    for w in exhaustive_min_boundary(graph, m, r, witness_cap=cap,
+                                     symmetry_hints=hints).witnesses:
+        assert canonical_set(w) == w
+
+
 def test_depth_first_walk_needs_no_recursion_on_a_deep_prefix():
     # r = 22 has 1,012 candidates: the prefixes are 1,011 and 1,010 deep,
     # beyond Python's default recursion limit.
@@ -320,6 +329,12 @@ def test_local_search_deterministic_per_seed():
     a = local_search_min_boundary(LINF, 6, iterations=2000, seed=42)
     b = local_search_min_boundary(LINF, 6, iterations=2000, seed=42)
     assert a == b
+
+
+def test_local_search_start_scan_is_budgeted(monkeypatch):
+    monkeypatch.setenv("ISOZONO_BUDGET", "2000")
+    with pytest.raises(BudgetExceededError):
+        local_search_min_boundary(builtin_graph("linf:3").graph(), 200)
 
 
 def _full_recount_local_search(graph, m, iterations, seed):
@@ -677,6 +692,36 @@ def test_hull_direction_count_conventions():
     assert hull_direction_count([(0, 0), (1, 0), (0, 1), (1, 1)]) == 4
     octagon_pts = zonotope_point_set(LINF, 1).points
     assert hull_direction_count(octagon_pts) == 8
+
+
+def _recursive_direction_count(points):
+    """Oracle: hull the points, then hull a flat hull's chart body again."""
+    hull = convex_hull(list(points))
+    if hull.is_full_dimensional():
+        return len(hull.facets)
+    if hull.chart is None or not hull.chart.basis:
+        return 0
+    return _recursive_direction_count(hull.chart.body.vertices)
+
+
+@st.composite
+def _point_sets(draw):
+    """Integer point sets in dims 1..4, flat ones included: a base plus
+    integer combinations of k <= dim directions."""
+    dim = draw(st.integers(1, 4))
+    k = draw(st.integers(0, dim))
+    small = st.integers(-2, 2)
+    dirs = draw(st.lists(st.tuples(*[small] * dim), min_size=k, max_size=k))
+    base = draw(st.tuples(*[small] * dim))
+    coeffs = draw(st.lists(st.tuples(*[small] * k), min_size=1, max_size=9))
+    return [tuple(b + sum(c * d[i] for c, d in zip(cs, dirs)) for i, b in enumerate(base))
+            for cs in coeffs]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_point_sets())
+def test_hull_direction_count_matches_the_recursive_oracle(points):
+    assert hull_direction_count(points) == _recursive_direction_count(points)
 
 
 def test_limiting_shape_report_family_matches():

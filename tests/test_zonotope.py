@@ -17,12 +17,13 @@ from isozono.errors import (
     AntipodalGeneratorError,
     DimensionMismatchError,
     EmptySectionError,
+    IsozonoError,
     RankDeficientError,
 )
 from isozono.geometry import convex_hull, hrep_vertices
 from isozono.intmat import (_bit_indices, _norm_num, canonical_sign, dot, primitive_part, rank,
                             vadd)
-from isozono.plgraph import PLGraph
+from isozono.plgraph import PLGraph, canonicalize_generators
 from isozono.zonotope import (
     FVector,
     build_zonotope,
@@ -379,13 +380,51 @@ def test_facet_polytope_flat_face_matches_sign_sum_oracle():
         checked += 1
 
 
-def test_facet_polytope_flat_face_is_built_one_segment_at_a_time():
+def test_facet_polytope_flat_face_of_24_plane_generators_is_fast():
     # 2^24 signed sums would take minutes; the face is a 48-gon.
     start = time.perf_counter()
     fs = facet_polytope(_plane_zonotope(24), 0)
     assert time.perf_counter() - start < 5
     assert not fs.is_facet
     assert len(fs.face.vertices) == 48
+
+
+def _full_rank_face(z, axis):
+    """Oracle for a face that spans the hyperplane: the (n-1)-zonotope of the
+    generators with vanishing `axis` coordinate, built in the dropped-axis
+    chart; None when they do not span it."""
+    chart = [tuple(a for i, a in enumerate(g) if i != axis)
+             for g in z.generators if g[axis] == 0]
+    if not chart or rank(chart, z.dim - 1) < z.dim - 1:
+        return None
+    return zonotope.Zonotope(z.dim - 1, canonicalize_generators(z.dim - 1, chart)).polytope()
+
+
+def test_facet_polytope_full_rank_faces_match_the_sub_zonotope_oracle():
+    zs = [builtin_graph(name).zonotope() for name in BUILTIN_NAMES]
+    zs.append(builtin_graph("d4cross").original_zonotope())
+    rng = random.Random(11)
+    while len(zs) < len(BUILTIN_NAMES) + 61:
+        n = rng.choice((2, 3, 4))
+        gens = {tuple(rng.randint(-1, 1) for _ in range(n)) for _ in range(n + 3)}
+        try:
+            zs.append(build_zonotope(n, [g for g in gens if any(g)]))
+        except IsozonoError:  # rank-deficient, antipodal or non-primitive
+            continue
+    full = 0
+    for z in zs:
+        for axis in range(z.dim):
+            fs = facet_polytope(z, axis)
+            oracle = _full_rank_face(z, axis)
+            assert fs.is_facet == (oracle is not None)
+            h = z.support(tuple(int(i == axis) for i in range(z.dim)))
+            assert fs.translation[axis] == h
+            assert fs.translation == tuple(map(sum, zip(*(
+                g if g[axis] > 0 else tuple(-a for a in g) for g in z.generators if g[axis]))))
+            if oracle is not None:
+                assert (fs.face.vertices, fs.face.facets) == (oracle.vertices, oracle.facets)
+                full += 1
+    assert full > len(zs)  # the oracle saw more faces than there are sets
 
 
 def test_hyperplane_section_central_is_scaled_copy():
