@@ -20,7 +20,7 @@ from .errors import BudgetExceededError, IsozonoError
 from .geometry import points_from_text, points_to_text, polytope_from_text, polytope_to_text
 from .plgraph import boundary_identity_report
 from .render import render_polytope
-from .search import (_budget, convergence_experiment, exhaustive_min_boundary,
+from .search import (convergence_experiment, default_budget, exhaustive_min_boundary,
                      local_search_min_boundary)
 from .zonotope import f_vector, homothety_check, hyperplane_section
 
@@ -57,7 +57,7 @@ def _parse_alphas(spec: str, budget=None):
         token = token.strip()
         if ":" in token:
             lo, _, hi = token.partition(":")
-            lo, hi, budget = int(lo), int(hi), _budget(budget)
+            lo, hi, budget = int(lo), int(hi), default_budget(budget)
             if hi - lo >= budget:  # refused before the range is built
                 raise BudgetExceededError(f"alpha range {token} has more scales than the "
                                           f"budget ({budget})")

@@ -46,11 +46,8 @@ def canonicalize_generators(dim: int, raw):
                 raise DuplicateGeneratorError(f"generator {v} appears twice")
             if v == vneg(w):
                 raise AntipodalGeneratorError(f"generators {v} and {w} are antipodal")
+    # canonical_sign(v) == canonical_sign(w) iff v = +-w: the loop made them distinct.
     canon = sorted(canonical_sign(v) for v in vecs)
-    for i in range(len(canon) - 1):
-        if canon[i] == canon[i + 1]:
-            raise AntipodalGeneratorError(
-                f"generators {canon[i]} and -{canon[i]} are antipodal")
     if rank(canon, dim) != dim:
         raise RankDeficientError(f"generators {canon} do not span dimension {dim}")
     return tuple(canon)

@@ -27,7 +27,7 @@ import random
 from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import count, product
 
 from .catalog import _apply_hint, check_symmetry_hints
 from .errors import BudgetExceededError, DimensionMismatchError
@@ -38,16 +38,13 @@ from .plgraph import PLGraph, edge_boundary_direct
 from .zonotope import Zonotope, zonotope_of_graph
 
 DEFAULT_BUDGET = 10_000_000
+_GROUP_CAP = 4096  # signed permutations in a closed symmetry group
 
 
-def default_budget() -> int:
-    """Enumeration cap from ISOZONO_BUDGET (default 10^7)."""
-    return _budget(None)
-
-
-def _budget(budget) -> int:
+def default_budget(budget=None) -> int:
     """The enumeration cap: `budget` when given, else ISOZONO_BUDGET (default
-    10^7).  Either source must be a positive integer."""
+    10^7).  Either source must be a positive integer.  Every scan resolves
+    None here, the one reader of ISOZONO_BUDGET, so none runs without a cap."""
     source = "budget"
     if budget is None:
         raw = os.environ.get("ISOZONO_BUDGET")
@@ -82,7 +79,7 @@ class SearchResult:
     evaluated: int = 0
 
 
-def _signed_permutation_closure(graph: PLGraph, hints, cap=4096):
+def _signed_permutation_closure(graph: PLGraph, hints):
     """Close the symmetry hints of `graph` under composition.
 
     Each element is a tuple of (source_index, sign) pairs: the image point has
@@ -100,7 +97,7 @@ def _signed_permutation_closure(graph: PLGraph, hints, cap=4096):
         for h in gens:
             comp = tuple((g[j][0], g[j][1] * s) for j, s in h)
             if comp not in group:
-                if len(group) >= cap:
+                if len(group) >= _GROUP_CAP:
                     raise ValueError("symmetry group closure exceeds cap")
                 group.add(comp)
                 frontier.append(comp)
@@ -108,12 +105,7 @@ def _signed_permutation_closure(graph: PLGraph, hints, cap=4096):
 
 
 def _orbit_canonical(points, group):
-    best = None
-    for g in group:
-        cand = canonical_set(_apply_hint(g, p) for p in points)
-        if best is None or cand < best:
-            best = cand
-    return best
+    return min(canonical_set(_apply_hint(g, p) for p in points) for g in group)
 
 
 def _candidate_masks(graph: PLGraph, box_radius: int):
@@ -180,7 +172,7 @@ def exhaustive_min_boundary(graph: PLGraph, m: int, box_radius: int, *,
         raise ValueError(f"box radius must be >= 0, got {box_radius}")
     if witness_cap < 1:
         raise ValueError(f"witness cap must be >= 1, got {witness_cap}")
-    budget = _budget(budget)
+    budget = default_budget(budget)
     npool, count = _box_subsets(graph.dim, m, box_radius)
     if not count:
         raise ValueError(
@@ -233,18 +225,14 @@ def exhaustive_min_boundary(graph: PLGraph, m: int, box_radius: int, *,
                 else:
                     truncated = True
     # Increasing indices into the sorted candidates, origin first: canonical.
+    # The leaves come off in combinations order, so the sets are sorted.
     sets = [tuple(candidates[i] for i in _bit_indices(w)) for w in witnesses]
     if symmetry_hints:
         group = _signed_permutation_closure(graph, symmetry_hints)
-        seen = set()
-        deduped = []
+        orbits = {}
         for s in sets:
-            key = _orbit_canonical(s, group)
-            if key not in seen:
-                seen.add(key)
-                deduped.append(s)
-        sets = deduped
-    sets.sort()
+            orbits.setdefault(_orbit_canonical(s, group), s)
+        sets = orbits.values()
     return SearchResult(m, best, tuple(sets), True,
                         witnesses_truncated=truncated, evaluated=count)
 
@@ -276,14 +264,15 @@ def _smallest_gauges(Z: Zonotope, count: int, center, budget=None):
     <= alpha and no others.  Once it holds `count` points, every point outside
     it sorts after all of them, so its first `count` are the prefix.  alpha
     doubles from 1 / max h(u), below which no nonzero lattice point has gauge
-    <= alpha about the origin.  `budget` caps each scan's lines, and the
-    scored scan's points, times the facet normals.
+    <= alpha about the origin.  `budget` (ISOZONO_BUDGET when None) caps
+    each scan's lines, and the scored scan's points, times the facet normals.
     """
+    budget = default_budget(budget)
     alpha = Fraction(1, max(h for _, h in Z.facet_offsets))
     while True:
         lines = _lattice_lines(Z, alpha, center, budget)
         size = sum(hi - lo + 1 for lo, hi in lines.values())
-        if budget is not None and size * len(Z.facet_offsets) > budget:
+        if size * len(Z.facet_offsets) > budget:
             raise BudgetExceededError(
                 f"alpha = {alpha} holds {size} lattice points to score against "
                 f"{len(Z.facet_offsets)} facet normals, budget is {budget}")
@@ -312,7 +301,7 @@ def local_search_min_boundary(graph: PLGraph, m: int, iterations: int = 20000,
         raise ValueError(f"cardinality must be >= 1, got {m}")
     if iterations < 0:
         raise ValueError(f"iterations must be >= 0, got {iterations}")
-    budget = _budget(None)
+    budget = default_budget()
     if m > budget:
         raise BudgetExceededError(f"local search of {m} points, budget is {budget}")
     rng = random.Random(seed)
@@ -371,9 +360,10 @@ def _lattice_lines(Z: Zonotope, alpha: Fraction, center, budget=None):
 
     With D the common denominator of alpha and center, facet normal u gives
     the slab |D <u, x> - <u, D center>| <= D alpha h(u), divided by D and
-    rounded inward.  `budget` caps the lines scanned times the facet normals,
-    checked before the scan.
+    rounded inward.  `budget` (ISOZONO_BUDGET when None) caps the lines
+    scanned times the facet normals, checked before the scan.
     """
+    budget = default_budget(budget)
     n = Z.dim
     normals = Z.facet_offsets
     ranges = []
@@ -381,12 +371,11 @@ def _lattice_lines(Z: Zonotope, alpha: Fraction, center, budget=None):
         e = tuple(1 if j == i else 0 for j in range(n))
         h = alpha * Z.support(e)
         ranges.append(range(math.ceil(center[i] - h), math.floor(center[i] + h) + 1))
-    if budget is not None:
-        lines = math.prod(r.stop - r.start for r in ranges)  # len() overflows past sys.maxsize
-        if lines * len(normals) > budget:
-            raise BudgetExceededError(
-                f"alpha = {alpha} scans {lines} lattice lines against {len(normals)} "
-                f"facet normals, budget is {budget} line-normal pairs")
+    lines = math.prod(r.stop - r.start for r in ranges)  # len() overflows past sys.maxsize
+    if lines * len(normals) > budget:
+        raise BudgetExceededError(
+            f"alpha = {alpha} scans {lines} lattice lines against {len(normals)} "
+            f"facet normals, budget is {budget} line-normal pairs")
     D = math.lcm(alpha.denominator, *(c.denominator for c in center))
     dc = tuple(c.numerator * (D // c.denominator) for c in center)
     scale = D // alpha.denominator * alpha.numerator
@@ -428,7 +417,7 @@ def zonotope_point_set(graph: PLGraph, alpha, center=None) -> ZonotopePointSet:
     center = tuple([Fraction(0)] * n) if center is None else tuple(map(Fraction, center))
     if len(center) != n:
         raise DimensionMismatchError(f"center has {len(center)} coordinates, dim is {n}")
-    budget = _budget(None)
+    budget = default_budget()
     lines = _lattice_lines(zonotope_of_graph(graph), alpha, center, budget)
     count = sum(hi - lo + 1 for lo, hi in lines.values())
     if count > budget:
@@ -469,7 +458,6 @@ def convergence_experiment(graph: PLGraph, alphas, *, budget: int | None = None)
         raise ValueError("alphas must be positive")
     if any(b <= a for a, b in zip(alphas, alphas[1:])):
         raise ValueError("alphas must be strictly increasing")
-    budget = _budget(budget)
     Z = zonotope_of_graph(graph)
     n = graph.dim
     vol_z = Z.volume()
@@ -519,7 +507,8 @@ class LimitingShapeRow:
 def _family_catalog(graph: PLGraph, m_max: int):
     """{m: members}: the sets Z^n cap (g Z + c) of m <= m_max points, c in {0, 1/2}^n,
     read from the gauge prefixes where the gauge jumps (the origin alone has
-    g = 0); the first in (g, c) order of each canonical form is kept."""
+    g = 0); the first in (g, c) order of each canonical form is kept.  The
+    prefixes are scanned under ISOZONO_BUDGET, as the local-search start is."""
     Z = zonotope_of_graph(graph)
     sets = {}
     for center in product((Fraction(0), Fraction(1, 2)), repeat=graph.dim):
@@ -533,11 +522,9 @@ def _family_catalog(graph: PLGraph, m_max: int):
     for m, entries in sets.items():
         uniq = {}
         for g, center, member in sorted(entries):
-            canon = canonical_set(member)
-            if canon not in uniq:
-                uniq[canon] = ZonotopePointSet(member, m, edge_boundary_direct(graph, member),
-                                               g, center)
-        catalog[m] = tuple(uniq.values())
+            uniq.setdefault(canonical_set(member), (member, g, center))
+        catalog[m] = tuple(ZonotopePointSet(s, m, edge_boundary_direct(graph, s), g, c)
+                           for s, g, c in uniq.values())
     return catalog
 
 
@@ -556,21 +543,19 @@ def limiting_shape_report(graph: PLGraph, m_max: int, *, box_radius: int | None 
     that row's family sets, so an `exhaustive` row's minimum is always <= the
     family boundaries listed beside it.  Rows whose (possibly enlarged) window
     exceeds the budget report family data only, with `exhaustive=False`.
-    m_max itself is capped by the budget, as local search caps m, since the
-    family catalog lists m_max + 1 points about each centre.
+    `budget` (ISOZONO_BUDGET when None) also caps m_max, as local search caps
+    m, since the family catalog lists m_max + 1 points about each centre; the
+    catalog's own scans run under ISOZONO_BUDGET (`_family_catalog`).
     """
     if m_max < 1:
         raise ValueError(f"m_max must be >= 1, got {m_max}")
-    budget = _budget(budget)
+    budget = default_budget(budget)
     if m_max > budget:
         raise BudgetExceededError(f"limiting-shape report up to m = {m_max}, "
                                   f"budget is {budget}")
     n = graph.dim
-    if box_radius is None:
-        box_radius = 1  # the least r with r^n >= m_max, then one more
-        while box_radius ** n < m_max:
-            box_radius += 1
-        box_radius += 1
+    if box_radius is None:  # the least r with r^n >= m_max, then one more
+        box_radius = 1 + next(r for r in count(1) if r ** n >= m_max)
     catalog = _family_catalog(graph, m_max)
     all_cards = sorted(catalog)
     rows = []

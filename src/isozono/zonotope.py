@@ -321,10 +321,8 @@ def hyperplane_section(Z: Zonotope, axis: int, level) -> Polytope:
             f"|level| = {abs(level)} exceeds the support value {h} along axis {axis}")
     ineqs = [(tuple(a for i, a in enumerate(normal) if i != axis), h - normal[axis] * level)
              for u, h in Z.facet_offsets for normal in (u, vneg(u))]
-    verts = hrep_vertices(ineqs, n - 1)
-    if not verts:
-        raise EmptySectionError(f"section at level {level} along axis {axis} is empty")
-    return convex_hull(verts)
+    # |level| <= h, so the hyperplane meets Z and the section has vertices.
+    return convex_hull(hrep_vertices(ineqs, n - 1))
 
 
 def homothety_check(P: Polytope, Q: Polytope):

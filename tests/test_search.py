@@ -4,7 +4,7 @@ import functools
 import math
 import random
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import example, given, settings
@@ -207,10 +207,31 @@ def test_symmetry_hints_collapse_witness_orbits():
     assert len(folded.witnesses) <= len(plain.witnesses)
 
 
+def _signed(g, p):
+    """p under the signed permutation g: y[i] = s * p[j] for the pair (j, s) at i."""
+    return tuple(s * p[j] for j, s in g)
+
+
+def _coordinate_symmetries(graph):
+    """Every signed permutation of the coordinates that maps the generator
+    set onto itself up to sign (at most 2^n n! of them)."""
+    n = graph.dim
+    signed = set(graph.generators) | {tuple(-a for a in v) for v in graph.generators}
+    group = set()
+    for perm in permutations(range(n)):
+        for signs in product((1, -1), repeat=n):
+            g = tuple(zip(perm, signs))
+            if {_signed(g, v) for v in signed} == signed:
+                group.add(g)
+    return group
+
+
 def _combinations_search(graph, m, r, witness_cap=100, symmetry_hints=None):
     """Slow oracle: the box search as one flat loop over
     combinations(range(1, npool + 1), m - 1), counting every m-set's inner
-    edges afresh with m popcounts."""
+    edges afresh with m popcounts.  With hints, witnesses are deduplicated
+    modulo the whole coordinate symmetry group of the graph, which the
+    hints must generate."""
     candidates, masks = search._candidate_masks(graph, r)
     npool = len(candidates) - 1
     const = 2 * len(graph.generators) * m
@@ -229,10 +250,18 @@ def _combinations_search(graph, m, r, witness_cap=100, symmetry_hints=None):
                 truncated = True
     sets = [canonical_set([candidates[0]] + [candidates[i] for i in c]) for c in combos]
     if symmetry_hints:
-        group = search._signed_permutation_closure(graph, symmetry_hints)
+        group = _coordinate_symmetries(graph)
+        generated = {tuple((j, 1) for j in range(graph.dim))}
+        while True:  # compose with every hint until nothing new appears
+            grown = generated | {tuple((g[j][0], g[j][1] * s) for j, s in h)
+                                 for g in generated for h in symmetry_hints}
+            if grown == generated:
+                break
+            generated = grown
+        assert generated == group, "the hints do not generate the symmetry group"
         orbits = {}
         for w in sets:
-            orbits.setdefault(search._orbit_canonical(w, group), w)
+            orbits.setdefault(min(canonical_set(_signed(g, p) for p in w) for g in group), w)
         sets = list(orbits.values())
     return SearchResult(m, best, tuple(sorted(sets)), True,
                         witnesses_truncated=truncated,
@@ -763,6 +792,15 @@ def test_limiting_shape_report_refuses_m_max_over_the_budget(monkeypatch):
     monkeypatch.setenv("ISOZONO_BUDGET", "36")
     with pytest.raises(BudgetExceededError):
         limiting_shape_report(LINF, 37)
+
+
+def test_limiting_shape_report_scans_its_family_catalog_under_isozono_budget(monkeypatch):
+    # The explicit budget caps m_max and each row's window; the gauge prefixes
+    # behind the family catalog are scanned under ISOZONO_BUDGET, like the
+    # local-search start, so no scan runs without a cap.
+    monkeypatch.setenv("ISOZONO_BUDGET", "2000")
+    with pytest.raises(BudgetExceededError, match="facet normals"):
+        limiting_shape_report(builtin_graph("linf:3").graph(), 200, budget=10**6)
 
 
 def test_limiting_shape_report_skips_over_budget_rows():

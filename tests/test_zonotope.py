@@ -16,13 +16,14 @@ from isozono.catalog import BUILTIN_NAMES, builtin_graph
 from isozono.errors import (
     AntipodalGeneratorError,
     DimensionMismatchError,
+    DuplicateGeneratorError,
     EmptySectionError,
     IsozonoError,
     RankDeficientError,
 )
 from isozono.geometry import convex_hull, hrep_vertices
 from isozono.intmat import (_bit_indices, _norm_num, canonical_sign, dot, primitive_part, rank,
-                            vadd)
+                            vadd, vneg)
 from isozono.plgraph import PLGraph, canonicalize_generators
 from isozono.zonotope import (
     FVector,
@@ -468,6 +469,55 @@ def test_hyperplane_section_errors():
         hyperplane_section(z, 0, 10)
     with pytest.raises(EmptySectionError):
         hyperplane_section(z, 0, Fraction(91, 10))
+
+
+_ZONOTOPES = st.one_of(  # the builtins memoised, so linf:4 is built once
+    st.sampled_from(BUILTIN_NAMES).map(lambda n: zonotope_of_graph(builtin_graph(n).graph())),
+    _generator_sets())
+
+
+@st.composite
+def _section_cases(draw):
+    """(Z, axis, level): a builtin or random zonotope, an axis and a rational
+    level in [-h, h], h the support value along the axis; the ends are drawn
+    as often as the inside."""
+    z = draw(_ZONOTOPES)
+    axis = draw(st.integers(0, z.dim - 1))
+    h = z.support(tuple(int(i == axis) for i in range(z.dim)))
+    level = draw(st.one_of(st.sampled_from((-h, h)), st.fractions(-h, h, max_denominator=7)))
+    return z, axis, level
+
+
+@settings(max_examples=60, deadline=None)
+@given(_section_cases())
+def test_hyperplane_section_is_nonempty_up_to_the_support_value(case):
+    # |level| <= h puts the hyperplane through Z, so the section has a vertex;
+    # its first and last vertices, lifted back to the axis, lie in Z.
+    z, axis, level = case
+    sec = hyperplane_section(z, axis, level)
+    assert sec.vertices
+    for v in (sec.vertices[0], sec.vertices[-1]):
+        x = v[:axis] + (level,) + v[axis:]
+        assert all(abs(dot(u, x)) <= c for u, c in z.facet_offsets)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_ZONOTOPES, st.data())
+def test_a_repeated_or_negated_generator_is_refused_by_the_pairwise_check(z, data):
+    # The input signs are drawn, then one vector is added again, as itself
+    # or negated; that pair is the only clash, and the error names it.
+    vecs = [data.draw(st.sampled_from((g, vneg(g)))) for g in z.generators]
+    i = data.draw(st.integers(0, len(vecs) - 1))
+    j = data.draw(st.integers(0, len(vecs)))
+    vecs.insert(j, data.draw(st.sampled_from((vecs[i], vneg(vecs[i])))))
+    v, w = (vecs[k] for k in sorted((i + (j <= i), j)))
+    if v == w:
+        error, message = DuplicateGeneratorError, f"generator {v} appears twice"
+    else:
+        error, message = AntipodalGeneratorError, f"generators {v} and {w} are antipodal"
+    with pytest.raises(error) as exc:
+        canonicalize_generators(z.dim, vecs)
+    assert str(exc.value) == message
 
 
 def test_section_at_rational_level():
