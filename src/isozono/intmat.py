@@ -10,7 +10,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from .errors import DimensionMismatchError, ZeroVectorError
+from .errors import DimensionMismatchError, IsozonoError, ZeroVectorError
 
 
 def dot(u, v):
@@ -76,6 +76,31 @@ def integerize(v):
     to a primitive int vector."""
     scale = lcm(*(a.denominator for a in v))
     return primitive_part(tuple(int(a * scale) for a in v))
+
+
+def int_point(p):
+    """p as a tuple of ints; raises if a coordinate is not integral."""
+    q = tuple(map(int, p))
+    if q != tuple(p):
+        raise IsozonoError(f"point {tuple(p)} has a non-integer coordinate")
+    return q
+
+
+def pack(v, R: int) -> int:
+    """sum_i v_i R^(n-1-i): one balanced digit per coordinate, the first the
+    most significant.  For odd R and every |v_i| <= R // 2 this is injective
+    and keeps tuple order, and pack(u) + pack(w) = pack(u + w)."""
+    code = 0
+    for a in v:
+        code = code * R + a
+    return code
+
+
+def unpack(code: int, R: int, n: int):
+    """The n-vector whose `pack` in the odd radix R is `code`."""
+    half = R // 2
+    code += half * (R ** n - 1) // (R - 1)  # the code of (half, ..., half)
+    return tuple(code // R ** i % R - half for i in range(n - 1, -1, -1))
 
 
 def xgcd(a: int, b: int):

@@ -12,12 +12,14 @@ The central counting fact implemented here: for any finite set S,
 
 where a "gap" along v is a point x not in S with x - v in S but x + b*v in S
 for some b >= 1.  `boundary_identity_report` evaluates both sides
-independently.
+independently, both on packed integer codes (`intmat.pack`, p +- v one int
+addition).  Non-integer coordinates are rejected, not truncated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import (
     AntipodalGeneratorError,
@@ -27,12 +29,12 @@ from .errors import (
     RankDeficientError,
     ZeroVectorError,
 )
-from .intmat import canonical_sign, content, is_zero, rank, vneg
+from .intmat import canonical_sign, content, int_point, is_zero, pack, rank, vneg
 
 
 def canonicalize_generators(dim: int, raw):
     """Validate and canonicalize generator vectors (shared with zonotopes)."""
-    vecs = [tuple(int(a) for a in v) for v in raw]
+    vecs = [int_point(v) for v in raw]
     for v in vecs:
         if len(v) != dim:
             raise DimensionMismatchError(f"generator {v} does not have dimension {dim}")
@@ -71,51 +73,62 @@ def validate_pl_graph(dim: int, generators) -> PLGraph:
 
 
 def as_lattice_set(points, dim: int) -> frozenset:
-    pts = frozenset(tuple(int(a) for a in p) for p in points)
+    pts = frozenset(map(int_point, points))
     for p in pts:
         if len(p) != dim:
             raise DimensionMismatchError(f"point {p} does not have dimension {dim}")
     return pts
 
 
+def _packed(S, generators):
+    """({code: p} for S, [code of each generator]) in radix R = 2(r + 1)(g + 1) + 1,
+    r the largest |coordinate| of S and g the largest |generator entry|: every
+    p +- v and line key p - t*v, |t| <= r, is within R // 2 = (r + 1)(g + 1)."""
+    r = max(map(abs, chain.from_iterable(S)), default=0)
+    g = max(map(abs, chain.from_iterable(generators)))
+    R = 2 * (r + 1) * (g + 1) + 1
+    return {pack(p, R): p for p in S}, [pack(v, R) for v in generators]
+
+
+def _outside_steps(codes, steps) -> int:
+    """The pairs (p, s = +-v) with p + s outside the packed set (`_packed`)."""
+    return sum(len({c + s for c in codes} - codes.keys()) for v in steps for s in (v, -v))
+
+
 def edge_boundary_direct(graph: PLGraph, points) -> int:
-    """Count edges with exactly one endpoint in the set, by direct adjacency scan."""
-    S = as_lattice_set(points, graph.dim)
-    count = 0
-    for p in S:
-        for v in graph.generators:
-            if tuple(a + b for a, b in zip(p, v)) not in S:
-                count += 1
-            if tuple(a - b for a, b in zip(p, v)) not in S:
-                count += 1
-    return count
+    """Count edges with exactly one endpoint in the set, by direct adjacency
+    scan on packed codes."""
+    return _outside_steps(*_packed(as_lattice_set(points, graph.dim), graph.generators))
 
 
-def _lines_and_gaps(S, v):
+def _lines_and_gaps(packed, v, cv):
     """(lines, gaps) of a finite set along v: the lines x + Z*v meeting it,
     and its resumption gaps, (number of maximal runs) - 1 on each line.
 
     Primitivity of v makes the parameter along a line an integer: two set
-    points on a common line differ by an integer multiple of v.
+    points on a common line differ by an integer multiple of v.  On the
+    packed set {code: p} (`_packed`, cv the code of v) the line of p is keyed
+    by code(p - t*v) = code(p) - t*cv, with t = p_j // v_j at v's first nonzero j.
     """
     j = next(i for i, a in enumerate(v) if a != 0)
     lines = {}
-    for p in S:
+    for c, p in packed.items():
         t = p[j] // v[j]
-        key = tuple(a - t * b for a, b in zip(p, v))
-        lines.setdefault(key, []).append(t)
-    gaps = 0
+        lines.setdefault(c - t * cv, []).append(t)
     for ts in lines.values():
         ts.sort()
-        for a, b in zip(ts, ts[1:]):
-            if b > a + 1:
-                gaps += 1
-    return len(lines), gaps
+    return len(lines), sum(b > a + 1 for ts in lines.values() for a, b in zip(ts, ts[1:]))
+
+
+def _generator_lines(graph: PLGraph, points, generator):
+    (v,) = as_lattice_set([generator], graph.dim)
+    packed, (cv,) = _packed(as_lattice_set(points, graph.dim), [v])
+    return _lines_and_gaps(packed, v, cv)
 
 
 def projection_count(graph: PLGraph, points, generator) -> int:
     """Number of distinct lines x + Z*generator meeting the set."""
-    return _lines_and_gaps(as_lattice_set(points, graph.dim), tuple(generator))[0]
+    return _generator_lines(graph, points, generator)[0]
 
 
 def gap_count(graph: PLGraph, points, generator) -> int:
@@ -124,7 +137,7 @@ def gap_count(graph: PLGraph, points, generator) -> int:
     A gap is a point x with x - v in S, x not in S, and x + b*v in S for some
     b >= 1; on each line this counts (number of maximal runs) - 1.
     """
-    return _lines_and_gaps(as_lattice_set(points, graph.dim), tuple(generator))[1]
+    return _generator_lines(graph, points, generator)[1]
 
 
 @dataclass(frozen=True)
@@ -146,8 +159,9 @@ def boundary_identity_report(graph: PLGraph, points) -> EdgeBoundaryReport:
     `identity_holds` is a theorem for valid inputs; False signals an
     implementation bug, and callers should treat it as such.
     """
-    S = as_lattice_set(points, graph.dim)
-    direct = edge_boundary_direct(graph, S)
-    rows = tuple((v, *_lines_and_gaps(S, v)) for v in graph.generators)
+    packed, codes = _packed(as_lattice_set(points, graph.dim), graph.generators)
+    direct = _outside_steps(packed, codes)
+    rows = tuple((v, *_lines_and_gaps(packed, v, cv))
+                 for v, cv in zip(graph.generators, codes))
     report = EdgeBoundaryReport(direct, rows, False)
     return EdgeBoundaryReport(direct, rows, report.identity_count == direct)

@@ -27,12 +27,12 @@ import random
 from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count, product
+from itertools import chain, count, product
 
 from .catalog import _apply_hint, check_symmetry_hints
 from .errors import BudgetExceededError, DimensionMismatchError
 from .geometry import convex_hull
-from .intmat import _bit_indices, _norm_num, dot, vadd, vneg
+from .intmat import _bit_indices, _norm_num, dot, int_point, pack, unpack, vadd, vneg
 from .lattice import lattice_lines
 from .plgraph import PLGraph, edge_boundary_direct
 from .zonotope import Zonotope, zonotope_of_graph
@@ -62,7 +62,7 @@ def default_budget(budget=None) -> int:
 
 def canonical_set(points):
     """Translate so the lexicographically smallest point is the origin; sort."""
-    pts = sorted(tuple(int(c) for c in p) for p in points)
+    pts = sorted(map(int_point, points))
     base = pts[0]
     return tuple(tuple(a - b for a, b in zip(p, base)) for p in pts)
 
@@ -295,7 +295,8 @@ def local_search_min_boundary(graph: PLGraph, m: int, iterations: int = 20000,
     the origin; the enumeration budget caps m and that start's line scans.
     A move from S to S' u {cand}, with S' = S - {out}, changes |dS| by
     2|N(out) & S'| - 2|N(cand) & S'|: out's edges into S' become boundary
-    edges and cand's stop being ones.
+    edges and cand's stop being ones.  Points are `intmat.pack` codes: a
+    neighbour is one int addition, and sorted codes are sorted points.
     """
     if m < 1:
         raise ValueError(f"cardinality must be >= 1, got {m}")
@@ -305,30 +306,36 @@ def local_search_min_boundary(graph: PLGraph, m: int, iterations: int = 20000,
     if m > budget:
         raise BudgetExceededError(f"local search of {m} points, budget is {budget}")
     rng = random.Random(seed)
-    start = _smallest_gauges(zonotope_of_graph(graph), m, (Fraction(0),) * graph.dim, budget)
-    current = {p for _, p in start}
+    origin = (Fraction(0),) * graph.dim
+    start = [p for _, p in _smallest_gauges(zonotope_of_graph(graph), m, origin, budget)]
     gens = graph.generators
-    steps = [*gens, *map(vneg, gens)]
-    cur_b = edge_boundary_direct(graph, current)
+    # Each move lands one generator step from the set and each lookup one
+    # step further, so no point met has a coordinate beyond R // 2.
+    R = 2 * (max(map(abs, chain.from_iterable(start)))
+             + (iterations + 1) * max(map(abs, chain.from_iterable(gens)))) + 1
+    order = sorted(pack(p, R) for p in start)  # tuple order, so each seed draws as before
+    current = set(order)
+    codes = [pack(v, R) for v in gens]
+    steps = [*codes, *(-c for c in codes)]
+    cur_b = edge_boundary_direct(graph, start)
     best_b = cur_b
     best_set = frozenset(current)
     temperature = float(graph.degree)
     cooling = 0.999
-    order = sorted(current)  # kept sorted, so each seed draws as before
     if m > 1:
         for _ in range(iterations):
             k = rng.choice(range(len(order)))
             out = order[k]
             i = rng.choice(range(len(order) - 1))
             anchor = order[i + (i >= k)]
-            v = rng.choice(gens)
-            cand = vadd(anchor, v) if rng.random() < 0.5 else vadd(anchor, vneg(v))
+            v = rng.choice(codes)
+            cand = anchor + v if rng.random() < 0.5 else anchor - v
             if cand in current and cand != out:
                 temperature *= cooling
                 continue
             current.discard(out)
-            delta = 2 * (sum(vadd(out, s) in current for s in steps)
-                         - sum(vadd(cand, s) in current for s in steps))
+            delta = 2 * (sum(out + s in current for s in steps)
+                         - sum(cand + s in current for s in steps))
             if delta <= 0 or rng.random() < math.exp(-delta / max(temperature, 1e-9)):
                 current.add(cand)
                 del order[k]
@@ -340,7 +347,7 @@ def local_search_min_boundary(graph: PLGraph, m: int, iterations: int = 20000,
             else:
                 current.add(out)
             temperature *= cooling
-    witness = canonical_set(best_set)
+    witness = canonical_set(unpack(c, R, graph.dim) for c in best_set)
     return SearchResult(m, best_b, (witness,), False, evaluated=iterations)
 
 

@@ -47,6 +47,8 @@ from .intmat import (
     det,
     dot,
     independent_rows,
+    pack,
+    unpack,
     vneg,
 )
 from .plgraph import PLGraph, canonicalize_generators
@@ -101,20 +103,12 @@ class Zonotope:
 
     @cached_property
     def _codes(self):
-        """{generator: packed code sum_i g_i R^(n-1-i)} in radix R = `_radix`."""
-        R, n = self._radix, self.dim
-        return {g: sum(a * R ** (n - 1 - i) for i, a in enumerate(g)) for g in self.generators}
+        """{generator: its `pack` code in radix R = `_radix`}."""
+        return {g: pack(g, self._radix) for g in self.generators}
 
     def _centre(self, code):
-        """The point whose packed code is `code`: its balanced digits."""
-        R, n = self._radix, self.dim
-        half = R // 2
-        code += half * (R ** n - 1) // (R - 1)  # the code of (half, ..., half)
-        digits = []
-        for _ in range(n):
-            code, d = divmod(code, R)
-            digits.append(d - half)
-        return tuple(reversed(digits))
+        """The point whose packed code is `code`."""
+        return unpack(code, self._radix, self.dim)
 
     @cached_property
     def _faces(self):

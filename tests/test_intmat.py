@@ -24,8 +24,10 @@ from isozono.intmat import (
     integerize,
     kernel_basis,
     kernel_chart,
+    pack,
     primitive_part,
     rank,
+    unpack,
     xgcd,
 )
 
@@ -284,3 +286,31 @@ def test_rank_counts_pivots_like_the_kernel(data):
     picked = independent_rows(rows, dim)
     assert picked == _greedy_independent_rows(rows, dim)
     assert rank(rows, dim) == len(picked) == dim - len(kernel_basis(rows, dim))
+
+
+@st.composite
+def _radix_and_vectors(draw):
+    """An odd radix R = 2h + 1 (small or up to about 2 * 10^18) and three
+    n-vectors, n = 1..5, with entries in [-h, h], extremes mixed in."""
+    n = draw(st.integers(1, 5))
+    h = draw(st.one_of(st.integers(1, 4), st.integers(1, 10 ** 18)))
+    entry = st.one_of(st.sampled_from((-h, -h + 1, 0, h - 1, h)), st.integers(-h, h))
+    u, w, x = (tuple(draw(st.lists(entry, min_size=n, max_size=n))) for _ in range(3))
+    return 2 * h + 1, u, w, x
+
+
+@settings(max_examples=300, deadline=None)
+@given(_radix_and_vectors())
+@example((3, (1, -1), (-1, 1), (0, 0)))
+@example((5, (2, -2, 2), (2, -2, 1), (-2, 2, -2)))
+def test_pack_is_an_order_preserving_additive_bijection(data):
+    R, u, w, x = data
+    n, half = len(u), R // 2
+    for v in (u, w, x):
+        assert unpack(pack(v, R), R, n) == v
+    for a, b in ((u, w), (w, x), (u, x)):
+        assert (pack(a, R) < pack(b, R)) == (a < b)
+        assert (pack(a, R) == pack(b, R)) == (a == b)
+        total = tuple(s + t for s, t in zip(a, b))
+        if all(abs(c) <= half for c in total):
+            assert pack(a, R) + pack(b, R) == pack(total, R)

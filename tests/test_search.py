@@ -39,6 +39,9 @@ TRI = builtin_graph("tri").graph()
 
 def test_canonical_set_translates_lex_min_to_origin():
     assert canonical_set([(5, 7), (6, 7), (5, 8)]) == ((0, 0), (0, 1), (1, 0))
+    assert canonical_set([(Fraction(5), 7.0)]) == ((0, 0),)
+    with pytest.raises(IsozonoError, match=r"point \(0\.5, 0\)"):
+        canonical_set([(0, 0), (0.5, 0)])
     assert canonical_set([(0, 0)]) == ((0, 0),)
     # translation-invariant
     assert canonical_set([(2, -3), (3, -3)]) == canonical_set([(0, 0), (1, 0)])
@@ -405,6 +408,11 @@ def test_local_search_boundary_delta_matches_full_recount():
     for graph, m, seed in product(GRAPHS_WITH_SKEW, (1, 2, 5, 9, 14), (0, 3, 8)):
         assert (local_search_min_boundary(graph, m, 400, seed)
                 == _full_recount_local_search(graph, m, 400, seed)), (graph.generators, m, seed)
+    # Long walks leave the start far behind: a pair stays adjacent and drifts
+    # about sqrt(3000) steps, and at m = 14 the best set still changes late.
+    for graph, m, seed in product((L1, SKEW), (2, 14), (0, 3, 8)):
+        assert (local_search_min_boundary(graph, m, 3000, seed)
+                == _full_recount_local_search(graph, m, 3000, seed)), (graph.generators, m, seed)
 
 
 def _fraction_gauge(normals, p, center):
