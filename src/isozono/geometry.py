@@ -13,13 +13,13 @@ Both hull directions go through one integer double-description routine,
 set are extreme rays of its cone of valid inequalities, and vertices of an
 H-representation are extreme rays of its homogenisation.  Dimensions 1 and
 2 keep min/max and the monotone chain, 5-9x faster than the cone method on
-3 to 40 points; volumes and sweeps of 3-polytopes build many 2-D facet
-hulls.  Zonotopes use their own dedicated enumeration elsewhere.
+3 to 40 points.  Zonotopes use their own dedicated enumeration elsewhere.
 
 Flat bodies are handled in one integer chart, `intmat.kernel_chart`: a
 lattice basis of the direction space plus integer rows `left` with
 left . basis = I, so chart coordinates are dot products, exact for rational
-points.  Facets are read in coordinate shadows (`_facet_lattice_volume`).
+points.  Facets need neither: their cells come from one pulling
+triangulation of the body's vertex-facet incidences (`_pulling_triangulation`).
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
+from math import factorial
 from operator import and_
 
 from .errors import (
@@ -36,9 +37,11 @@ from .errors import (
     ZeroVectorError,
 )
 from .intmat import (
+    _bit_indices,
     _norm_num,
     content,
     cross_nd,
+    det,
     dot,
     embed,
     gram_det,
@@ -176,10 +179,27 @@ class Polytope:
 
     @cached_property
     def _cells(self):
-        return tuple(
-            (normal, offset, _facet_lattice_volume(
-                self.dim, normal, [v for v in self.vertices if dot(normal, v) == offset]))
-            for normal, offset in self.facets)
+        # A cell is the facet's shadow volume, summed over its simplices, over
+        # |normal[k]| for the first k with normal[k] != 0: dropping coordinate
+        # k is injective on H = normal-perp and maps H cap Z^n onto the kernel
+        # of y -> <normal_-k, y> mod |normal[k]|, of index |normal[k]| as the
+        # normal is primitive (Beck and Robins, Computing the Continuous
+        # Discretely, ch. 3 and 5).
+        verts, n = self.vertices, self.dim
+        masks = [sum(1 << i for i, v in enumerate(verts) if dot(normal, v) == offset)
+                 for normal, offset in self.facets]
+        memo = {}
+        cells = []
+        for (normal, offset), mask in zip(self.facets, masks):
+            k = next(i for i, a in enumerate(normal) if a)
+            total = 0
+            for simplex in _pulling_triangulation(mask, n - 1, masks, memo):
+                w, *rest = (verts[i] for i in _bit_indices(simplex))
+                total += abs(det([[a - b for j, (a, b) in enumerate(zip(v, w)) if j != k]
+                                  for v in rest]))
+            cells.append((normal, offset,
+                          _norm_num(Fraction(total, factorial(n - 1) * abs(normal[k])))))
+        return tuple(cells)
 
     def cycle(self):
         """Vertices of a 2-polytope in counterclockwise cyclic order, from the
@@ -353,24 +373,32 @@ def _shoelace(cycle):
     return _norm_num(Fraction(abs(total), 2))
 
 
-def _facet_lattice_volume(dim, normal, tight_vertices):
-    """(dim-1)-volume of a facet in an integer basis of H = normal-perp: the
-    volume of its shadow with coordinate k dropped, over |normal[k]|, for the
-    first k with normal[k] != 0.
+def _pulling_triangulation(mask, dim, faces, memo):
+    """Simplices, as vertex masks, of a pulling triangulation of the face
+    with vertex mask `mask` and dimension `dim`.
 
-    Dropping k is injective on H (x in H with x_j = 0 for j != k has
-    normal[k] x_k = 0) and maps H cap Z^dim onto the kernel of
-    y -> <normal_-k, y> mod |normal[k]|, which is onto Z/|normal[k]| as the
-    normal is primitive: a sublattice of index |normal[k]| (Beck and Robins,
-    Computing the Continuous Discretely, ch. 3 and 5).  So every shadow is
-    full-dimensional, needs none of the checks of `convex_hull`, and a 1-D
-    one measures max - min.
+    `faces` are vertex masks whose intersections with `mask` include every
+    facet of the face: the polytope's facets, or the facets of a face one
+    dimension up (a ridge of that face is the meet of two of its facets).
+    The facets are the maximal intersections other than the face itself,
+    and each has at least `dim` vertices.  The face is the union of the
+    cones from its lowest vertex over the facets that miss it (Büeler, Enge
+    and Fukuda, "Exact volume computation for polytopes", 2000).  `memo`
+    holds each face's simplices once for every face that shares it.
     """
-    if dim == 1:
-        return 1
-    k = next(i for i, a in enumerate(normal) if a)
-    shadow = _hull_full(sorted(v[:k] + v[k + 1:] for v in tight_vertices), dim - 1)
-    return _norm_num(Fraction(shadow.volume(), abs(normal[k])))
+    if mask.bit_count() == dim + 1:
+        return (mask,)
+    if mask not in memo:
+        low = mask & -mask
+        subs = {mask & m for m in faces}
+        facets = []  # a subset of a kept facet comes after it in this order
+        for s in sorted((s for s in subs if s != mask and s.bit_count() >= dim),
+                        key=int.bit_count, reverse=True):
+            if not any(s & f == s for f in facets):
+                facets.append(s)
+        memo[mask] = tuple(low | s for f in facets if not f & low
+                           for s in _pulling_triangulation(f, dim - 1, facets, memo))
+    return memo[mask]
 
 
 # -- named operations --------------------------------------------------------

@@ -61,8 +61,8 @@ def projection_lattice_det_squared(a) -> Fraction:
     orthogonal-lattice basis); disagreement raises, by design.
     """
     a = tuple(int(x) for x in a)
+    basis = dual_projection_lattice_basis(a)  # rejects a zero or non-primitive a
     closed = Fraction(1, dot(a, a))
-    basis = dual_projection_lattice_basis(a)
     computed = Fraction(1, basis.gram_determinant)
     if closed != computed:
         raise InternalConsistencyError(

@@ -122,6 +122,8 @@ def _lines_and_gaps(packed, v, cv):
 
 def _generator_lines(graph: PLGraph, points, generator):
     (v,) = as_lattice_set([generator], graph.dim)
+    if is_zero(v):
+        raise ZeroVectorError("lines along the zero vector are not defined")
     packed, (cv,) = _packed(as_lattice_set(points, graph.dim), [v])
     return _lines_and_gaps(packed, v, cv)
 

@@ -61,8 +61,11 @@ def default_budget(budget=None) -> int:
 
 
 def canonical_set(points):
-    """Translate so the lexicographically smallest point is the origin; sort."""
+    """Translate so the lexicographically smallest point is the origin; sort.
+    The empty set is its own canonical form, ()."""
     pts = sorted(map(int_point, points))
+    if not pts:
+        return ()
     base = pts[0]
     return tuple(tuple(a - b for a, b in zip(p, base)) for p in pts)
 

@@ -63,6 +63,7 @@ class Zonotope:
 
     def support(self, u) -> int:
         """Support value h(u) = sum |<u, v_i>| (the facet offset in direction u)."""
+        self._check_length(u)
         return sum(abs(dot(u, g)) for g in self.generators)
 
     def volume(self) -> int:
@@ -76,8 +77,15 @@ class Zonotope:
 
     def sweep(self, v) -> int:
         """vol(Z + [0, v]) - vol(Z) = 2^(n-1) sum_u w(u) |<u, v>| over the minor table."""
+        self._check_length(v)
         return 2 ** (self.dim - 1) * sum(
             w * abs(dot(u, v)) for u, w in self.minor_table.items())
+
+    def _check_length(self, u):
+        # `dot` zips, so a vector of another length would give a wrong answer.
+        if len(u) != self.dim:
+            raise DimensionMismatchError(
+                f"vector of length {len(u)} vs zonotope of dimension {self.dim}")
 
     @cached_property
     def minor_table(self):
@@ -282,6 +290,13 @@ class FacetSlice:
     is_facet: bool
 
 
+def _axis_unit(Z: Zonotope, axis: int):
+    """The unit vector of coordinate `axis` (0-based) of Z's space."""
+    if not 0 <= axis < Z.dim:
+        raise DimensionMismatchError(f"axis {axis} out of range for dimension {Z.dim}")
+    return tuple(int(i == axis) for i in range(Z.dim))
+
+
 def facet_polytope(Z: Zonotope, axis: int) -> FacetSlice:
     """The face of Z maximizing coordinate `axis` (0-based).
 
@@ -292,11 +307,7 @@ def facet_polytope(Z: Zonotope, axis: int) -> FacetSlice:
     those do not span the hyperplane the face is lower-dimensional and
     `is_facet` is False.
     """
-    n = Z.dim
-    if not 0 <= axis < n:
-        raise IndexError(f"axis {axis} out of range for dimension {n}")
-    shift, _ = _face_split(tuple(int(i == axis) for i in range(n)),
-                           Z.generators, Z.generators, Z._codes)
+    shift, _ = _face_split(_axis_unit(Z, axis), Z.generators, Z.generators, Z._codes)
     t = Z._centre(shift)
     face = convex_hull([tuple(a - b for i, (a, b) in enumerate(zip(v, t)) if i != axis)
                         for v in Z.polytope().vertices if v[axis] == t[axis]])
@@ -306,10 +317,8 @@ def facet_polytope(Z: Zonotope, axis: int) -> FacetSlice:
 def hyperplane_section(Z: Zonotope, axis: int, level) -> Polytope:
     """Slice {x in Z : x[axis] = level} in the dropped-axis chart."""
     n = Z.dim
-    if not 0 <= axis < n:
-        raise IndexError(f"axis {axis} out of range for dimension {n}")
     level = Fraction(level)
-    h = Z.support(tuple(1 if i == axis else 0 for i in range(n)))
+    h = Z.support(_axis_unit(Z, axis))
     if abs(level) > h:
         raise EmptySectionError(
             f"|level| = {abs(level)} exceeds the support value {h} along axis {axis}")

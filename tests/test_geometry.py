@@ -24,8 +24,8 @@ from isozono.geometry import (
     polytope_volume,
     project_polytope,
 )
-from isozono.intmat import (dot, embed, integerize, is_zero, kernel_chart, rank, vadd, vneg,
-                            vsub)
+from isozono.intmat import (_norm_num, dot, embed, integerize, is_zero, kernel_chart, rank, vadd,
+                            vneg, vsub)
 from test_intmat import leibniz_det, signed_minors
 
 OCTAGON = [(3, 1), (1, 3), (-1, 3), (-3, 1), (-3, -1), (-1, -3), (1, -3), (3, -1)]
@@ -179,11 +179,47 @@ def _rational_bodies(draw):
     return P
 
 
+def _assert_cells_and_volume_match_the_chart_oracle(P):
+    # Equal values of equal types: an integral cell stays an int.
+    cells = _chart_cells(P)
+    assert list(map(repr, P.facet_cells())) == list(map(repr, cells))
+    apex = P.vertices[0]
+    cone = sum((Fraction(c) - dot(a, apex)) * cell for a, c, cell in cells) / P.dim
+    assert repr(P.volume()) == repr(_norm_num(cone))
+
+
 @settings(max_examples=60, deadline=None)
 @given(_rational_bodies())
 def test_facet_cells_match_the_chart_oracle(P):
-    # Equal values of equal types: an integral cell stays an int.
-    assert list(map(repr, P.facet_cells())) == list(map(repr, _chart_cells(P)))
+    _assert_cells_and_volume_match_the_chart_oracle(P)
+
+
+@st.composite
+def _grid_bodies(draw):
+    """Hulls of up to 40 points of the grid [-3, 3]^n, n = 3 or 4: many points
+    are coplanar, so facets and their faces are often not simplices."""
+    dim = draw(st.integers(3, 4))
+    pts = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * dim), min_size=dim + 1,
+                        max_size=40))
+    P = convex_hull(pts)
+    assume(P.chart is None)
+    return P
+
+
+@settings(max_examples=40, deadline=None)
+@given(_grid_bodies())
+def test_non_simplicial_facet_cells_match_the_chart_oracle(P):
+    _assert_cells_and_volume_match_the_chart_oracle(P)
+
+
+@pytest.mark.parametrize("name", ["l1:3", "linf:3", "l1:4", "d4cross"])
+def test_zonotope_facet_cells_and_images_match_the_chart_oracle(name):
+    # The images carry their facets from the body, with no hull of their own.
+    P = builtin_graph(name).zonotope().polytope()
+    n = P.dim
+    for Q in (P, P.scale(Fraction(3, 2)), P.translate((1, -2, 3, -1)[:n]),
+              P.scale(Fraction(2, 3)).translate((Fraction(1, 3),) * n)):
+        _assert_cells_and_volume_match_the_chart_oracle(Q)
 
 
 def test_translate_scale_round_trip():

@@ -70,6 +70,8 @@ def test_dual_basis_rejects_bad_input():
         dual_projection_lattice_basis((2, 4))
     with pytest.raises(ZeroVectorError):
         dual_projection_lattice_basis((0, 0, 0))
+    with pytest.raises(ZeroVectorError):
+        projection_lattice_det_squared((0, 0))
 
 
 def test_octagon_point_counts():

@@ -80,6 +80,10 @@ def test_projection_and_gap_counts():
     assert projection_count(l1, holed, (1, 0)) == 1
     assert gap_count(l1, holed, (1, 0)) == 1
     assert edge_boundary_direct(l1, holed) == 2 * (1 + 1 + 2 + 0)
+    with pytest.raises(ZeroVectorError):
+        projection_count(l1, holed, (0, 0))
+    with pytest.raises(ZeroVectorError):
+        gap_count(l1, holed, (0, 0))
 
 
 def test_boundary_identity_report_structure():

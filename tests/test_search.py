@@ -43,6 +43,7 @@ def test_canonical_set_translates_lex_min_to_origin():
     with pytest.raises(IsozonoError, match=r"point \(0\.5, 0\)"):
         canonical_set([(0, 0), (0.5, 0)])
     assert canonical_set([(0, 0)]) == ((0, 0),)
+    assert canonical_set([]) == ()
     # translation-invariant
     assert canonical_set([(2, -3), (3, -3)]) == canonical_set([(0, 0), (1, 0)])
 

@@ -85,6 +85,16 @@ def test_support_function_is_sum_of_abs():
     assert z.support((1, 1, 1)) == sum(abs(dot((1, 1, 1), g)) for g in z.generators)
 
 
+@pytest.mark.parametrize("u", [(1,), (1, 0, 0), (0, 0, 1)])
+def test_support_and_sweep_reject_a_vector_of_another_length(u):
+    # `dot` zips: on l1:2, (1, 0, 0) read as (1, 0) gave support 1 and sweep 2.
+    z = Z("l1:2")
+    with pytest.raises(DimensionMismatchError):
+        z.support(u)
+    with pytest.raises(DimensionMismatchError):
+        z.sweep(u)
+
+
 def test_f_vector_oracles_2d_3d():
     assert tuple(f_vector(Z("linf:2"))) == (8, 8)
     assert tuple(f_vector(Z("l1:2"))) == (4, 4)
@@ -469,6 +479,11 @@ def test_hyperplane_section_errors():
         hyperplane_section(z, 0, 10)
     with pytest.raises(EmptySectionError):
         hyperplane_section(z, 0, Fraction(91, 10))
+    for axis in (-1, 3):
+        with pytest.raises(DimensionMismatchError):
+            hyperplane_section(z, axis, 0)
+        with pytest.raises(DimensionMismatchError):
+            facet_polytope(z, axis)
 
 
 _ZONOTOPES = st.one_of(  # the builtins memoised, so linf:4 is built once
