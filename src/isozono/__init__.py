@@ -21,7 +21,7 @@ from .errors import (AntipodalGeneratorError, BudgetExceededError,
                      DuplicateGeneratorError, EmptySectionError, FormatError,
                      InternalConsistencyError, IsozonoError,
                      NonPrimitiveGeneratorError, RankDeficientError,
-                     ZeroVectorError)
+                     UnpairedSegmentError, ZeroVectorError)
 from .geometry import (Polytope, convex_hull, hrep_vertices,
                        minkowski_sum_segment, points_from_text, points_to_text,
                        polytope_from_text, polytope_to_text, polytope_volume,

@@ -45,8 +45,12 @@ class BudgetExceededError(IsozonoError):
     """An enumeration would exceed the configured work budget (ISOZONO_BUDGET)."""
 
 
+class UnpairedSegmentError(IsozonoError):
+    """A one-sided segment [0, w] has no partner [0, -w]."""
+
+
 class FormatError(IsozonoError):
-    """A text file could not be parsed; message includes path and line number."""
+    """Text input could not be parsed; a file's message includes path and line number."""
 
 
 class InternalConsistencyError(IsozonoError):

@@ -34,6 +34,8 @@ from .intmat import canonical_sign, content, int_point, is_zero, pack, rank, vne
 
 def canonicalize_generators(dim: int, raw):
     """Validate and canonicalize generator vectors (shared with zonotopes)."""
+    if dim < 1:
+        raise DimensionMismatchError(f"dimension must be at least 1, got {dim}")
     vecs = [int_point(v) for v in raw]
     for v in vecs:
         if len(v) != dim:

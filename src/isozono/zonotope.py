@@ -18,11 +18,14 @@ t_u = sum sign(<u, v>) v over the rest; the facet with normal -u is its
 negative.  The centre t of a face lies in its relative interior, so distinct
 faces have distinct centres and one recursion (`_flat_faces`) names every
 face by its centre, a signed sum of generators and so an integer point of
-Z^n.  The top level takes its normals from the minor table; a lower flat
-takes them, by the same rule, in a chart of coordinates on which it projects
-injectively.  Every proper face lies on a facet and is a face of it, so the
-union over facets is complete: the vertices are the centres of dimension 0,
-and the f-vector counts centres by dimension.
+Z^n.  A flat with as many generators as its rank is a parallelepiped, whose
+faces are its signed sums in closed form.  Otherwise the top level takes its
+normals from the minor table, and a lower flat takes them, by the same rule,
+in a chart of coordinates on which it projects injectively.  Every proper
+face lies on a facet and is a face of it, so the union over facets is
+complete: the vertices are the centres of dimension 0, and the f-vector
+counts centres by dimension.  A hyperplane section cuts Z only by the facets
+that the hyperplane meets.
 
 Coordinate i of a centre lies in [-h(e_i), h(e_i)], so the recursion keeps
 each centre packed as one int, sum_i t_i R^(n-1-i) with balanced digits in
@@ -37,7 +40,8 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations
 
-from .errors import DimensionMismatchError, EmptySectionError, RankDeficientError
+from .errors import (DimensionMismatchError, EmptySectionError, FormatError, RankDeficientError,
+                     UnpairedSegmentError)
 from .geometry import Polytope, convex_hull, hrep_vertices
 from .intmat import (
     _norm_num,
@@ -164,7 +168,7 @@ def build_zonotope_from_segments(dim: int, segment_vectors) -> Zonotope:
         w = pool.pop()
         neg = vneg(w)
         if neg not in pool:
-            raise ValueError(
+            raise UnpairedSegmentError(
                 f"one-sided segment {w} has no matching {neg}; "
                 "the segment list must be centrally symmetric")
         pool.remove(neg)
@@ -188,8 +192,9 @@ def _minors(vectors, r):
 def _face_split(u, gens, chart, codes):
     """(t_u, T_u) for the functional u read on chart[i], the image of gens[i]:
     t_u = sum sign(<u, chart[i]>) gens[i] over the pairings that are nonzero,
-    as a packed code (`codes[g]` per generator), and T_u the gens[i] whose
-    pairing is zero.  The face of Z(gens) that maximises u is t_u + Z(T_u)."""
+    summed as `codes[g]` per generator (a packed code, or any other additive
+    image such as one coordinate), and T_u the gens[i] whose pairing is zero.
+    The face of Z(gens) that maximises u is t_u + Z(T_u)."""
     shift = 0
     tight = []
     for g, p in zip(gens, chart):
@@ -203,20 +208,28 @@ def _face_split(u, gens, chart, codes):
     return shift, tight
 
 
-def _flat_faces(flat, n, normals, codes, memo):
-    """{code: dimension} of every proper face of Z(flat), keyed by the packed
-    code of its centre in Z^n (`codes[g]` per generator; codes add like
-    vectors).
+def _flat_faces(flat, rank, normals, codes, memo):
+    """{code: dimension} of every proper face of Z(flat), a flat of the given
+    rank, keyed by the packed code of its centre in Z^n (`codes[g]` per
+    generator; codes add like vectors).
 
-    `normals` are the relative facet normals of a flat of rank n read in all
-    n coordinates (the minor-table keys), or None: a flat of rank r < n is
-    then read in the first r coordinates on which a basis of its span
+    A flat with as many generators as its rank is a parallelepiped: its
+    proper faces are the 3^r - 1 signed sums sum e_i v_i, e in {-1, 0, 1}^r
+    other than 0, of dimension #{i : e_i = 0}.  That covers every rank-1
+    flat and, for generators in general position, every facet.
+
+    A larger flat reads its relative facet normals `normals`: the minor-table
+    keys at the top level, where the flat has rank n and is read in all n
+    coordinates, or None below it.  A lower flat of rank r is then read in
+    the first r coordinates on which a basis of its span
     (`independent_rows`) has a nonzero r x r minor.  That projection is a
     linear isomorphism of span(flat), so it keeps the sign of every pairing
     with a generator and with it every face; the normals are the canonical
-    cross_nd of the projected (r-1)-subsets.  Centres are sums of signed
-    ambient generators, so nothing is mapped back: a shift is an int add and
-    a reflection an int negation.
+    cross_nd of the projected (r-1)-subsets.  The generators tight on a
+    relative facet normal u span u's orthogonal complement in the flat, so
+    each facet's flat has rank r - 1.  Centres are sums of signed ambient
+    generators, so nothing is mapped back: a shift is an int add and a
+    reflection an int negation.
 
     A flat's faces depend on its generators alone, and a flat of rank r <= n-2
     is shared by the facets that meet in it, so `memo` (one per top-level
@@ -225,27 +238,33 @@ def _flat_faces(flat, n, normals, codes, memo):
     (rank n-1) are distinct per normal and each is read once, so keeping
     them would only hold memory.
     """
-    if not flat:
-        return {}
+    if len(flat) == rank:
+        faces = {0: 0}  # {sum e_i code(v_i): #{i : e_i = 0}} over the prefix
+        for g in flat:
+            c = codes[g]
+            faces = {p: j for q, k in faces.items()
+                     for p, j in ((q + c, k), (q - c, k), (q, k + 1))}
+        del faces[0]
+        return faces
+    n = len(flat[0])
     if normals is None:
         if flat in memo:
             return memo[flat]
         basis = [flat[i] for i in independent_rows(flat, n)]
-        r = len(basis)
-        coords = next(c for c in combinations(range(n), r)
+        coords = next(c for c in combinations(range(n), rank)
                       if det([[b[i] for i in c] for b in basis]))
         chart = [tuple(g[i] for i in coords) for g in flat]
-        normals = dict.fromkeys(u for u, _ in _minors(chart, r))
+        normals = dict.fromkeys(u for u, _ in _minors(chart, rank))
     else:
-        r, chart = n, flat
+        chart = flat
     faces = {}
     for u in normals:
         shift, tight = _face_split(u, flat, chart, codes)
-        faces[shift] = faces[-shift] = r - 1
-        for c, k in _flat_faces(tuple(tight), n, None, codes, memo).items():
+        faces[shift] = faces[-shift] = rank - 1
+        for c, k in _flat_faces(tuple(tight), rank - 1, None, codes, memo).items():
             p = shift + c
             faces[p] = faces[-p] = k
-    if r <= n - 2:
+    if rank <= n - 2:
         memo[flat] = faces
     return faces
 
@@ -315,17 +334,34 @@ def facet_polytope(Z: Zonotope, axis: int) -> FacetSlice:
 
 
 def hyperplane_section(Z: Zonotope, axis: int, level) -> Polytope:
-    """Slice {x in Z : x[axis] = level} in the dropped-axis chart."""
-    n = Z.dim
-    level = Fraction(level)
+    """Slice {x in Z : x[axis] = level} in the dropped-axis chart.
+
+    Only the facets that meet the hyperplane H = {x[axis] = level} are cut.
+    The facet with normal u is t_u + Z(T_u) (`_face_split`), so along the
+    axis it spans t_u[axis] +- r_u with r_u = sum_{g in T_u} |g[axis]|, and
+    the facet with normal -u spans -t_u[axis] +- r_u.  The other facets'
+    inequalities are redundant on H: |level| <= h puts a point y of Z in H,
+    and a point x of H outside Z leaves Z on the segment from y at some z in
+    H, through a facet that contains z and so meets H; that facet's
+    inequality is tight at z and grows along the segment, so x violates it.
+    """
+    try:
+        level = Fraction(level)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        raise FormatError(f"section level {level!r} is not a rational number") from None
     h = Z.support(_axis_unit(Z, axis))
     if abs(level) > h:
         raise EmptySectionError(
             f"|level| = {abs(level)} exceeds the support value {h} along axis {axis}")
-    ineqs = [(tuple(a for i, a in enumerate(normal) if i != axis), h - normal[axis] * level)
-             for u, h in Z.facet_offsets for normal in (u, vneg(u))]
-    # |level| <= h, so the hyperplane meets Z and the section has vertices.
-    return convex_hull(hrep_vertices(ineqs, n - 1))
+    coordinate = {g: g[axis] for g in Z.generators}
+    ineqs = []
+    for u, c in Z.facet_offsets:
+        t, tight = _face_split(u, Z.generators, Z.generators, coordinate)
+        r = sum(abs(g[axis]) for g in tight)
+        for normal, mid in ((u, t), (vneg(u), -t)):
+            if abs(level - mid) <= r:
+                ineqs.append((normal[:axis] + normal[axis + 1:], c - normal[axis] * level))
+    return convex_hull(hrep_vertices(ineqs, Z.dim - 1))
 
 
 def homothety_check(P: Polytope, Q: Polytope):

@@ -42,6 +42,14 @@ def test_validate_rejects_bad_generator_sets():
         validate_pl_graph(2, [(1, 0, 0), (0, 1, 0)])
 
 
+@pytest.mark.parametrize("dim", (0, -1))
+def test_validate_refuses_a_dimension_below_one(dim):
+    # rank([], 0) == 0, so without the check the empty 0-dimensional graph
+    # passed the spanning test.
+    with pytest.raises(DimensionMismatchError, match="at least 1"):
+        validate_pl_graph(dim, [])
+
+
 def test_generators_are_sign_canonicalized_and_sorted():
     g = validate_pl_graph(2, [(0, -1), (-1, 1)])
     assert g.generators == ((0, 1), (1, -1))

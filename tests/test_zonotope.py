@@ -4,6 +4,7 @@ import random
 import time
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from math import comb
 from operator import mul
 
 import pytest
@@ -18,12 +19,14 @@ from isozono.errors import (
     DimensionMismatchError,
     DuplicateGeneratorError,
     EmptySectionError,
+    FormatError,
     IsozonoError,
     RankDeficientError,
+    UnpairedSegmentError,
 )
 from isozono.geometry import convex_hull, hrep_vertices
-from isozono.intmat import (_bit_indices, _norm_num, canonical_sign, dot, primitive_part, rank,
-                            vadd, vneg)
+from isozono.intmat import (_bit_indices, _norm_num, canonical_sign, dot, independent_rows,
+                            primitive_part, rank, vadd, vneg)
 from isozono.plgraph import PLGraph, canonicalize_generators
 from isozono.zonotope import (
     FVector,
@@ -236,6 +239,63 @@ def test_face_centres_on_random_generator_sets(z):
         assert rank([tuple(a - b for a, b in zip(v, face[0])) for v in face], z.dim) == k
 
 
+def _chart_faces(flat, n, normals, codes):
+    """The face recursion with no closed form: every flat, parallelepipeds
+    included, is read through the relative facet normals of a coordinate
+    chart on which it projects injectively (`zonotope._flat_faces` without
+    its parallelepiped path and its memo)."""
+    if not flat:
+        return {}
+    if normals is None:
+        basis = [flat[i] for i in independent_rows(flat, n)]
+        r = len(basis)
+        coords = next(c for c in combinations(range(n), r)
+                      if leibniz_det([[b[i] for i in c] for b in basis]))
+        chart = [tuple(g[i] for i in coords) for g in flat]
+        normals = dict.fromkeys(u for u, _ in zonotope._minors(chart, r))
+    else:
+        r, chart = n, flat
+    faces = {}
+    for u in normals:
+        shift, tight = zonotope._face_split(u, flat, chart, codes)
+        faces[shift] = faces[-shift] = r - 1
+        for c, k in _chart_faces(tuple(tight), n, None, codes).items():
+            faces[shift + c] = faces[-shift - c] = k
+    return faces
+
+
+@st.composite
+def _generic_sets(draw):
+    """3-D and 4-D generator sets in general position (every n-subset has a
+    nonzero determinant): drawn vectors are kept in order while they stay so."""
+    n = draw(st.sampled_from((3, 4)))
+    gens = []
+    for v in draw(st.lists(st.tuples(*[st.integers(-3, 3)] * n), min_size=n + 2, max_size=n + 5)):
+        if any(v):
+            v = canonical_sign(primitive_part(v))
+            if v not in gens and all(leibniz_det(s + (v,)) for s in combinations(gens, n - 1)):
+                gens.append(v)
+    assume(len(gens) > n)
+    return build_zonotope(n, gens)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_generic_sets())
+def test_f_vector_of_generic_sets_matches_the_general_position_formula(z):
+    # Zaslavsky: k generators in general position in R^n give
+    # f_j = 2 C(k, j) sum_{i=0}^{n-1-j} C(k-j-1, i); every facet of such a
+    # zonotope is a parallelepiped, so the closed form builds all of them.
+    n, k = z.dim, len(z.generators)
+    assert tuple(f_vector(z)) == tuple(
+        2 * comb(k, j) * sum(comb(k - j - 1, i) for i in range(n - j)) for j in range(n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(_generator_sets(), _generic_sets()))
+def test_faces_match_the_chart_route(z):
+    assert z._faces == _chart_faces(z.generators, z.dim, z.minor_table, z._codes)
+
+
 def _packing_edge_cases():
     """3-D and 4-D generator sets with entries of 10^6..10^7, and small ones
     whose generators are all positive in x_1."""
@@ -317,7 +377,7 @@ def test_d4cross_chart_volume_ratio():
 def test_build_from_segments_pairs_and_rejects():
     z = build_zonotope_from_segments(2, [(1, 0), (-1, 0), (0, 1), (0, -1)])
     assert z.generators == ((0, 1), (1, 0))
-    with pytest.raises(ValueError):
+    with pytest.raises(UnpairedSegmentError, match=r"\(1, 0\) has no matching \(-1, 0\)"):
         build_zonotope_from_segments(2, [(1, 0), (0, 1), (0, -1)])
 
 
@@ -479,6 +539,9 @@ def test_hyperplane_section_errors():
         hyperplane_section(z, 0, 10)
     with pytest.raises(EmptySectionError):
         hyperplane_section(z, 0, Fraction(91, 10))
+    for level in ("x", "1/0", None):
+        with pytest.raises(FormatError, match="not a rational number"):
+            hyperplane_section(z, 0, level)
     for axis in (-1, 3):
         with pytest.raises(DimensionMismatchError):
             hyperplane_section(z, axis, 0)
@@ -514,6 +577,19 @@ def test_hyperplane_section_is_nonempty_up_to_the_support_value(case):
     for v in (sec.vertices[0], sec.vertices[-1]):
         x = v[:axis] + (level,) + v[axis:]
         assert all(abs(dot(u, x)) <= c for u, c in z.facet_offsets)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_section_cases())
+def test_hyperplane_section_matches_the_unfiltered_double_description(case):
+    # The section cuts only the facets that meet the hyperplane; the oracle
+    # runs the double description on both inequalities of every facet normal.
+    z, axis, level = case
+    ineqs = [(normal[:axis] + normal[axis + 1:], c - normal[axis] * level)
+             for u, c in z.facet_offsets for normal in (u, vneg(u))]
+    oracle = convex_hull(hrep_vertices(ineqs, z.dim - 1))
+    sec = hyperplane_section(z, axis, level)
+    assert sec == oracle and sec.facets == oracle.facets
 
 
 @settings(max_examples=60, deadline=None)
