@@ -19,7 +19,7 @@ from .catalog import (BUILTIN_NAMES, GraphSpec, builtin_graph,
 from .errors import (AntipodalGeneratorError, BudgetExceededError,
                      DimensionDeficiencyError, DimensionMismatchError,
                      DuplicateGeneratorError, EmptySectionError, FormatError,
-                     InternalConsistencyError, IsozonoError,
+                     InternalConsistencyError, InvalidArgumentError, IsozonoError,
                      NonPrimitiveGeneratorError, RankDeficientError,
                      UnpairedSegmentError, ZeroVectorError)
 from .geometry import (Polytope, convex_hull, hrep_vertices,

@@ -27,7 +27,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .errors import DimensionMismatchError, RankDeficientError, ZeroVectorError
+from .errors import (DimensionMismatchError, InvalidArgumentError, RankDeficientError,
+                     ZeroVectorError)
 from .geometry import Polytope, minkowski_sum_segment
 from .intmat import _norm_num, dot, is_zero
 from .plgraph import PLGraph
@@ -155,7 +156,7 @@ def finite_difference_probe(A: Polytope, graph: PLGraph, epsilons) -> tuple:
     for eps in epsilons:
         eps = Fraction(eps)
         if eps <= 0:
-            raise ValueError("probe step must be positive")
+            raise InvalidArgumentError("probe step must be positive")
         denoms = [eps.denominator]
         denoms.extend(Fraction(c).denominator for v in A.vertices for c in v)
         m = lcm(*denoms)

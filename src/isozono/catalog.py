@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .errors import FormatError, IsozonoError
+from .errors import FormatError, InvalidArgumentError, IsozonoError
 from .intmat import canonical_sign, det
 from .plgraph import PLGraph, canonicalize_generators
 from .zonotope import Zonotope, build_zonotope_from_segments, zonotope_of_graph
@@ -134,9 +134,9 @@ def builtin_graph(name: str) -> GraphSpec:
             try:
                 n = int(tail)
             except ValueError:
-                raise ValueError(f"bad dimension in graph name {name!r}") from None
+                raise InvalidArgumentError(f"bad dimension in graph name {name!r}") from None
             if not 1 <= n <= 4:
-                raise ValueError(f"dimension out of range in {name!r} (1..4)")
+                raise InvalidArgumentError(f"dimension out of range in {name!r} (1..4)")
             if family == "l1":
                 raw = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
             else:
@@ -146,7 +146,7 @@ def builtin_graph(name: str) -> GraphSpec:
             hints = _hyperoctahedral_hints(n)
             check_symmetry_hints(n, gens, hints)
             return GraphSpec(name, n, gens, hints)
-    raise ValueError(f"unknown graph {name!r}; builtins: {', '.join(BUILTIN_NAMES)}")
+    raise InvalidArgumentError(f"unknown graph {name!r}; builtins: {', '.join(BUILTIN_NAMES)}")
 
 
 # -- plain-text spec files ----------------------------------------------------

@@ -49,6 +49,11 @@ class UnpairedSegmentError(IsozonoError):
     """A one-sided segment [0, w] has no partner [0, -w]."""
 
 
+class InvalidArgumentError(IsozonoError):
+    """An argument lies outside the values a routine accepts: a count, radius
+    or step out of range, an empty input, or an unknown name."""
+
+
 class FormatError(IsozonoError):
     """Text input could not be parsed; a file's message includes path and line number."""
 

@@ -14,6 +14,10 @@ set are extreme rays of its cone of valid inequalities, and vertices of an
 H-representation are extreme rays of its homogenisation.  Dimensions 1 and
 2 keep min/max and the monotone chain, 5-9x faster than the cone method on
 3 to 40 points.  Zonotopes use their own dedicated enumeration elsewhere.
+An H-representation's polytope (`hrep_polytope`) is read off that one
+double description: its vertices are the rays, and its facets the
+inequalities whose tight vertex sets are maximal (`_maximal_masks`), so a
+full-dimensional body takes no second hull.
 
 Flat bodies are handled in one integer chart, `intmat.kernel_chart`: a
 lattice basis of the direction space plus integer rows `left` with
@@ -34,6 +38,7 @@ from .errors import (
     DimensionDeficiencyError,
     DimensionMismatchError,
     FormatError,
+    InvalidArgumentError,
     ZeroVectorError,
 )
 from .intmat import (
@@ -89,9 +94,9 @@ class Polytope:
     def __init__(self, dim, vertices, facets=None, chart=None):
         self.dim = dim
         self.vertices = tuple(sorted(_norm_point(v) for v in vertices))
-        self.facets = None if facets is None else tuple(
-            sorted((tuple(n), _norm_num(Fraction(c))) for n, c in facets)
-        )
+        self.facets = None if facets is None else tuple(sorted(
+            (tuple(n), c if isinstance(c, int) else _norm_num(Fraction(c)))
+            for n, c in facets))
         self.chart = chart
 
     # -- basic queries ---------------------------------------------------
@@ -221,7 +226,7 @@ class Polytope:
     def scale(self, factor):
         factor = Fraction(factor)
         if factor <= 0:
-            raise ValueError("scale factor must be positive")
+            raise InvalidArgumentError("scale factor must be positive")
         return self._image(factor, (0,) * self.dim)
 
     def _image(self, f, t):
@@ -256,7 +261,7 @@ def convex_hull(points) -> Polytope:
     """Exact convex hull; flat inputs get an affine chart with integer basis."""
     pts = [_norm_point(tuple(p)) for p in points]
     if not pts:
-        raise ValueError("convex_hull of an empty point set")
+        raise InvalidArgumentError("convex_hull of an empty point set")
     dim = len(pts[0])
     for p in pts:
         if len(p) != dim:
@@ -390,15 +395,21 @@ def _pulling_triangulation(mask, dim, faces, memo):
         return (mask,)
     if mask not in memo:
         low = mask & -mask
-        subs = {mask & m for m in faces}
-        facets = []  # a subset of a kept facet comes after it in this order
-        for s in sorted((s for s in subs if s != mask and s.bit_count() >= dim),
-                        key=int.bit_count, reverse=True):
-            if not any(s & f == s for f in facets):
-                facets.append(s)
+        facets = _maximal_masks({mask & m for m in faces} - {mask}, dim)
         memo[mask] = tuple(low | s for f in facets if not f & low
                            for s in _pulling_triangulation(f, dim - 1, facets, memo))
     return memo[mask]
+
+
+def _maximal_masks(masks, least):
+    """The distinct masks of at least `least` bits that no other such mask
+    contains, largest first."""
+    kept = []  # a subset of a kept mask comes after it in this order
+    for s in sorted({s for s in masks if s.bit_count() >= least},
+                    key=int.bit_count, reverse=True):
+        if not any(s & f == s for f in kept):
+            kept.append(s)
+    return kept
 
 
 # -- named operations --------------------------------------------------------
@@ -439,15 +450,46 @@ def minkowski_sum_segment(P: Polytope, a, b) -> Polytope:
 
 
 def hrep_vertices(inequalities, dim):
-    """Sorted vertices of {x : <a,x> <= c for each (a, c)}; [] if the normals a do not span.
+    """Sorted vertices of {x : <a,x> <= c for each (a, c)}; [] if the normals a do not span."""
+    return sorted(v for v, _ in _hrep_rays(inequalities, dim)[1])
 
-    The vertices x = z / t are the extreme rays with t > 0 of the cone
-    {(z, t) : c t - <a, z> >= 0, t >= 0}.
+
+def hrep_polytope(inequalities, dim) -> Polytope:
+    """The nonempty bounded polytope {x : <a,x> <= c for each (a, c)}, from
+    one double description (`_hrep_rays`).
+
+    If no inequality with a nonzero normal is tight at every vertex, the
+    body is full-dimensional (a flat one would have such an implicit
+    equality), so its facets are the inequalities whose tight vertex sets
+    are maximal, each kept once with a primitive normal.  A flat body, or
+    dim 0, needs a chart, which `convex_hull` of the vertices builds.
     """
-    rows = [integerize(vneg(n) + (c,)) for n, c in inequalities if c or not is_zero(n)]
-    rays = _extreme_rays(rows + [(0,) * dim + (1,)], dim + 1)
-    return sorted(tuple(_norm_num(Fraction(a, y[dim])) for a in y[:dim])
-                  for y, _ in rays if y[dim] > 0)
+    rows, verts = _hrep_rays(inequalities, dim)
+    tight = [0] * len(rows)
+    for j, (_, mask) in enumerate(verts):
+        for i in _bit_indices(mask):
+            tight[i] |= 1 << j
+    everything = (1 << len(verts)) - 1
+    if dim == 0 or everything in tight:
+        return convex_hull([v for v, _ in verts])
+    facets = set(_maximal_masks(tight, dim))
+    keep = {}
+    for (a, c), m in zip(rows, tight):
+        if m in facets:
+            g = content(a)
+            keep[tuple(x // g for x in a)] = _norm_num(Fraction(c) / g)
+    return Polytope(dim, [v for v, _ in verts], keep.items())
+
+
+def _hrep_rays(inequalities, dim):
+    """(rows, [(vertex, bitmask of the rows tight there)]) of {x : <a,x> <= c}:
+    the rows are the inequalities other than 0 <= 0, and the vertices x = z/t
+    the extreme rays with t > 0 of the cone {(z, t) : c t - <a, z> >= 0, t >= 0}."""
+    rows = [(n, c) for n, c in inequalities if c or not is_zero(n)]
+    rays = _extreme_rays([integerize(vneg(n) + (c,)) for n, c in rows] + [(0,) * dim + (1,)],
+                         dim + 1)
+    return rows, [(tuple(_norm_num(Fraction(a, y[dim])) for a in y[:dim]), mask)
+                  for y, mask in rays if y[dim] > 0]
 
 
 # -- serialization ------------------------------------------------------------

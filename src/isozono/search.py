@@ -30,7 +30,7 @@ from fractions import Fraction
 from itertools import chain, count, product
 
 from .catalog import _apply_hint, check_symmetry_hints
-from .errors import BudgetExceededError, DimensionMismatchError
+from .errors import BudgetExceededError, DimensionMismatchError, InvalidArgumentError
 from .geometry import convex_hull
 from .intmat import _bit_indices, _norm_num, dot, int_point, pack, unpack, vadd, vneg
 from .lattice import lattice_lines
@@ -53,10 +53,10 @@ def default_budget(budget=None) -> int:
         try:
             budget = int(raw)
         except ValueError as exc:
-            raise ValueError(f"ISOZONO_BUDGET must be an integer, got {raw!r}") from exc
+            raise InvalidArgumentError(f"ISOZONO_BUDGET must be an integer, got {raw!r}") from exc
         source = "ISOZONO_BUDGET"
     if not isinstance(budget, int) or budget <= 0:
-        raise ValueError(f"{source} must be a positive integer, got {budget!r}")
+        raise InvalidArgumentError(f"{source} must be a positive integer, got {budget!r}")
     return budget
 
 
@@ -170,15 +170,15 @@ def exhaustive_min_boundary(graph: PLGraph, m: int, box_radius: int, *,
     C(npool, m - 1) canonical m-sets covered, visited or cut.
     """
     if m < 1:
-        raise ValueError(f"cardinality must be >= 1, got {m}")
+        raise InvalidArgumentError(f"cardinality must be >= 1, got {m}")
     if box_radius < 0:
-        raise ValueError(f"box radius must be >= 0, got {box_radius}")
+        raise InvalidArgumentError(f"box radius must be >= 0, got {box_radius}")
     if witness_cap < 1:
-        raise ValueError(f"witness cap must be >= 1, got {witness_cap}")
+        raise InvalidArgumentError(f"witness cap must be >= 1, got {witness_cap}")
     budget = default_budget(budget)
     npool, count = _box_subsets(graph.dim, m, box_radius)
     if not count:
-        raise ValueError(
+        raise InvalidArgumentError(
             f"no canonical {m}-set fits in a radius-{box_radius} box "
             f"({npool} candidate points)")
     if count > budget:
@@ -302,9 +302,9 @@ def local_search_min_boundary(graph: PLGraph, m: int, iterations: int = 20000,
     neighbour is one int addition, and sorted codes are sorted points.
     """
     if m < 1:
-        raise ValueError(f"cardinality must be >= 1, got {m}")
+        raise InvalidArgumentError(f"cardinality must be >= 1, got {m}")
     if iterations < 0:
-        raise ValueError(f"iterations must be >= 0, got {iterations}")
+        raise InvalidArgumentError(f"iterations must be >= 0, got {iterations}")
     budget = default_budget()
     if m > budget:
         raise BudgetExceededError(f"local search of {m} points, budget is {budget}")
@@ -422,7 +422,7 @@ def zonotope_point_set(graph: PLGraph, alpha, center=None) -> ZonotopePointSet:
     BudgetExceededError before any point is listed."""
     alpha = Fraction(alpha)
     if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+        raise InvalidArgumentError(f"alpha must be positive, got {alpha}")
     n = graph.dim
     center = tuple([Fraction(0)] * n) if center is None else tuple(map(Fraction, center))
     if len(center) != n:
@@ -463,11 +463,11 @@ def convergence_experiment(graph: PLGraph, alphas, *, budget: int | None = None)
     """
     alphas = [Fraction(a) for a in alphas]
     if not alphas:
-        raise ValueError("at least one alpha is required")
+        raise InvalidArgumentError("at least one alpha is required")
     if any(a <= 0 for a in alphas):
-        raise ValueError("alphas must be positive")
+        raise InvalidArgumentError("alphas must be positive")
     if any(b <= a for a, b in zip(alphas, alphas[1:])):
-        raise ValueError("alphas must be strictly increasing")
+        raise InvalidArgumentError("alphas must be strictly increasing")
     Z = zonotope_of_graph(graph)
     n = graph.dim
     vol_z = Z.volume()
@@ -558,7 +558,7 @@ def limiting_shape_report(graph: PLGraph, m_max: int, *, box_radius: int | None 
     catalog's own scans run under ISOZONO_BUDGET (`_family_catalog`).
     """
     if m_max < 1:
-        raise ValueError(f"m_max must be >= 1, got {m_max}")
+        raise InvalidArgumentError(f"m_max must be >= 1, got {m_max}")
     budget = default_budget(budget)
     if m_max > budget:
         raise BudgetExceededError(f"limiting-shape report up to m = {m_max}, "

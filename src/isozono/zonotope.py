@@ -7,8 +7,13 @@ generators: cross_nd(S) = w_S * u with u canonical and primitive adds |w_S|
 to w(u) (Ziegler, Lectures on Polytopes, Lecture 7).  The keys u are exactly
 the facet normals, each supporting the pair of facets at offset
 h(u) = sum_i |<u, v_i>|, and the sweep along v is 2^(n-1) sum_u w(u) |<u, v>|.
-The volume is deliberately not read off the table: it stays the n-subset
-determinant sum, so b(Z) = n vol(Z) compares two independent routes.
+Next to it, the facet table (`facet_table`) holds per normal u the row of
+pairings <u, v_i>, computed once, and what the row fixes: h(u), the packed
+centre shift t_u and the tight generators T_u (below).  The facet offsets,
+the top level of the face recursion, the sweeps along the generators and
+the hyperplane sections all read that one table.  The volume is
+deliberately not read off either table: it stays the n-subset determinant
+sum, so b(Z) = n vol(Z) compares two independent routes.
 
 Faces are enumerated over flats, the generator subsets T that contain every
 generator of their span.  Each face of Z(F) = sum_{v in F} [-v, v] is
@@ -25,7 +30,8 @@ in a chart of coordinates on which it projects injectively.  Every proper
 face lies on a facet and is a face of it, so the union over facets is
 complete: the vertices are the centres of dimension 0, and the f-vector
 counts centres by dimension.  A hyperplane section cuts Z only by the facets
-that the hyperplane meets.
+that the hyperplane meets, and its vertices and facets are read off one
+double description of those inequalities (`geometry.hrep_polytope`).
 
 Coordinate i of a centre lies in [-h(e_i), h(e_i)], so the recursion keeps
 each centre packed as one int, sum_i t_i R^(n-1-i) with balanced digits in
@@ -39,10 +45,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations
+from operator import mul
+from typing import NamedTuple
 
 from .errors import (DimensionMismatchError, EmptySectionError, FormatError, RankDeficientError,
                      UnpairedSegmentError)
-from .geometry import Polytope, convex_hull, hrep_vertices
+from .geometry import Polytope, convex_hull, hrep_polytope
 from .intmat import (
     _norm_num,
     canonical_sign,
@@ -56,6 +64,16 @@ from .intmat import (
     vneg,
 )
 from .plgraph import PLGraph, canonicalize_generators
+
+
+class FacetRow(NamedTuple):
+    """One row of `Zonotope.facet_table`: the facet pair with normals +-u."""
+
+    normal: tuple    # u, canonical and primitive
+    pairings: tuple  # <u, v_i> for each generator v_i, in generator order
+    offset: int      # h(u) = sum_i |<u, v_i>|
+    shift: int       # packed code of t_u = sum_i sign(<u, v_i>) v_i
+    tight: tuple     # T_u, the generators with <u, v_i> = 0
 
 
 @dataclass(frozen=True)
@@ -80,10 +98,22 @@ class Zonotope:
         return 2 ** n * sum(abs(det(sub)) for sub in combinations(self.generators, n))
 
     def sweep(self, v) -> int:
-        """vol(Z + [0, v]) - vol(Z) = 2^(n-1) sum_u w(u) |<u, v>| over the minor table."""
+        """vol(Z + [0, v]) - vol(Z) = 2^(n-1) sum_u w(u) |<u, v>| over the minor
+        table; a generator reads its pairings off the facet table."""
         self._check_length(v)
+        known = self._generator_sweeps.get(tuple(v))
+        if known is not None:
+            return known
         return 2 ** (self.dim - 1) * sum(
             w * abs(dot(u, v)) for u, w in self.minor_table.items())
+
+    @cached_property
+    def _generator_sweeps(self):
+        """{v_i: sweep(v_i)}, each from column i of the facet table."""
+        weights = self.minor_table.values()
+        columns = zip(*(row.pairings for row in self.facet_table))
+        return {g: 2 ** (self.dim - 1) * sum(map(mul, weights, map(abs, column)))
+                for g, column in zip(self.generators, columns)}
 
     def _check_length(self, u):
         # `dot` zips, so a vector of another length would give a wrong answer.
@@ -101,10 +131,22 @@ class Zonotope:
         return dict(sorted(table.items()))
 
     @cached_property
+    def facet_table(self):
+        """(`FacetRow`, ...) per minor-table normal u, in minor-table order:
+        the pairings <u, v_i> are computed here once, and h(u), t_u and T_u
+        are read off them (`_face_split`)."""
+        gens, codes = self.generators, self._codes
+        table = []
+        for u in self.minor_table:
+            row = tuple(dot(u, g) for g in gens)
+            table.append(FacetRow(u, row, sum(map(abs, row)), *_face_split(row, gens, codes)))
+        return tuple(table)
+
+    @cached_property
     def facet_offsets(self):
         """[(u, h(u))]: one outward normal u of each pair of opposite facets,
         in minor-table order, with its facet offset."""
-        return [(u, self.support(u)) for u in self.minor_table]
+        return [(row.normal, row.offset) for row in self.facet_table]
 
     @cached_property
     def _radix(self) -> int:
@@ -126,7 +168,8 @@ class Zonotope:
     def _faces(self):
         """{code: dimension} of every proper face, keyed by the packed code of
         its centre (`_codes`, `_centre`)."""
-        return _flat_faces(self.generators, self.dim, self.minor_table, self._codes, {})
+        return _flat_faces(self.generators, self.dim, self._codes, {},
+                           [(row.shift, row.tight) for row in self.facet_table])
 
     def polytope(self) -> Polytope:
         return self._polytope
@@ -189,26 +232,26 @@ def _minors(vectors, r):
             yield canonical_sign(tuple(a // w for a in c)), w
 
 
-def _face_split(u, gens, chart, codes):
-    """(t_u, T_u) for the functional u read on chart[i], the image of gens[i]:
-    t_u = sum sign(<u, chart[i]>) gens[i] over the pairings that are nonzero,
-    summed as `codes[g]` per generator (a packed code, or any other additive
-    image such as one coordinate), and T_u the gens[i] whose pairing is zero.
-    The face of Z(gens) that maximises u is t_u + Z(T_u)."""
+def _face_split(pairings, gens, codes):
+    """(t_u, T_u) for a functional u with pairings[i] = <u, gens[i]> (read in
+    any chart that keeps their signs): t_u = sum sign(pairings[i]) gens[i]
+    over the nonzero pairings, summed as `codes[g]` per generator (a packed
+    code, or any other additive image such as one coordinate), and T_u the
+    tuple of gens[i] whose pairing is zero.  The face of Z(gens) that
+    maximises u is t_u + Z(T_u)."""
     shift = 0
     tight = []
-    for g, p in zip(gens, chart):
-        s = dot(u, p)
+    for g, s in zip(gens, pairings):
         if s == 0:
             tight.append(g)
         elif s > 0:
             shift += codes[g]
         else:
             shift -= codes[g]
-    return shift, tight
+    return shift, tuple(tight)
 
 
-def _flat_faces(flat, rank, normals, codes, memo):
+def _flat_faces(flat, rank, codes, memo, splits=None):
     """{code: dimension} of every proper face of Z(flat), a flat of the given
     rank, keyed by the packed code of its centre in Z^n (`codes[g]` per
     generator; codes add like vectors).
@@ -218,16 +261,16 @@ def _flat_faces(flat, rank, normals, codes, memo):
     other than 0, of dimension #{i : e_i = 0}.  That covers every rank-1
     flat and, for generators in general position, every facet.
 
-    A larger flat reads its relative facet normals `normals`: the minor-table
-    keys at the top level, where the flat has rank n and is read in all n
-    coordinates, or None below it.  A lower flat of rank r is then read in
-    the first r coordinates on which a basis of its span
-    (`independent_rows`) has a nonzero r x r minor.  That projection is a
-    linear isomorphism of span(flat), so it keeps the sign of every pairing
-    with a generator and with it every face; the normals are the canonical
-    cross_nd of the projected (r-1)-subsets.  The generators tight on a
-    relative facet normal u span u's orthogonal complement in the flat, so
-    each facet's flat has rank r - 1.  Centres are sums of signed ambient
+    A larger flat takes one split (t_u, T_u) per relative facet normal u
+    (`_face_split`).  At the top level, where the flat has rank n, the
+    caller passes them as `splits`, read off the facet table.  A lower flat
+    of rank r is read in the first r coordinates on which a basis of its
+    span (`independent_rows`) has a nonzero r x r minor.  That projection is
+    a linear isomorphism of span(flat), so it keeps the sign of every
+    pairing with a generator and with it every face; the normals are the
+    canonical cross_nd of the projected (r-1)-subsets.  The generators tight
+    on a relative facet normal u span u's orthogonal complement in the flat,
+    so each facet's flat has rank r - 1.  Centres are sums of signed ambient
     generators, so nothing is mapped back: a shift is an int add and a
     reflection an int negation.
 
@@ -247,21 +290,19 @@ def _flat_faces(flat, rank, normals, codes, memo):
         del faces[0]
         return faces
     n = len(flat[0])
-    if normals is None:
+    if splits is None:
         if flat in memo:
             return memo[flat]
         basis = [flat[i] for i in independent_rows(flat, n)]
         coords = next(c for c in combinations(range(n), rank)
                       if det([[b[i] for i in c] for b in basis]))
         chart = [tuple(g[i] for i in coords) for g in flat]
-        normals = dict.fromkeys(u for u, _ in _minors(chart, rank))
-    else:
-        chart = flat
+        splits = [_face_split([dot(u, p) for p in chart], flat, codes)
+                  for u in dict.fromkeys(u for u, _ in _minors(chart, rank))]
     faces = {}
-    for u in normals:
-        shift, tight = _face_split(u, flat, chart, codes)
+    for shift, tight in splits:
         faces[shift] = faces[-shift] = rank - 1
-        for c, k in _flat_faces(tuple(tight), rank - 1, None, codes, memo).items():
+        for c, k in _flat_faces(tight, rank - 1, codes, memo).items():
             p = shift + c
             faces[p] = faces[-p] = k
     if rank <= n - 2:
@@ -326,7 +367,8 @@ def facet_polytope(Z: Zonotope, axis: int) -> FacetSlice:
     those do not span the hyperplane the face is lower-dimensional and
     `is_facet` is False.
     """
-    shift, _ = _face_split(_axis_unit(Z, axis), Z.generators, Z.generators, Z._codes)
+    e = _axis_unit(Z, axis)
+    shift, _ = _face_split([dot(e, g) for g in Z.generators], Z.generators, Z._codes)
     t = Z._centre(shift)
     face = convex_hull([tuple(a - b for i, (a, b) in enumerate(zip(v, t)) if i != axis)
                         for v in Z.polytope().vertices if v[axis] == t[axis]])
@@ -337,13 +379,18 @@ def hyperplane_section(Z: Zonotope, axis: int, level) -> Polytope:
     """Slice {x in Z : x[axis] = level} in the dropped-axis chart.
 
     Only the facets that meet the hyperplane H = {x[axis] = level} are cut.
-    The facet with normal u is t_u + Z(T_u) (`_face_split`), so along the
+    The facet with normal u is t_u + Z(T_u) (`facet_table`), so along the
     axis it spans t_u[axis] +- r_u with r_u = sum_{g in T_u} |g[axis]|, and
-    the facet with normal -u spans -t_u[axis] +- r_u.  The other facets'
-    inequalities are redundant on H: |level| <= h puts a point y of Z in H,
-    and a point x of H outside Z leaves Z on the segment from y at some z in
-    H, through a facet that contains z and so meets H; that facet's
-    inequality is tight at z and grows along the segment, so x violates it.
+    the facet with normal -u spans -t_u[axis] +- r_u; t_u[axis] is read as
+    sum_i sign(<u, v_i>) v_i[axis] from the table's pairings.  The other
+    facets' inequalities are redundant on H: |level| <= h puts a point y of
+    Z in H, and a point x of H outside Z leaves Z on the segment from y at
+    some z in H, through a facet that contains z and so meets H; that
+    facet's inequality is tight at z and grows along the segment, so x
+    violates it.  The section's vertices and facets come from one double
+    description of the kept inequalities (`hrep_polytope`), which hulls its
+    vertices only when the section is flat: at |level| = h with e_axis not a
+    facet normal, and for a 1-D zonotope, whose sections are points.
     """
     try:
         level = Fraction(level)
@@ -353,15 +400,18 @@ def hyperplane_section(Z: Zonotope, axis: int, level) -> Polytope:
     if abs(level) > h:
         raise EmptySectionError(
             f"|level| = {abs(level)} exceeds the support value {h} along axis {axis}")
+    # With level = a/q, each test and inequality is scaled by q, so all stay ints.
+    a, q = level.numerator, level.denominator
     coordinate = {g: g[axis] for g in Z.generators}
     ineqs = []
-    for u, c in Z.facet_offsets:
-        t, tight = _face_split(u, Z.generators, Z.generators, coordinate)
-        r = sum(abs(g[axis]) for g in tight)
+    for u, pairings, c, _, tight in Z.facet_table:
+        t, _ = _face_split(pairings, Z.generators, coordinate)
+        r = q * sum(abs(g[axis]) for g in tight)
         for normal, mid in ((u, t), (vneg(u), -t)):
-            if abs(level - mid) <= r:
-                ineqs.append((normal[:axis] + normal[axis + 1:], c - normal[axis] * level))
-    return convex_hull(hrep_vertices(ineqs, Z.dim - 1))
+            if abs(a - q * mid) <= r:
+                ineqs.append((tuple(q * b for i, b in enumerate(normal) if i != axis),
+                              q * c - normal[axis] * a))
+    return hrep_polytope(ineqs, Z.dim - 1)
 
 
 def homothety_check(P: Polytope, Q: Polytope):

@@ -432,3 +432,55 @@ def test_graph_and_spec_mutually_exclusive(capsys, tmp_path):
     f.write_text("name g\ndim 2\ngenerator 1 0\ngenerator 0 1\n")
     with pytest.raises(SystemExit):
         main(["validate", "--graph", "l1:2", "--spec", str(f)])
+
+
+_G = isozono.builtin_graph("l1:2").graph()
+_SQUARE = isozono.convex_hull([(0, 0), (1, 0), (0, 1), (1, 1)])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: isozono.exhaustive_min_boundary(_G, 0, 2), "cardinality must be >= 1, got 0"),
+    (lambda: isozono.exhaustive_min_boundary(_G, 3, -1), "box radius must be >= 0, got -1"),
+    (lambda: isozono.exhaustive_min_boundary(_G, 3, 1, witness_cap=0),
+     "witness cap must be >= 1, got 0"),
+    (lambda: isozono.exhaustive_min_boundary(_G, 30, 1),
+     "no canonical 30-set fits in a radius-1 box (4 candidate points)"),
+    (lambda: isozono.exhaustive_min_boundary(_G, 3, 1, budget=0),
+     "budget must be a positive integer, got 0"),
+    (lambda: isozono.local_search_min_boundary(_G, 0), "cardinality must be >= 1, got 0"),
+    (lambda: isozono.local_search_min_boundary(_G, 3, iterations=-1),
+     "iterations must be >= 0, got -1"),
+    (lambda: isozono.zonotope_point_set(_G, 0), "alpha must be positive, got 0"),
+    (lambda: isozono.convergence_experiment(_G, []), "at least one alpha is required"),
+    (lambda: isozono.convergence_experiment(_G, [1, -1]), "alphas must be positive"),
+    (lambda: isozono.convergence_experiment(_G, [2, 1]), "alphas must be strictly increasing"),
+    (lambda: isozono.limiting_shape_report(_G, 0), "m_max must be >= 1, got 0"),
+    (lambda: _SQUARE.scale(0), "scale factor must be positive"),
+    (lambda: isozono.convex_hull([]), "convex_hull of an empty point set"),
+    (lambda: isozono.finite_difference_probe(_SQUARE, _G, [0]), "probe step must be positive"),
+    (lambda: isozono.builtin_graph("nope"), "unknown graph 'nope'; builtins: "
+     + ", ".join(isozono.BUILTIN_NAMES)),
+    (lambda: isozono.builtin_graph("l1:9"), "dimension out of range in 'l1:9' (1..4)"),
+    (lambda: isozono.builtin_graph("l1:x"), "bad dimension in graph name 'l1:x'"),
+])
+def test_an_argument_out_of_range_raises_invalid_argument_error(call, message):
+    with pytest.raises(isozono.InvalidArgumentError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("search", "--graph", "l1:2", "--m", "0", "--box-radius", "2"),
+     "cardinality must be >= 1, got 0"),
+    (("search", "--graph", "l1:2", "--m", "3", "--box-radius", "-1"),
+     "box radius must be >= 0, got -1"),
+    (("search", "--graph", "l1:2", "--m", "3", "--mode", "local", "--iterations", "-1"),
+     "iterations must be >= 0, got -1"),
+    (("converge", "--graph", "l1:2", "--alphas", "2,1"), "alphas must be strictly increasing"),
+    (("validate", "--graph", "nope"),
+     "unknown graph 'nope'; builtins: " + ", ".join(isozono.BUILTIN_NAMES)),
+])
+def test_the_cli_reports_an_invalid_argument_on_one_error_line(capsys, argv, message):
+    code, _, err = run(capsys, *argv)
+    assert_one_error_line(code, err)
+    assert err == f"error: {message}\n"

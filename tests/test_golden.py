@@ -30,9 +30,12 @@ TABLE = Path(__file__).with_name("golden_digests.json")
 
 
 def _commands():
-    """One `zonotope` report and one `section` per builtin, the section at
-    the level 2h/3 - 1/7 of axis 1 (h the support value there), which is
-    never an integer."""
+    """Per builtin: one `zonotope` report, one `section` at the level
+    2h/3 - 1/7 of axis 1 (h the support value there), which is never an
+    integer, and `converge --alphas 1:3` (`linf:4` refuses alpha = 1 with
+    exit 2, and that refusal is an output too).  Then the exhaustive search
+    at m = 6, r = 2 on four graphs and one seeded local search, whose
+    witness lists are printed in order."""
     cmds = []
     for name in BUILTIN_NAMES:
         z = builtin_graph(name).zonotope()
@@ -40,6 +43,11 @@ def _commands():
         level = Fraction(2 * h, 3) - Fraction(1, 7)
         cmds.append(("zonotope", "--graph", name, "--fvector", "--volume", "--vertices", "--hrep"))
         cmds.append(("section", "--graph", name, "--axis", "1", "--level", str(level)))
+        cmds.append(("converge", "--graph", name, "--alphas", "1:3"))
+    for name in ("l1:2", "linf:2", "tri", "l1:3"):
+        cmds.append(("search", "--graph", name, "--m", "6", "--box-radius", "2"))
+    cmds.append(("search", "--graph", "l1:3", "--m", "11", "--mode", "local",
+                 "--seed", "7", "--iterations", "1000"))
     return cmds
 
 

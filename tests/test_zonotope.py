@@ -8,7 +8,7 @@ from math import comb
 from operator import mul
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from isozono import zonotope
@@ -257,7 +257,7 @@ def _chart_faces(flat, n, normals, codes):
         r, chart = n, flat
     faces = {}
     for u in normals:
-        shift, tight = zonotope._face_split(u, flat, chart, codes)
+        shift, tight = zonotope._face_split([dot(u, p) for p in chart], flat, codes)
         faces[shift] = faces[-shift] = r - 1
         for c, k in _chart_faces(tuple(tight), n, None, codes).items():
             faces[shift + c] = faces[-shift - c] = k
@@ -555,11 +555,22 @@ _ZONOTOPES = st.one_of(  # the builtins memoised, so linf:4 is built once
 
 
 @st.composite
+def _five_d_sets(draw):
+    """5-D generator sets of 6 to 8 vectors with entries in {-1, 0, 1}: their
+    4-D sections often have an inequality tight on 4 or more vertices that
+    is not a facet."""
+    vec = st.tuples(*[st.integers(-1, 1)] * 5).filter(any)
+    gens = {canonical_sign(v) for v in draw(st.lists(vec, min_size=6, max_size=8))}
+    assume(rank(list(gens), 5) == 5)
+    return build_zonotope(5, gens)
+
+
+@st.composite
 def _section_cases(draw):
-    """(Z, axis, level): a builtin or random zonotope, an axis and a rational
-    level in [-h, h], h the support value along the axis; the ends are drawn
-    as often as the inside."""
-    z = draw(_ZONOTOPES)
+    """(Z, axis, level): a builtin or random zonotope, 3-D to 5-D, an axis
+    and a rational level in [-h, h], h the support value along the axis; the
+    ends are drawn as often as the inside."""
+    z = draw(st.one_of(_ZONOTOPES, _five_d_sets()))
     axis = draw(st.integers(0, z.dim - 1))
     h = z.support(tuple(int(i == axis) for i in range(z.dim)))
     level = draw(st.one_of(st.sampled_from((-h, h)), st.fractions(-h, h, max_denominator=7)))
@@ -579,17 +590,58 @@ def test_hyperplane_section_is_nonempty_up_to_the_support_value(case):
         assert all(abs(dot(u, x)) <= c for u, c in z.facet_offsets)
 
 
-@settings(max_examples=60, deadline=None)
+# A 4-D section with inequalities tight on 4 coplanar vertices that are not
+# facets, so a vertex count cannot stand in for the maximal tight sets.
+_COPLANAR = (build_zonotope(5, [(0, 0, 1, 1, -1), (1, -1, 1, -1, -1), (1, -1, 1, 0, 0),
+                                (1, 0, 1, 1, -1), (1, 0, 1, 1, 1), (1, 1, 0, 1, 0)]), 4, 2)
+
+
+@settings(max_examples=80, deadline=None)
 @given(_section_cases())
+@example(_COPLANAR)
 def test_hyperplane_section_matches_the_unfiltered_double_description(case):
-    # The section cuts only the facets that meet the hyperplane; the oracle
-    # runs the double description on both inequalities of every facet normal.
+    # The section cuts only the facets that meet the hyperplane and reads its
+    # facets off that one double description; the oracle runs the double
+    # description on both inequalities of every facet normal, then hulls its
+    # vertices.  A flat section (|level| = h, or a 1-D zonotope's point) must
+    # carry the oracle's chart.
     z, axis, level = case
     ineqs = [(normal[:axis] + normal[axis + 1:], c - normal[axis] * level)
              for u, c in z.facet_offsets for normal in (u, vneg(u))]
     oracle = convex_hull(hrep_vertices(ineqs, z.dim - 1))
     sec = hyperplane_section(z, axis, level)
     assert sec == oracle and sec.facets == oracle.facets
+    assert (sec.chart is None) == (oracle.chart is None)
+    if oracle.chart is not None:
+        got, want = sec.chart, oracle.chart
+        assert (got.base, got.basis, got.left, got.body.vertices) == (
+            want.base, want.basis, want.left, want.body.vertices)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(_generator_sets(),
+                 st.sampled_from([n for n in BUILTIN_NAMES if n != "linf:4"]).map(Z)))
+def test_facet_table_matches_support_and_the_face_split(z):
+    # Each row against the support function, the face split of freshly
+    # computed pairings, and the facet pair itself: t_u is the vertex mean
+    # of the facet {<u, x> = h(u)} of the built polytope, -t_u that of its
+    # opposite.  A generator's sweep, read off the table's columns, equals
+    # that of its negation, which takes the minor-table formula.  linf:4
+    # (5,376 vertices, 680 normals) would take seconds here; the golden
+    # digests cover its facet offsets.
+    assert [row.normal for row in z.facet_table] == list(z.minor_table)
+    P = z.polytope()
+    for u, pairings, h, shift, tight in z.facet_table:
+        assert pairings == tuple(dot(u, g) for g in z.generators)
+        assert h == z.support(u)
+        assert (shift, tight) == zonotope._face_split(pairings, z.generators, z._codes)
+        assert tight == tuple(g for g in z.generators if dot(u, g) == 0)
+        for sign in (1, -1):
+            face = [v for v in P.vertices if sign * dot(u, v) == h]
+            mean = tuple(Fraction(sign * sum(x), len(face)) for x in zip(*face))
+            assert mean == z._centre(shift)
+    for g in z.generators:
+        assert z.sweep(g) == z.sweep(vneg(g))
 
 
 @settings(max_examples=60, deadline=None)
