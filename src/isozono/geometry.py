@@ -44,10 +44,12 @@ from .errors import (
 from .intmat import (
     _bit_indices,
     _norm_num,
+    _rational,
     content,
     cross_nd,
     det,
     dot,
+    dots,
     embed,
     gram_det,
     independent_rows,
@@ -64,7 +66,14 @@ from .intmat import (
 
 
 def _norm_point(p):
-    return tuple(_norm_num(Fraction(a)) if not isinstance(a, int) else a for a in p)
+    """p as a tuple of exact coordinates, each integral one an int.  A tuple
+    of ints comes back as it is; other coordinates go through Fraction, and
+    one that is not a rational number raises `FormatError`."""
+    for a in p:
+        if type(a) is not int:
+            return tuple(a if isinstance(a, int) else _norm_num(_rational(a, "coordinate"))
+                         for a in p)
+    return tuple(p)
 
 
 @dataclass(frozen=True)
@@ -191,7 +200,7 @@ class Polytope:
         # normal is primitive (Beck and Robins, Computing the Continuous
         # Discretely, ch. 3 and 5).
         verts, n = self.vertices, self.dim
-        masks = [sum(1 << i for i, v in enumerate(verts) if dot(normal, v) == offset)
+        masks = [sum(1 << i for i, s in enumerate(dots(normal, verts)) if s == offset)
                  for normal, offset in self.facets]
         memo = {}
         cells = []
@@ -221,10 +230,14 @@ class Polytope:
     # -- transforms --------------------------------------------------------
 
     def translate(self, t):
-        return self._image(1, tuple(t))
+        t = _norm_point(t)
+        if len(t) != self.dim:
+            raise DimensionMismatchError(
+                f"translation of length {len(t)} vs polytope of dim {self.dim}")
+        return self._image(1, t)
 
     def scale(self, factor):
-        factor = Fraction(factor)
+        factor = _rational(factor, "scale factor")
         if factor <= 0:
             raise InvalidArgumentError("scale factor must be positive")
         return self._image(factor, (0,) * self.dim)
@@ -354,7 +367,7 @@ def _extreme_rays(rows, d):
     for i, r in enumerate(rows):
         if i in basis:
             continue
-        signed = [(dot(r, y), y, mask) for y, mask in rays]
+        signed = [(s, y, mask) for s, (y, mask) in zip(dots(r, [y for y, _ in rays]), rays)]
         masks = [mask for _, mask in rays]
         rays = [(y, mask if s else mask | 1 << i) for s, y, mask in signed if s >= 0]
         neg = [x for x in signed if x[0] < 0]

@@ -7,14 +7,40 @@ lists/tuples of row vectors.  Everything here is exact: no floats.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, lcm
 from operator import mul
 
-from .errors import DimensionMismatchError, IsozonoError, ZeroVectorError
+from .errors import DimensionMismatchError, FormatError, IsozonoError, ZeroVectorError
 
 
 def dot(u, v):
     return sum(map(mul, u, v))
+
+
+def dots(u, vectors):
+    """[<u, v> for v in vectors]: one fixed u paired with many v.
+
+    For len(u) <= 5 the products are written out, as in the closed forms of
+    `det` and `cross_nd`; longer u take `sum(map(mul, u, v))` per v.  Like
+    `dot`, nothing checks that every v has len(u) entries."""
+    n = len(u)
+    if n == 1:
+        (a,) = u
+        return [a * x for (x,) in vectors]
+    if n == 2:
+        a, b = u
+        return [a * x + b * y for x, y in vectors]
+    if n == 3:
+        a, b, c = u
+        return [a * x + b * y + c * z for x, y, z in vectors]
+    if n == 4:
+        a, b, c, d = u
+        return [a * x + b * y + c * z + d * w for x, y, z, w in vectors]
+    if n == 5:
+        a, b, c, d, e = u
+        return [a * x + b * y + c * z + d * w + e * t for x, y, z, w, t in vectors]
+    return [sum(map(mul, u, v)) for v in vectors]
 
 
 def vadd(u, v):
@@ -38,6 +64,14 @@ def _norm_num(a):
     if isinstance(a, Fraction) and a.denominator == 1:
         return int(a)
     return a
+
+
+def _rational(x, what):
+    """x as a Fraction; a `FormatError` naming `what` if it is not a rational number."""
+    try:
+        return Fraction(x)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        raise FormatError(f"{what} {x!r} is not a rational number") from None
 
 
 def _bit_indices(x: int):
@@ -96,11 +130,13 @@ def pack(v, R: int) -> int:
     return code
 
 
-def unpack(code: int, R: int, n: int):
-    """The n-vector whose `pack` in the odd radix R is `code`."""
+def unpack(codes, R: int, n: int):
+    """[the n-vector whose `pack` in the odd radix R is c, for c in codes];
+    the digit powers and the offset are computed once for all codes."""
     half = R // 2
-    code += half * (R ** n - 1) // (R - 1)  # the code of (half, ..., half)
-    return tuple(code // R ** i % R - half for i in range(n - 1, -1, -1))
+    offset = half * (R ** n - 1) // (R - 1)  # the code of (half, ..., half)
+    powers = [R ** i for i in range(n - 1, -1, -1)]
+    return [tuple((c + offset) // p % R - half for p in powers) for c in codes]
 
 
 def xgcd(a: int, b: int):
@@ -200,7 +236,7 @@ def det(matrix) -> Fraction | int:
 
     The closed forms use only + - *: 3 x 3 by expansion along the first row,
     4 x 4 by Laplace expansion over the six 2 x 2 minors of the top row pair
-    and the six of the bottom pair."""
+    and the six of the bottom pair (`_pair_minors`, `_laplace`)."""
     n = len(matrix)
     if n == 0:
         return 1
@@ -213,13 +249,8 @@ def det(matrix) -> Fraction | int:
         (a, b, c), (d, e, f), (g, h, i) = matrix
         return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
     if n == 4:
-        (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = matrix
-        return ((a0 * b1 - a1 * b0) * (c2 * d3 - c3 * d2)
-                - (a0 * b2 - a2 * b0) * (c1 * d3 - c3 * d1)
-                + (a0 * b3 - a3 * b0) * (c1 * d2 - c2 * d1)
-                + (a1 * b2 - a2 * b1) * (c0 * d3 - c3 * d0)
-                - (a1 * b3 - a3 * b1) * (c0 * d2 - c2 * d0)
-                + (a2 * b3 - a3 * b2) * (c0 * d1 - c1 * d0))
+        a, b, c, d = matrix
+        return _laplace(_pair_minors(a, b), [_pair_minors(c, d)])[0]
     m = [list(row) for row in matrix]
     sign = 1
     prev = 1
@@ -242,6 +273,45 @@ def det(matrix) -> Fraction | int:
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
+
+
+def _pair_minors(x, y):
+    """The six 2 x 2 minors of the rows x, y of a 4-column matrix, on the
+    column pairs 01, 02, 03, 12, 13, 23."""
+    x0, x1, x2, x3 = x
+    y0, y1, y2, y3 = y
+    return (x0 * y1 - x1 * y0, x0 * y2 - x2 * y0, x0 * y3 - x3 * y0,
+            x1 * y2 - x2 * y1, x1 * y3 - x3 * y1, x2 * y3 - x3 * y2)
+
+
+def _laplace(top, bottoms):
+    """[det of the 4 x 4 matrix whose top row pair has the minors `top` and
+    whose bottom row pair has the minors b, for b in bottoms]: the Laplace
+    expansion along the top two rows, each top minor times the complementary
+    bottom minor with the sign of its column pair."""
+    t01, t02, t03, t12, t13, t23 = top
+    return [t01 * b23 - t02 * b13 + t03 * b12 + t12 * b03 - t13 * b02 + t23 * b01
+            for b01, b02, b03, b12, b13, b23 in bottoms]
+
+
+def abs_det_sum(vectors, n: int):
+    """sum |det S| over the n-subsets S of the sequence `vectors` of n-vectors.
+
+    For n = 4 the six 2 x 2 minors of each pair of vectors are computed once,
+    and the subset a < b < c < d is read as `_laplace` of the top pair (a, b)
+    over the bottom pair (c, d): one call per top pair, over the suffix of
+    the pairs in lexicographic order whose first index exceeds b, so each
+    subset costs six products.  Any other n takes `det` once per subset; in
+    3-D, hoisting the products the same way would turn them into the cross
+    products that `cross_nd` (and so the minor table) computes."""
+    if n != 4:
+        return sum(abs(det(s)) for s in combinations(vectors, n))
+    rows = [[_pair_minors(x, y) for y in vectors[i + 1:]] for i, x in enumerate(vectors)]
+    suffixes = [[]]  # suffixes[c]: the pairs (c', d) with c <= c' < d, in order
+    for row in reversed(rows):
+        suffixes.insert(0, row + suffixes[0])
+    return sum(sum(map(abs, _laplace(top, suffixes[j + 1])))
+               for i, row in enumerate(rows) for j, top in enumerate(row, i + 1))
 
 
 def cross_nd(vectors, dim: int):

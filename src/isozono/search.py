@@ -350,7 +350,7 @@ def local_search_min_boundary(graph: PLGraph, m: int, iterations: int = 20000,
             else:
                 current.add(out)
             temperature *= cooling
-    witness = canonical_set(unpack(c, R, graph.dim) for c in best_set)
+    witness = canonical_set(unpack(best_set, R, graph.dim))
     return SearchResult(m, best_b, (witness,), False, evaluated=iterations)
 
 

@@ -13,7 +13,12 @@ centre shift t_u and the tight generators T_u (below).  The facet offsets,
 the top level of the face recursion, the sweeps along the generators and
 the hyperplane sections all read that one table.  The volume is
 deliberately not read off either table: it stays the n-subset determinant
-sum, so b(Z) = n vol(Z) compares two independent routes.
+sum 2^n sum_S |det S| (`intmat.abs_det_sum`), so b(Z) = n vol(Z) compares
+two independent routes.  In 4-D that sum computes the six 2 x 2 minors of
+each generator pair once and reads the subset a < b < c < d as the Laplace
+pairing of pair (a, b) with pair (c, d); no (n-1)-subset cross product, and
+so no minor-table weight, enters it.  In 3-D and above 4-D it takes one
+`det` per subset.
 
 Faces are enumerated over flats, the generator subsets T that contain every
 generator of their span.  Each face of Z(F) = sum_{v in F} [-v, v] is
@@ -48,16 +53,19 @@ from itertools import combinations
 from operator import mul
 from typing import NamedTuple
 
-from .errors import (DimensionMismatchError, EmptySectionError, FormatError, RankDeficientError,
+from .errors import (DimensionMismatchError, EmptySectionError, RankDeficientError,
                      UnpairedSegmentError)
 from .geometry import Polytope, convex_hull, hrep_polytope
 from .intmat import (
     _norm_num,
+    _rational,
+    abs_det_sum,
     canonical_sign,
     content,
     cross_nd,
     det,
     dot,
+    dots,
     independent_rows,
     pack,
     unpack,
@@ -94,8 +102,7 @@ class Zonotope:
 
     @cached_property
     def _volume(self) -> int:
-        n = self.dim
-        return 2 ** n * sum(abs(det(sub)) for sub in combinations(self.generators, n))
+        return 2 ** self.dim * abs_det_sum(self.generators, self.dim)
 
     def sweep(self, v) -> int:
         """vol(Z + [0, v]) - vol(Z) = 2^(n-1) sum_u w(u) |<u, v>| over the minor
@@ -138,7 +145,7 @@ class Zonotope:
         gens, codes = self.generators, self._codes
         table = []
         for u in self.minor_table:
-            row = tuple(dot(u, g) for g in gens)
+            row = tuple(dots(u, gens))
             table.append(FacetRow(u, row, sum(map(abs, row)), *_face_split(row, gens, codes)))
         return tuple(table)
 
@@ -162,7 +169,7 @@ class Zonotope:
 
     def _centre(self, code):
         """The point whose packed code is `code`."""
-        return unpack(code, self._radix, self.dim)
+        return unpack([code], self._radix, self.dim)[0]
 
     @cached_property
     def _faces(self):
@@ -176,8 +183,8 @@ class Zonotope:
 
     @cached_property
     def _polytope(self) -> Polytope:
-        return Polytope(self.dim, [self._centre(c) for c in sorted(
-                            c for c, k in self._faces.items() if k == 0)],
+        vertices = sorted(c for c, k in self._faces.items() if k == 0)
+        return Polytope(self.dim, unpack(vertices, self._radix, self.dim),
                         [f for u, h in self.facet_offsets for f in ((u, h), (vneg(u), h))])
 
 
@@ -297,7 +304,7 @@ def _flat_faces(flat, rank, codes, memo, splits=None):
         coords = next(c for c in combinations(range(n), rank)
                       if det([[b[i] for i in c] for b in basis]))
         chart = [tuple(g[i] for i in coords) for g in flat]
-        splits = [_face_split([dot(u, p) for p in chart], flat, codes)
+        splits = [_face_split(dots(u, chart), flat, codes)
                   for u in dict.fromkeys(u for u, _ in _minors(chart, rank))]
     faces = {}
     for shift, tight in splits:
@@ -392,10 +399,7 @@ def hyperplane_section(Z: Zonotope, axis: int, level) -> Polytope:
     vertices only when the section is flat: at |level| = h with e_axis not a
     facet normal, and for a 1-D zonotope, whose sections are points.
     """
-    try:
-        level = Fraction(level)
-    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
-        raise FormatError(f"section level {level!r} is not a rational number") from None
+    level = _rational(level, "section level")
     h = Z.support(_axis_unit(Z, axis))
     if abs(level) > h:
         raise EmptySectionError(

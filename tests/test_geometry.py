@@ -11,9 +11,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from isozono.catalog import builtin_graph
-from isozono.errors import DimensionDeficiencyError, FormatError
+from isozono.errors import DimensionDeficiencyError, DimensionMismatchError, FormatError
 from isozono.geometry import (
     Polytope,
+    _norm_point,
     convex_hull,
     hrep_vertices,
     minkowski_sum_segment,
@@ -228,6 +229,44 @@ def test_translate_scale_round_trip():
     assert Q.volume() == Fraction(9, 4) * 28
     R = Q.scale(Fraction(2, 3)).translate((-2, 1))
     assert set(R.vertices) == set(P.vertices)
+
+
+_TRIANGLE = [(0, 0), (1, 0), (0, 1)]
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: convex_hull(_TRIANGLE).translate((1,)), DimensionMismatchError),
+    (lambda: convex_hull(_TRIANGLE).translate((1, 2, 3)), DimensionMismatchError),
+    (lambda: convex_hull(_TRIANGLE).translate(("a", 0)), FormatError),
+    (lambda: convex_hull([(0, "a")]), FormatError),
+    (lambda: convex_hull([(0, None), (1, 1)]), FormatError),
+    (lambda: convex_hull(_TRIANGLE).scale("x"), FormatError),
+    (lambda: convex_hull(_TRIANGLE).scale(None), FormatError),
+], ids=["translate-short", "translate-long", "translate-text", "hull-text", "hull-none",
+        "scale-text", "scale-none"])
+def test_bad_input_to_polytope_entry_points_raises_a_library_error(call, error):
+    with pytest.raises(error):
+        call()
+
+
+def _old_norm_point(p):
+    """`_norm_point` before its all-int fast path, kept as the oracle."""
+    return tuple(_norm_num(Fraction(a)) if not isinstance(a, int) else a for a in p)
+
+
+_COORDINATE = st.one_of(st.integers(-10 ** 20, 10 ** 20), st.booleans(),
+                        st.fractions(-5, 5, max_denominator=4),
+                        st.integers(-5, 5).map(Fraction), st.sampled_from(("3", "-1/2", 0.5)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_COORDINATE, max_size=5), st.booleans())
+def test_norm_point_fast_path_keeps_the_slow_path(coords, as_tuple):
+    p = tuple(coords) if as_tuple else list(coords)
+    got, want = _norm_point(p), _old_norm_point(p)
+    assert got == want and list(map(type, got)) == list(map(type, want))
+    if as_tuple and all(type(a) is int for a in p):
+        assert got is p
 
 
 @st.composite

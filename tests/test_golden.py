@@ -1,9 +1,12 @@
-"""Committed output digests of CLI commands on every builtin.
+"""Committed output digests of CLI commands on every builtin, and of
+library outputs that no command prints.
 
 Each command runs in-process through `isozono.cli.main`; its argv, exit
 status, stdout, stderr and the text of any file it writes go into one
 sha256, compared with the committed table in `golden_digests.json`.  A
-failure names the command whose output changed.
+failure names the command whose output changed.  Each library list (seeded
+generator sets and point sets, `_LIBRARY`) goes into one sha256 of its
+inputs and outputs, under its own name in the same table.
 
 A change that alters an output on purpose rewrites the table with
 
@@ -16,6 +19,7 @@ import contextlib
 import hashlib
 import io
 import json
+import random
 import sys
 import tempfile
 from fractions import Fraction
@@ -25,6 +29,9 @@ import pytest
 
 from isozono.catalog import BUILTIN_NAMES, builtin_graph
 from isozono.cli import main
+from isozono.geometry import convex_hull
+from isozono.intmat import canonical_sign, primitive_part, rank
+from isozono.zonotope import Zonotope, f_vector
 
 TABLE = Path(__file__).with_name("golden_digests.json")
 
@@ -67,16 +74,85 @@ def _key(argv):
     return " ".join(argv)
 
 
+def _generator_sets(rng, dim, sizes, entries):
+    """One spanning canonical generator set per size k in `sizes`, entries
+    drawn from `entries`: {-1, 0, 1} gives many dependent subsets."""
+    sets = []
+    for k in sizes:
+        while True:
+            gens = {canonical_sign(primitive_part(v)) for v in
+                    (tuple(rng.choice(entries) for _ in range(dim)) for _ in range(k)) if any(v)}
+            if len(gens) == k and rank(list(gens), dim) == dim:
+                sets.append(tuple(sorted(gens)))
+                break
+    return sets
+
+
+def _zonotope_records(dim, sets):
+    records = []
+    for gens in sets:
+        z = Zonotope(dim, gens)
+        P = z.polytope()
+        records.append([gens, z.volume(), f_vector(z).counts, P.vertices, P.facets])
+    return records
+
+
+def _zonotopes_4d():
+    """20 non-builtin 4-D sets, k = 5..14: ten with entries in {-1, 0, 1}
+    (degenerate), ten in -3..3."""
+    rng = random.Random(2401)
+    return _zonotope_records(4, _generator_sets(rng, 4, range(5, 15), (-1, 0, 1))
+                             + _generator_sets(rng, 4, range(5, 15), range(-3, 4)))
+
+
+def _zonotopes_5d():
+    """5 random 5-D sets, k = 6..8."""
+    rng = random.Random(2402)
+    return _zonotope_records(5, _generator_sets(rng, 5, (6, 6, 7, 7, 8), (-1, 0, 1, 2)))
+
+
+def _hulls():
+    """30 full-dimensional hulls: 15 in 3-D and 15 in 4-D, of 5 to 24 points
+    with integer or half-integer coordinates in [-4, 4]."""
+    rng = random.Random(2403)
+    records = []
+    for dim in (3, 4):
+        while len(records) < (15 if dim == 3 else 30):
+            q = rng.choice((1, 2))
+            pts = sorted({tuple(Fraction(rng.randint(-4 * q, 4 * q), q) for _ in range(dim))
+                          for _ in range(rng.randint(5, 24))})
+            P = convex_hull(pts)
+            if P.is_full_dimensional():
+                records.append([pts, P.vertices, P.facets, P.facet_cells()])
+    return records
+
+
+_LIBRARY = {"library: 4-D zonotopes": _zonotopes_4d, "library: 5-D zonotopes": _zonotopes_5d,
+            "library: 3-D and 4-D hulls": _hulls}
+
+
+def _library_digest(name):
+    record = json.dumps(_LIBRARY[name](), default=str)
+    return hashlib.sha256(record.encode()).hexdigest()
+
+
 @pytest.mark.parametrize("argv", _commands(), ids=_key)
 def test_output_digest_matches_the_committed_table(argv):
     assert _digest(argv) == json.loads(TABLE.read_text())[_key(argv)]
 
 
+@pytest.mark.parametrize("name", _LIBRARY)
+def test_library_digest_matches_the_committed_table(name):
+    assert _library_digest(name) == json.loads(TABLE.read_text())[name]
+
+
 def test_the_table_covers_exactly_the_commands():
-    assert set(json.loads(TABLE.read_text())) == {_key(a) for a in _commands()}
+    assert set(json.loads(TABLE.read_text())) == {_key(a) for a in _commands()} | set(_LIBRARY)
 
 
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --write")
-    TABLE.write_text(json.dumps({_key(a): _digest(a) for a in _commands()}, indent=1) + "\n")
+    table = {_key(a): _digest(a) for a in _commands()}
+    table.update((name, _library_digest(name)) for name in _LIBRARY)
+    TABLE.write_text(json.dumps(table, indent=1) + "\n")

@@ -4,19 +4,23 @@ import math
 import random
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
+from operator import mul
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from isozono.errors import DimensionMismatchError
+from isozono import intmat
 from isozono.intmat import (
+    abs_det_sum,
     canonical_sign,
     content,
     cross_nd,
     det,
     dot,
+    dots,
     embed,
     gram_det,
     gram_matrix,
@@ -306,11 +310,74 @@ def _radix_and_vectors(draw):
 def test_pack_is_an_order_preserving_additive_bijection(data):
     R, u, w, x = data
     n, half = len(u), R // 2
-    for v in (u, w, x):
-        assert unpack(pack(v, R), R, n) == v
+    assert unpack([pack(v, R) for v in (u, w, x)], R, n) == [u, w, x]
     for a, b in ((u, w), (w, x), (u, x)):
         assert (pack(a, R) < pack(b, R)) == (a < b)
         assert (pack(a, R) == pack(b, R)) == (a == b)
         total = tuple(s + t for s, t in zip(a, b))
         if all(abs(c) <= half for c in total):
             assert pack(a, R) + pack(b, R) == pack(total, R)
+
+
+@st.composite
+def _vector_family(draw):
+    """n = 1..5 and k = 0..9 n-vectors, all entries ints up to 10^30 or all
+    Fractions, small entries mixed in so that dependent subsets occur."""
+    entry = draw(st.sampled_from((_BIG, _FRACTION)))
+    n = draw(st.integers(1, 5))
+    k = draw(st.integers(0, 9))
+    vectors = [tuple(draw(st.lists(entry, min_size=n, max_size=n))) for _ in range(k)]
+    if k > 1 and draw(st.booleans()):
+        vectors[-1] = vectors[0]
+    return vectors, n
+
+
+@settings(max_examples=150, deadline=None)
+@given(_vector_family())
+@example(([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 1, 1, 1)], 4))
+@example(([(Fraction(1, 2), 0, 3, 1), (0, 1, 0, Fraction(-2, 3)), (1, 1, 1, 0), (0, 2, 1, 5)], 4))
+@example(([(1, 2, 3), (0, 1, 4), (5, 6, 0), (1, 1, 1)], 3))
+@example(([tuple(int(i == j) + j for j in range(5)) for i in range(6)], 5))
+def test_abs_det_sum_matches_the_leibniz_sum(data):
+    vectors, n = data
+    assert abs_det_sum(vectors, n) == sum(abs(leibniz_det(s)) for s in combinations(vectors, n))
+
+
+def test_abs_det_sum_reads_every_4_subset_once(monkeypatch):
+    """The 4-D sum takes each 4-subset's signed determinant exactly once:
+    the values `_laplace` hands back are the permutation sums of the subsets."""
+    rng = random.Random(24)
+    vectors = [tuple(rng.randint(-3, 3) for _ in range(4)) for _ in range(9)]
+    seen = []
+    real = intmat._laplace
+
+    def recording(top, bottoms):
+        values = real(top, bottoms)
+        seen.extend(values)
+        return values
+
+    monkeypatch.setattr(intmat, "_laplace", recording)
+    total = abs_det_sum(vectors, 4)
+    want = [leibniz_det(s) for s in combinations(vectors, 4)]
+    assert sorted(seen) == sorted(want)
+    assert total == sum(map(abs, want))
+
+
+_VECTORS = st.integers(0, 6).flatmap(lambda n: st.tuples(
+    st.lists(st.one_of(_BIG, _FRACTION), min_size=n, max_size=n),
+    st.lists(st.lists(st.one_of(_BIG, _FRACTION), min_size=n, max_size=n), max_size=5)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_VECTORS)
+@example(((), [(), ()]))
+@example(((3,), [(Fraction(1, 2),), (-4,)]))
+@example(((1, -2), [(3, 4), (Fraction(5, 3), 0)]))
+@example(((1, 0, -2), [(3, 4, 5)]))
+@example(((1, 2, 3, 4), [(0, -1, Fraction(1, 2), 7), (1, 1, 1, 1)]))
+@example(((1, 2, 3, 4, 5), [(5, 4, 3, 2, 1)]))
+@example(((1, 2, 3, 4, 5, 6), [(6, 5, 4, 3, 2, 1), (0,) * 6]))
+def test_dots_matches_the_pairwise_products(data):
+    u, vectors = data
+    assert dots(tuple(u), [tuple(v) for v in vectors]) == [sum(map(mul, u, v)) for v in vectors]
+

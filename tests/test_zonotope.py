@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from isozono import zonotope
+from isozono import intmat, zonotope
 from isozono.boundary import brunn_minkowski_certificate
 from isozono.catalog import BUILTIN_NAMES, builtin_graph
 from isozono.errors import (
@@ -80,6 +80,44 @@ def test_volume_is_determinant_sum():
         for sub in combinations(z.generators, z.dim):
             total += abs(leibniz_det([list(v) for v in sub]))
         assert z.volume() == 2 ** z.dim * total
+
+
+def test_linf4_volume_is_pinned():
+    g = builtin_graph("linf:4")
+    assert zonotope.Zonotope(g.dim, g.generators).volume() == 2623760
+
+
+def _random_4d_sets(count, seed):
+    """`count` canonical spanning 4-D generator sets, k = 4..12, entries -3..3."""
+    rng = random.Random(seed)
+    sets = []
+    while len(sets) < count:
+        k = rng.randint(4, 12)
+        gens = {canonical_sign(tuple(rng.randint(-3, 3) for _ in range(4))) for _ in range(k)}
+        gens = {primitive_part(g) for g in gens if any(g)}
+        if rank(list(gens), 4) == 4:
+            sets.append(canonicalize_generators(4, gens))
+    return sets
+
+
+def test_volume_shares_nothing_with_the_minor_table(monkeypatch):
+    """b(Z) = n vol(Z) compares two routes only while the volume reads
+    neither the (n-1)-subset cross products nor the tables built on them:
+    on fresh zonotopes, volume() must run with `cross_nd` raising and must
+    leave `minor_table` and `facet_table` unbuilt."""
+    def refuse(*args):
+        raise AssertionError("the volume called cross_nd")
+
+    monkeypatch.setattr(intmat, "cross_nd", refuse)
+    monkeypatch.setattr(zonotope, "cross_nd", refuse)
+    random_sets = _random_4d_sets(12, 24)
+    cases = [(builtin_graph(name).dim, builtin_graph(name).generators) for name in BUILTIN_NAMES]
+    for dim, gens in cases + [(4, gens) for gens in random_sets]:
+        z = zonotope.Zonotope(dim, gens)
+        vol = z.volume()
+        assert "minor_table" not in vars(z) and "facet_table" not in vars(z)
+        if gens in random_sets:
+            assert vol == 16 * sum(abs(leibniz_det(s)) for s in combinations(gens, 4))
 
 
 def test_support_function_is_sum_of_abs():
