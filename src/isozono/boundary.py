@@ -8,9 +8,11 @@ gained per unit step of translation along v:
 
 For a polytope the sweep is sum_F max(0, <n_F, v>) * cell_F over facets,
 where cell_F is the facet's lattice (n-1)-volume in the sublattice of its
-hyperplane; the product is rational, so b(A) is computed exactly.  For the
-limiting zonotope Z = sum_i [-v_i, v_i] the sweep is read off its table of
-generator minors (`Zonotope.sweep`), and the closed identity
+hyperplane; the product is rational, so b(A) is computed exactly.  The
+cells are read as int numerators over one common denominator L
+(`Polytope._int_cells`), so the sum is an int sum and one division by L.
+For the limiting zonotope Z = sum_i [-v_i, v_i] the sweep is read off its
+table of generator minors (`Zonotope.sweep`), and the closed identity
 b(Z) = n * vol(Z) holds.
 
 The sharp inequality certified here is
@@ -29,8 +31,8 @@ from math import lcm
 
 from .errors import (DimensionMismatchError, InvalidArgumentError, RankDeficientError,
                      ZeroVectorError)
-from .geometry import Polytope, minkowski_sum_segment
-from .intmat import _norm_num, dot, is_zero
+from .geometry import Polytope, _norm_point, minkowski_sum_segment
+from .intmat import _norm_num, _rational, dots, is_zero
 from .plgraph import PLGraph
 from .zonotope import Zonotope, homothety_check, zonotope_of_graph
 
@@ -40,24 +42,24 @@ def directional_sweep(body, direction):
 
     `body` is a full-dimensional Polytope or a Zonotope.  The value equals
     vol(body + [0, direction]) - vol(body) and is rational (integer for
-    integer data).
+    integer data).  The direction goes through `geometry._norm_point` first,
+    so a float coordinate enters as its exact Fraction and a non-rational one
+    raises `FormatError`.
     """
+    direction = _norm_point(tuple(direction))
     if is_zero(direction):
         raise ZeroVectorError("sweep direction must be nonzero")
     if len(direction) != body.dim:
         raise DimensionMismatchError(
             f"direction has length {len(direction)}, body dimension is {body.dim}")
     if isinstance(body, Zonotope):
-        return body.sweep(direction)
+        return _norm_num(body.sweep(direction))
     P = body
     if not P.is_full_dimensional():
         raise RankDeficientError("sweep requires a full-dimensional polytope")
-    total = Fraction(0)
-    for normal, _offset, cell in P.facet_cells():
-        s = dot(normal, direction)
-        if s > 0:
-            total += s * cell
-    return _norm_num(total)
+    normals, numerators, common = P._int_cells
+    return _norm_num(Fraction(sum(s * m for s, m in zip(dots(direction, normals), numerators)
+                                  if s > 0), common))
 
 
 @dataclass(frozen=True)
@@ -154,7 +156,7 @@ def finite_difference_probe(A: Polytope, graph: PLGraph, epsilons) -> tuple:
     vol_a = Fraction(A.volume())
     rows = []
     for eps in epsilons:
-        eps = Fraction(eps)
+        eps = _rational(eps, "probe step")
         if eps <= 0:
             raise InvalidArgumentError("probe step must be positive")
         denoms = [eps.denominator]

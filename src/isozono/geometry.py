@@ -19,11 +19,20 @@ double description: its vertices are the rays, and its facets the
 inequalities whose tight vertex sets are maximal (`_maximal_masks`), so a
 full-dimensional body takes no second hull.
 
+`convex_hull` scales rational input once by D, the lcm of its coordinate
+denominators (`_integer_multiple`), hulls the integer points on integer
+rows (each facet offset an exact int quotient), and maps the result back
+by 1/D through the affine image that `translate` and `scale` share.
+
 Flat bodies are handled in one integer chart, `intmat.kernel_chart`: a
 lattice basis of the direction space plus integer rows `left` with
 left . basis = I, so chart coordinates are dot products, exact for rational
 points.  Facets need neither: their cells come from one pulling
-triangulation of the body's vertex-facet incidences (`_pulling_triangulation`).
+triangulation of the body's vertex-facet incidences (`_pulling_triangulation`),
+with int determinants of the body's integer multiple D P (`_int_body`,
+scaled the same way).  The cells are kept once more as int numerators over
+one common denominator L, so the cone-sum volume and the sweeps are int
+sums with one division.
 """
 
 from __future__ import annotations
@@ -31,8 +40,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
-from math import factorial
-from operator import and_
+from math import factorial, lcm
+from operator import and_, mul
 
 from .errors import (
     DimensionDeficiencyError,
@@ -120,10 +129,7 @@ class Polytope:
         return self.chart is None and self.dim >= 1
 
     def contains(self, point):
-        point = tuple(point)
-        if len(point) != self.dim:
-            raise DimensionMismatchError(
-                f"point of dim {len(point)} vs polytope of dim {self.dim}")
+        point = self._vector(point, "point")
         if self.chart is None:
             return all(dot(n, point) <= c for n, c in self.facets)
         base, basis = self.chart.base, self.chart.basis
@@ -138,7 +144,16 @@ class Polytope:
         return tuple(lows), tuple(highs)
 
     def support(self, direction):
-        return max(dot(direction, v) for v in self.vertices)
+        return max(dots(self._vector(direction, "direction"), self.vertices))
+
+    def _vector(self, v, what):
+        """v through `_norm_point`, or a `DimensionMismatchError` if its length
+        is not dim: `dot` zips, so it would truncate."""
+        v = _norm_point(tuple(v))
+        if len(v) != self.dim:
+            raise DimensionMismatchError(
+                f"{what} of length {len(v)} vs polytope of dim {self.dim}")
+        return v
 
     # -- volume ----------------------------------------------------------
 
@@ -173,13 +188,10 @@ class Polytope:
         n = self.dim
         if n == 2:
             return _shoelace(self.cycle())
-        apex = self.vertices[0]
-        total = Fraction(0)
-        for normal, offset, cell in self.facet_cells():
-            height = Fraction(offset) - dot(normal, apex)
-            if height:
-                total += height * cell
-        return _norm_num(total / n)
+        d, verts, offsets = self._int_body
+        normals, numerators, common = self._int_cells
+        heights = (c - a for c, a in zip(offsets, dots(verts[0], normals)))  # of D P
+        return _norm_num(Fraction(sum(map(mul, heights, numerators)), common * n * d))
 
     def facet_cells(self):
         """(normal, offset, lattice volume) per facet.
@@ -198,10 +210,12 @@ class Polytope:
         # k is injective on H = normal-perp and maps H cap Z^n onto the kernel
         # of y -> <normal_-k, y> mod |normal[k]|, of index |normal[k]| as the
         # normal is primitive (Beck and Robins, Computing the Continuous
-        # Discretely, ch. 3 and 5).
-        verts, n = self.vertices, self.dim
-        masks = [sum(1 << i for i, s in enumerate(dots(normal, verts)) if s == offset)
-                 for normal, offset in self.facets]
+        # Discretely, ch. 3 and 5).  The cells of D P (`_int_body`) take int
+        # determinants, and each is D^(n-1) times the cell of P.
+        n = self.dim
+        scale, verts, offsets = self._int_body
+        masks = [sum(1 << i for i, s in enumerate(dots(normal, verts)) if s == c)
+                 for (normal, _), c in zip(self.facets, offsets)]
         memo = {}
         cells = []
         for (normal, offset), mask in zip(self.facets, masks):
@@ -211,9 +225,27 @@ class Polytope:
                 w, *rest = (verts[i] for i in _bit_indices(simplex))
                 total += abs(det([[a - b for j, (a, b) in enumerate(zip(v, w)) if j != k]
                                   for v in rest]))
-            cells.append((normal, offset,
-                          _norm_num(Fraction(total, factorial(n - 1) * abs(normal[k])))))
+            cells.append((normal, offset, _norm_num(Fraction(
+                total, factorial(n - 1) * abs(normal[k]) * scale ** (n - 1)))))
         return tuple(cells)
+
+    @cached_property
+    def _int_body(self):
+        """(D, vertices, facet offsets) of D P, D the lcm of the vertex
+        denominators: all ints, since a facet's offset is <normal, v> at a
+        vertex v on it."""
+        scale, verts = _integer_multiple(self.vertices)
+        return scale, verts, [int(c * scale) for _, c in self.facets]
+
+    @cached_property
+    def _int_cells(self):
+        """(normals, numerators, L): the facet cells, in facet order, as ints
+        over L, the lcm of their denominators, so a weighted sum of the cells
+        is an int sum and one division."""
+        cells = self.facet_cells()
+        common = lcm(*(cell.denominator for _, _, cell in cells))
+        return ([normal for normal, _, _ in cells],
+                [cell.numerator * (common // cell.denominator) for _, _, cell in cells], common)
 
     def cycle(self):
         """Vertices of a 2-polytope in counterclockwise cyclic order, from the
@@ -230,11 +262,7 @@ class Polytope:
     # -- transforms --------------------------------------------------------
 
     def translate(self, t):
-        t = _norm_point(t)
-        if len(t) != self.dim:
-            raise DimensionMismatchError(
-                f"translation of length {len(t)} vs polytope of dim {self.dim}")
-        return self._image(1, t)
+        return self._image(1, self._vector(t, "translation"))
 
     def scale(self, factor):
         factor = _rational(factor, "scale factor")
@@ -271,7 +299,10 @@ class Polytope:
 
 
 def convex_hull(points) -> Polytope:
-    """Exact convex hull; flat inputs get an affine chart with integer basis."""
+    """Exact convex hull; flat inputs get an affine chart with integer basis.
+
+    The points are scaled once by D, the lcm of their coordinate
+    denominators; the hull of those integer points is mapped back by 1/D."""
     pts = [_norm_point(tuple(p)) for p in points]
     if not pts:
         raise InvalidArgumentError("convex_hull of an empty point set")
@@ -279,17 +310,32 @@ def convex_hull(points) -> Polytope:
     for p in pts:
         if len(p) != dim:
             raise DimensionMismatchError("dimension mismatch among input points")
-    pts = sorted(set(pts))
+    scale, pts = _integer_multiple(pts)
+    hull = _hull_int(sorted(set(pts)), dim)
+    return hull if scale == 1 else hull._image(Fraction(1, scale), (0,) * dim)
+
+
+def _integer_multiple(points):
+    """(D, the points times D as int tuples), D the lcm of the coordinate
+    denominators; for D = 1 the points come back as they are."""
+    scale = lcm(*(a.denominator for p in points for a in p))
+    if scale == 1:
+        return 1, points
+    return scale, [tuple(a.numerator * (scale // a.denominator) for a in p) for p in points]
+
+
+def _hull_int(pts, dim):
+    """The hull of distinct sorted integer points."""
     base = pts[0]
-    int_diffs = [integerize(vsub(p, base)) for p in pts[1:]]  # distinct points
-    if dim and rank(int_diffs, dim) == dim:
+    diffs = [vsub(p, base) for p in pts[1:]]
+    if dim and rank(diffs, dim) == dim:
         return _hull_full(pts, dim)
     # flat: saturated integer basis of the direction space, then hull in chart
-    basis, left = map(tuple, kernel_chart(kernel_basis(int_diffs, dim), dim))
+    basis, left = map(tuple, kernel_chart(kernel_basis(diffs, dim), dim))
     if not basis:
         body = Polytope(0, [()], facets=(), chart=None)
         return Polytope(dim, [base], None, Chart(base, (), (), body))
-    point_of = {_norm_point(tuple(dot(l, vsub(p, base)) for l in left)): p for p in pts}
+    point_of = {tuple(dots(d, left)): p for d, p in zip([(0,) * dim] + diffs, pts)}
     body = _hull_full(sorted(point_of), len(basis))
     verts = [point_of[y] for y in body.vertices]
     return Polytope(dim, verts, None, Chart(base, basis, left, body))
@@ -307,17 +353,17 @@ def _hull_full(pts, dim):
         for i in range(m):
             p, q = cycle[i], cycle[(i + 1) % m]
             d = vsub(q, p)
-            normal = integerize((d[1], -d[0]))
+            normal = primitive_part((d[1], -d[0]))
             facets.append((normal, dot(normal, p)))
         poly = Polytope(2, cycle, facets)
         poly._cycle = tuple(cycle)
         return poly
     # Facets are the extreme rays (a, c) of the cone {c - <a, p> >= 0 for all p}.
-    rays = _extreme_rays([integerize(vneg(p) + (1,)) for p in pts], dim + 1)
+    rays = _extreme_rays([vneg(p) + (1,) for p in pts], dim + 1)
     facets = []
     for y, _ in rays:
-        g = content(y[:dim])
-        facets.append((tuple(a // g for a in y[:dim]), Fraction(y[dim], g)))
+        g = content(y[:dim])  # g divides <a, p> = c at the tight integer points p
+        facets.append((tuple(a // g for a in y[:dim]), y[dim] // g))
     # A point is a vertex iff the facets through it meet in no other point.
     verts = [p for i, p in enumerate(pts)
              if reduce(and_, (m for _, m in rays if m >> i & 1), -1) == 1 << i]

@@ -5,6 +5,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
+from hypothesis import assume, given, settings
 
 from isozono.boundary import (
     brunn_minkowski_certificate,
@@ -14,10 +15,11 @@ from isozono.boundary import (
     zonotope_boundary_identity,
 )
 from isozono.catalog import BUILTIN_NAMES, builtin_graph
-from isozono.errors import DimensionMismatchError, ZeroVectorError
+from isozono.errors import DimensionMismatchError, FormatError, ZeroVectorError
 from isozono.geometry import convex_hull, minkowski_sum_segment
-from isozono.intmat import canonical_sign, content
+from isozono.intmat import _norm_num, canonical_sign, content, dot
 from isozono.zonotope import build_zonotope, zonotope_of_graph
+from test_geometry import _scaled_point_sets
 from test_intmat import leibniz_det
 
 OCTAGON = [(3, 1), (1, 3), (-1, 3), (-3, 1), (-3, -1), (-1, -3), (1, -3), (3, -1)]
@@ -81,6 +83,60 @@ def test_sweep_rejects_bad_input():
         directional_sweep(P, (0, 0))
     with pytest.raises(DimensionMismatchError):
         directional_sweep(P, (1, 0, 0))
+
+
+_LEGS_2 = convex_hull([(0, 0), (2, 0), (0, 2)])
+
+
+@pytest.mark.parametrize("call, outcome", [
+    (lambda: directional_sweep(_LEGS_2, (1 / 3, 0)), 2 * Fraction(1 / 3)),
+    (lambda: directional_sweep(builtin_graph("l1:2").zonotope(), (0.5, 0)), 1),
+    (lambda: directional_sweep(_LEGS_2, (1, "a")), FormatError),
+    (lambda: directional_sweep(builtin_graph("l1:2").zonotope(), (1, "a")), FormatError),
+    (lambda: finite_difference_probe(_LEGS_2, builtin_graph("l1:2").graph(), ["x"]),
+     FormatError),
+], ids=["polytope-float", "zonotope-float", "polytope-text", "zonotope-text", "probe-text"])
+def test_sweep_direction_and_probe_step_are_read_as_exact_rationals(call, outcome):
+    # A float coordinate enters as its exact Fraction, so no float comes out.
+    if isinstance(outcome, type):
+        with pytest.raises(outcome):
+            call()
+    else:
+        assert repr(call()) == repr(outcome)
+
+
+def _cone_volume(P):
+    """sum_F (offset_F - <n_F, apex>) * cell_F / n, one Fraction per facet:
+    the volume formula before the common-denominator sums, kept as the oracle."""
+    apex = P.vertices[0]
+    total = Fraction(0)
+    for normal, offset, cell in P.facet_cells():
+        total += (Fraction(offset) - dot(normal, apex)) * cell
+    return _norm_num(total / P.dim)
+
+
+def _cell_sweep(P, v):
+    """sum_F max(0, <n_F, v>) * cell_F, one Fraction per facet, kept as the oracle."""
+    total = Fraction(0)
+    for normal, _, cell in P.facet_cells():
+        s = dot(normal, v)
+        if s > 0:
+            total += s * cell
+    return _norm_num(total)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_scaled_point_sets())
+def test_volume_and_generator_sweeps_match_the_fraction_sums_over_the_cells(pts):
+    # Equal values of equal types: an integral result stays an int.
+    P = convex_hull(pts)
+    assume(P.chart is None)
+    assert repr(P.volume()) == repr(_cone_volume(P))
+    for name in BUILTIN_NAMES:
+        graph = builtin_graph(name).graph()
+        if graph.dim == P.dim:
+            for v in graph.generators:
+                assert repr(directional_sweep(P, v)) == repr(_cell_sweep(P, v))
 
 
 def test_continuous_boundary_oracles():

@@ -3,8 +3,9 @@
 import math
 import random
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cmp_to_key, reduce
 from itertools import combinations, product
+from operator import and_
 
 import pytest
 from hypothesis import assume, given, settings
@@ -13,7 +14,10 @@ from hypothesis import strategies as st
 from isozono.catalog import builtin_graph
 from isozono.errors import DimensionDeficiencyError, DimensionMismatchError, FormatError
 from isozono.geometry import (
+    Chart,
     Polytope,
+    _extreme_rays,
+    _monotone_chain,
     _norm_point,
     convex_hull,
     hrep_vertices,
@@ -25,8 +29,8 @@ from isozono.geometry import (
     polytope_volume,
     project_polytope,
 )
-from isozono.intmat import (_norm_num, dot, embed, integerize, is_zero, kernel_chart, rank, vadd,
-                            vneg, vsub)
+from isozono.intmat import (_norm_num, content, dot, embed, integerize, is_zero, kernel_basis,
+                            kernel_chart, rank, vadd, vneg, vsub)
 from test_intmat import leibniz_det, signed_minors
 
 OCTAGON = [(3, 1), (1, 3), (-1, 3), (-3, 1), (-3, -1), (-1, -3), (1, -3), (3, -1)]
@@ -249,6 +253,24 @@ def test_bad_input_to_polytope_entry_points_raises_a_library_error(call, error):
         call()
 
 
+@pytest.mark.parametrize("call, outcome", [
+    (lambda: convex_hull(_TRIANGLE).support((1, 0, 0)), DimensionMismatchError),
+    (lambda: convex_hull(_TRIANGLE).support((1,)), DimensionMismatchError),
+    (lambda: convex_hull(_TRIANGLE).support((0.5, 0)), Fraction(1, 2)),
+    (lambda: convex_hull(_TRIANGLE).contains((0, "a")), FormatError),
+    (lambda: convex_hull(_TRIANGLE).contains((0, None)), FormatError),
+    # 0.1 + 0.9 rounds to 1.0 in floats; the exact sum is just above 1.
+    (lambda: convex_hull(_TRIANGLE).contains((0.1, 0.9)), False),
+], ids=["support-long", "support-short", "support-float", "contains-text", "contains-none",
+        "contains-float"])
+def test_support_and_contains_check_and_normalise_their_vector(call, outcome):
+    if isinstance(outcome, type):
+        with pytest.raises(outcome):
+            call()
+    else:
+        assert repr(call()) == repr(outcome)
+
+
 def _old_norm_point(p):
     """`_norm_point` before its all-int fast path, kept as the oracle."""
     return tuple(_norm_num(Fraction(a)) if not isinstance(a, int) else a for a in p)
@@ -305,6 +327,78 @@ def test_affine_image_is_the_hull_of_the_mapped_vertices(P, f, data):
         assert image.chart.base == hull.chart.base
         assert _charted_vertices(image) == image.vertices
     assert image.chart_volume() == f ** P.affine_dim * P.chart_volume() == hull.chart_volume()
+
+
+@st.composite
+def _scaled_point_sets(draw):
+    """Points of (1/q)Z^dim, q = 1, 2 or 3 (plain ints for q = 1), dim 2..4:
+    a base plus integer combinations of 1 <= k <= dim integer directions,
+    so k < dim, or dependent directions, give a flat set."""
+    dim = draw(st.integers(2, 4))
+    q = draw(st.sampled_from((1, 2, 3)))
+    small = st.integers(-3, 3)
+    k = draw(st.integers(1, dim))
+    dirs = draw(st.lists(st.tuples(*[small] * dim), min_size=k, max_size=k))
+    base = draw(st.tuples(*[st.integers(-5, 5)] * dim))
+    coeffs = draw(st.lists(st.tuples(*[small] * k), min_size=k + 1, max_size=16 - 2 * dim))
+    return [tuple(_norm_num(Fraction(b + sum(c * d[i] for c, d in zip(cs, dirs)), q))
+                  for i, b in enumerate(base)) for cs in coeffs]
+
+
+def _per_point_hull(points):
+    """`convex_hull` before the one lcm scaling, kept as the oracle: every
+    difference and hull row integerized on its own, Fraction offsets, and the
+    flat chart coordinates read off the rational points."""
+    pts = sorted(set(map(_norm_point, points)))
+    dim = len(pts[0])
+    base = pts[0]
+    int_diffs = [integerize(vsub(p, base)) for p in pts[1:]]
+    if dim and rank(int_diffs, dim) == dim:
+        return _per_point_hull_full(pts, dim)
+    basis, left = map(tuple, kernel_chart(kernel_basis(int_diffs, dim), dim))
+    if not basis:
+        return Polytope(dim, [base], None, Chart(base, (), (), Polytope(0, [()], facets=())))
+    point_of = {_norm_point(tuple(dot(l, vsub(p, base)) for l in left)): p for p in pts}
+    body = _per_point_hull_full(sorted(point_of), len(basis))
+    return Polytope(dim, [point_of[y] for y in body.vertices], None,
+                    Chart(base, basis, left, body))
+
+
+def _per_point_hull_full(pts, dim):
+    if dim == 1:
+        xs = [p[0] for p in pts]
+        lo, hi = min(xs), max(xs)
+        return Polytope(1, [(lo,), (hi,)], [((1,), hi), ((-1,), -lo)])
+    if dim == 2:
+        cycle = _monotone_chain(pts)
+        facets = []
+        for p, q in zip(cycle, cycle[1:] + cycle[:1]):
+            d = vsub(q, p)
+            normal = integerize((d[1], -d[0]))
+            facets.append((normal, dot(normal, p)))
+        return Polytope(2, cycle, facets)
+    rays = _extreme_rays([integerize(vneg(p) + (1,)) for p in pts], dim + 1)
+    facets = []
+    for y, _ in rays:
+        g = content(y[:dim])
+        facets.append((tuple(a // g for a in y[:dim]), Fraction(y[dim], g)))
+    verts = [p for i, p in enumerate(pts)
+             if reduce(and_, (m for _, m in rays if m >> i & 1), -1) == 1 << i]
+    return Polytope(dim, verts, facets)
+
+
+def _hull_record(P):
+    """Vertices and facets, and the chart's base, basis, left and body, by
+    repr, so an int and an equal Fraction differ."""
+    c = P.chart
+    return repr((P.vertices, P.facets) + (() if c is None else (
+        c.base, c.basis, c.left, c.body.vertices, c.body.facets)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_scaled_point_sets())
+def test_hull_matches_the_per_point_integerize_route(pts):
+    assert _hull_record(convex_hull(pts)) == _hull_record(_per_point_hull(pts))
 
 
 def test_cycle_is_counterclockwise():

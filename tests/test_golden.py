@@ -27,6 +27,7 @@ from pathlib import Path
 
 import pytest
 
+from isozono.boundary import brunn_minkowski_certificate, directional_sweep
 from isozono.catalog import BUILTIN_NAMES, builtin_graph
 from isozono.cli import main
 from isozono.geometry import convex_hull
@@ -127,8 +128,42 @@ def _hulls():
     return records
 
 
+def _certificates():
+    """volume(), the sweep along every generator and every `BMCertificate`
+    field of each `_hulls()` body on each builtin of its dimension; then the
+    vertices and chart (base, basis, left, body) of 12 seeded flat 2-D to
+    4-D point sets with integer, half- or third-integer coordinates."""
+    records = []
+    for pts, *_ in _hulls():
+        P = convex_hull(pts)
+        records.append([pts, P.volume()])
+        for name in BUILTIN_NAMES:
+            g = builtin_graph(name)
+            if g.dim == P.dim:
+                c = brunn_minkowski_certificate(P, g)
+                records.append([name, [directional_sweep(P, v) for v in g.generators],
+                                [c.dim, c.boundary_value, c.volume, c.zonotope_volume, c.lhs,
+                                 c.rhs, c.holds, c.is_equality, c.homothetic, c.homothety]])
+    rng = random.Random(2404)
+    for dim in (2, 3, 3, 3, 4, 4, 4, 4, 2, 3, 4, 4):
+        q = rng.choice((1, 2, 3))
+        base = [Fraction(rng.randint(-6, 6), q) for _ in range(dim)]
+        dirs = [[rng.randint(-2, 2) for _ in range(dim)] for _ in range(rng.randint(1, dim - 1))]
+        pts = set()
+        for _ in range(rng.randint(3, 12)):
+            ys = [Fraction(rng.randint(-4, 4), q) for _ in dirs]
+            pts.add(tuple(b + sum(y * d[i] for y, d in zip(ys, dirs)) for i, b in enumerate(base)))
+        pts = sorted(pts)
+        P = convex_hull(pts)
+        c = P.chart
+        records.append([pts, P.vertices, P.facets] + (
+            [] if c is None else [c.base, c.basis, c.left, c.body.vertices, c.body.facets]))
+    return records
+
+
 _LIBRARY = {"library: 4-D zonotopes": _zonotopes_4d, "library: 5-D zonotopes": _zonotopes_5d,
-            "library: 3-D and 4-D hulls": _hulls}
+            "library: 3-D and 4-D hulls": _hulls,
+            "library: hull volumes, sweeps, certificates and flat charts": _certificates}
 
 
 def _library_digest(name):
