@@ -22,10 +22,8 @@ from .errors import (AntipodalGeneratorError, BudgetExceededError,
                      InternalConsistencyError, InvalidArgumentError, IsozonoError,
                      NonPrimitiveGeneratorError, RankDeficientError,
                      UnpairedSegmentError, ZeroVectorError)
-from .geometry import (Polytope, convex_hull, hrep_vertices,
-                       minkowski_sum_segment, points_from_text, points_to_text,
-                       polytope_from_text, polytope_to_text, polytope_volume,
-                       project_polytope)
+from .geometry import (Polytope, convex_hull, minkowski_sum_segment, points_from_text,
+                       points_to_text, polytope_from_text, polytope_to_text)
 from .lattice import (LatticeBasis, boundary_lattice_points,
                       count_lattice_points, dual_projection_lattice_basis,
                       pick_area, projection_lattice_det_squared)

@@ -31,7 +31,7 @@ from math import lcm
 
 from .errors import (DimensionMismatchError, InvalidArgumentError, RankDeficientError,
                      ZeroVectorError)
-from .geometry import Polytope, _norm_point, minkowski_sum_segment
+from .geometry import Polytope, _vector, minkowski_sum_segment
 from .intmat import _norm_num, _rational, dots, is_zero
 from .plgraph import PLGraph
 from .zonotope import Zonotope, homothety_check, zonotope_of_graph
@@ -42,18 +42,15 @@ def directional_sweep(body, direction):
 
     `body` is a full-dimensional Polytope or a Zonotope.  The value equals
     vol(body + [0, direction]) - vol(body) and is rational (integer for
-    integer data).  The direction goes through `geometry._norm_point` first,
-    so a float coordinate enters as its exact Fraction and a non-rational one
-    raises `FormatError`.
+    integer data).  The direction goes through `geometry._vector` first, so
+    a float coordinate enters as its exact Fraction, a non-rational one
+    raises `FormatError` and a wrong length `DimensionMismatchError`.
     """
-    direction = _norm_point(tuple(direction))
+    direction = _vector(direction, body.dim, "direction")
     if is_zero(direction):
         raise ZeroVectorError("sweep direction must be nonzero")
-    if len(direction) != body.dim:
-        raise DimensionMismatchError(
-            f"direction has length {len(direction)}, body dimension is {body.dim}")
     if isinstance(body, Zonotope):
-        return _norm_num(body.sweep(direction))
+        return body.sweep(direction)
     P = body
     if not P.is_full_dimensional():
         raise RankDeficientError("sweep requires a full-dimensional polytope")

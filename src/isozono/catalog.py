@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .errors import FormatError, InvalidArgumentError, IsozonoError
+from .errors import FormatError, InternalConsistencyError, InvalidArgumentError, IsozonoError
 from .intmat import canonical_sign, det
 from .plgraph import PLGraph, canonicalize_generators
 from .zonotope import Zonotope, build_zonotope_from_segments, zonotope_of_graph
@@ -68,12 +68,12 @@ def check_symmetry_hints(dim, generators, hints):
     gen_set = set(generators)
     for hint in hints:
         if len(hint) != dim or sorted(j for j, _ in hint) != list(range(dim)):
-            raise ValueError(f"symmetry hint {hint} is not a permutation of 0..{dim-1}")
+            raise InvalidArgumentError(f"symmetry hint {hint} is not a permutation of 0..{dim-1}")
         if any(s not in (-1, 1) for _, s in hint):
-            raise ValueError(f"symmetry hint {hint} has signs outside {{-1, 1}}")
+            raise InvalidArgumentError(f"symmetry hint {hint} has signs outside {{-1, 1}}")
         image = {canonical_sign(_apply_hint(hint, g)) for g in generators}
         if image != gen_set:
-            raise ValueError(
+            raise InvalidArgumentError(
                 f"symmetry hint {hint} does not preserve the generator set")
 
 
@@ -109,7 +109,7 @@ def _d4cross_data():
     for r in segments:
         y = [det(basis[:j] + (r,) + basis[j + 1:]) for j in range(4)]
         if any(c % index for c in y):
-            raise ValueError(f"segment {r} is not in the lattice of the basis")
+            raise InternalConsistencyError(f"segment {r} is not in the lattice of the basis")
         gens.add(canonical_sign(tuple(c // index for c in y)))
     return basis, tuple(segments), canonicalize_generators(4, sorted(gens))
 
@@ -210,7 +210,7 @@ def parse_graph_spec(text: str, source: str = "<string>") -> GraphSpec:
     if hints:
         try:
             check_symmetry_hints(dim, gens, hints)
-        except ValueError as exc:
+        except IsozonoError as exc:
             raise FormatError(f"{source}: {exc}") from None
     return GraphSpec(name, dim, gens, tuple(hints))
 

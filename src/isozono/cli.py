@@ -16,7 +16,8 @@ from fractions import Fraction
 from . import reproduce as reproduce_mod
 from .catalog import (BUILTIN_NAMES, builtin_graph, comparison_builtin,
                       parse_graph_spec)
-from .errors import BudgetExceededError, IsozonoError
+from .errors import (BudgetExceededError, EmptySectionError, FormatError,
+                     InvalidArgumentError, IsozonoError)
 from .geometry import points_from_text, points_to_text, polytope_from_text, polytope_to_text
 from .plgraph import boundary_identity_report
 from .render import render_polytope
@@ -25,10 +26,18 @@ from .search import (convergence_experiment, default_budget, exhaustive_min_boun
 from .zonotope import f_vector, homothety_check, hyperplane_section
 
 
+def _read(path):
+    """The text of a UTF-8 file; a `FormatError` if it does not decode."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def _load_spec(args):
     if getattr(args, "spec", None):
-        with open(args.spec, encoding="utf-8") as fh:
-            return parse_graph_spec(fh.read(), source=args.spec)
+        return parse_graph_spec(_read(args.spec), source=args.spec)
     return builtin_graph(args.graph)
 
 
@@ -44,11 +53,12 @@ def _write(path, text):
         fh.write(text)
 
 
-def _rational(token: str) -> Fraction:
+def _number(token: str, kind=Fraction):
+    """kind(token), or a `FormatError` naming the token."""
     try:
-        return Fraction(token)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {token!r}") from None
+        return kind(token)
+    except (ValueError, ZeroDivisionError):
+        raise FormatError(f"{token!r} is not a number") from None
 
 
 def _parse_alphas(spec: str, budget=None):
@@ -57,13 +67,13 @@ def _parse_alphas(spec: str, budget=None):
         token = token.strip()
         if ":" in token:
             lo, _, hi = token.partition(":")
-            lo, hi, budget = int(lo), int(hi), default_budget(budget)
+            lo, hi, budget = _number(lo, int), _number(hi, int), default_budget(budget)
             if hi - lo >= budget:  # refused before the range is built
                 raise BudgetExceededError(f"alpha range {token} has more scales than the "
                                           f"budget ({budget})")
             alphas.extend(range(lo, hi + 1))
         elif token:
-            alphas.append(_rational(token))
+            alphas.append(_number(token))
     return alphas
 
 
@@ -86,10 +96,9 @@ def _cmd_validate(args):
 def _cmd_boundary(args):
     spec = _load_spec(args)
     graph = spec.graph()
-    with open(args.set, encoding="utf-8") as fh:
-        points = points_from_text(fh.read(), source=args.set)
+    points = points_from_text(_read(args.set), source=args.set)
     if not points:
-        raise ValueError(f"{args.set}: empty point set")
+        raise InvalidArgumentError(f"{args.set}: empty point set")
     report = boundary_identity_report(graph, points)
     lines = [str(report.direct_count),
              "generator\tprojections\tgaps"]
@@ -114,10 +123,7 @@ def _cmd_zonotope(args):
     if args.volume:
         out_lines.append(str(Z.volume()))
     if args.support:
-        u = tuple(int(t) for t in args.support.split())
-        if len(u) != Z.dim:
-            raise ValueError(f"--support needs {Z.dim} coordinates, got {len(u)}")
-        out_lines.append(str(Z.support(u)))
+        out_lines.append(str(Z.support([_number(t, int) for t in args.support.split()])))
     if args.vertices:
         P = Z.polytope()
         out_lines.extend(" ".join(str(a) for a in v) for v in P.vertices)
@@ -143,20 +149,20 @@ def _cmd_zonotope(args):
 
 def _cmd_search(args):
     if args.print_witnesses < 0:
-        raise ValueError(f"--print-witnesses must be >= 0, got {args.print_witnesses}")
+        raise InvalidArgumentError(f"--print-witnesses must be >= 0, got {args.print_witnesses}")
     spec = _load_spec(args)
     graph = spec.graph()
     if args.mode == "exhaustive":
         if args.box_radius is None:
-            raise ValueError("exhaustive search requires --box-radius")
+            raise InvalidArgumentError("exhaustive search requires --box-radius")
         hints = spec.symmetry_hints if args.use_symmetry else None
         result = exhaustive_min_boundary(
             graph, args.m, args.box_radius, witness_cap=args.witness_cap,
             budget=args.budget, symmetry_hints=hints)
     else:
         if args.budget is not None:
-            raise ValueError("--budget applies to exhaustive search; local search is "
-                             "capped by ISOZONO_BUDGET")
+            raise InvalidArgumentError("--budget applies to exhaustive search; local search "
+                                       "is capped by ISOZONO_BUDGET")
         result = local_search_min_boundary(graph, args.m,
                                            iterations=args.iterations,
                                            seed=args.seed)
@@ -181,12 +187,12 @@ def _cmd_section(args):
     spec = _load_spec(args)
     Z = spec.zonotope()
     if not 1 <= args.axis <= Z.dim:
-        raise ValueError(f"--axis must be in 1..{Z.dim}, got {args.axis}")
-    level = _rational(args.level)
+        raise InvalidArgumentError(f"--axis must be in 1..{Z.dim}, got {args.axis}")
+    level = _number(args.level)
     unit = tuple(1 if i == args.axis - 1 else 0 for i in range(Z.dim))
     h = Z.support(unit)
     if abs(level) > h:
-        raise ValueError(
+        raise EmptySectionError(
             f"|level| = {abs(level)} exceeds the support value {h} along --axis {args.axis}")
     section = hyperplane_section(Z, args.axis - 1, level)
     lines = [f"vertices\t{len(section.vertices)}"]
@@ -232,8 +238,7 @@ def _cmd_converge(args):
 
 def _cmd_render(args):
     if args.polytope:
-        with open(args.polytope, encoding="utf-8") as fh:
-            body = polytope_from_text(fh.read(), source=args.polytope)
+        body = polytope_from_text(_read(args.polytope), source=args.polytope)
     else:
         spec = builtin_graph(args.graph)
         body = (spec.original_zonotope() if args.original_coords
@@ -334,7 +339,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (IsozonoError, ValueError, OSError) as exc:
+    except (IsozonoError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

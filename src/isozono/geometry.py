@@ -33,6 +33,11 @@ with int determinants of the body's integer multiple D P (`_int_body`,
 scaled the same way).  The cells are kept once more as int numerators over
 one common denominator L, so the cone-sum volume and the sweeps are int
 sums with one division.
+
+Outside vectors have one check, `_vector`: coordinates through
+`_norm_point` (exact, `FormatError` for one that is not a rational number)
+and a length test (`DimensionMismatchError`).  Lattice points go through
+`intmat.int_point` and rational scalars through `intmat._rational`.
 """
 
 from __future__ import annotations
@@ -48,7 +53,6 @@ from .errors import (
     DimensionMismatchError,
     FormatError,
     InvalidArgumentError,
-    ZeroVectorError,
 )
 from .intmat import (
     _bit_indices,
@@ -60,8 +64,8 @@ from .intmat import (
     dot,
     dots,
     embed,
-    gram_det,
     independent_rows,
+    int_point,
     integerize,
     is_zero,
     kernel_basis,
@@ -83,6 +87,15 @@ def _norm_point(p):
             return tuple(a if isinstance(a, int) else _norm_num(_rational(a, "coordinate"))
                          for a in p)
     return tuple(p)
+
+
+def _vector(v, dim, what):
+    """v through `_norm_point`, or a `DimensionMismatchError` if its length
+    is not dim: `dot` zips, so it would truncate."""
+    v = _norm_point(tuple(v))
+    if len(v) != dim:
+        raise DimensionMismatchError(f"{what} of length {len(v)} vs dimension {dim}")
+    return v
 
 
 @dataclass(frozen=True)
@@ -129,7 +142,7 @@ class Polytope:
         return self.chart is None and self.dim >= 1
 
     def contains(self, point):
-        point = self._vector(point, "point")
+        point = _vector(point, self.dim, "point")
         if self.chart is None:
             return all(dot(n, point) <= c for n, c in self.facets)
         base, basis = self.chart.base, self.chart.basis
@@ -144,16 +157,7 @@ class Polytope:
         return tuple(lows), tuple(highs)
 
     def support(self, direction):
-        return max(dots(self._vector(direction, "direction"), self.vertices))
-
-    def _vector(self, v, what):
-        """v through `_norm_point`, or a `DimensionMismatchError` if its length
-        is not dim: `dot` zips, so it would truncate."""
-        v = _norm_point(tuple(v))
-        if len(v) != self.dim:
-            raise DimensionMismatchError(
-                f"{what} of length {len(v)} vs polytope of dim {self.dim}")
-        return v
+        return max(dots(_vector(direction, self.dim, "direction"), self.vertices))
 
     # -- volume ----------------------------------------------------------
 
@@ -164,24 +168,6 @@ class Polytope:
                 f"volume requires a full-dimensional polytope "
                 f"(affine dim {self.affine_dim} in ambient dim {self.dim})")
         return self._volume
-
-    def volume_squared(self):
-        """Squared volume in the ambient metric; rational even for flat bodies."""
-        if self.chart is None:
-            v = self.volume()
-            return _norm_num(Fraction(v) ** 2)
-        if len(self.chart.basis) == 0:
-            return 1
-        body_vol = Fraction(self.chart.body.volume())
-        return _norm_num(body_vol ** 2 * gram_det(self.chart.basis))
-
-    def chart_volume(self):
-        """Volume of a flat polytope measured in its own chart coordinates."""
-        if self.chart is None:
-            return self.volume()
-        if len(self.chart.basis) == 0:
-            return 1
-        return self.chart.body.volume()
 
     @cached_property
     def _volume(self):
@@ -262,7 +248,7 @@ class Polytope:
     # -- transforms --------------------------------------------------------
 
     def translate(self, t):
-        return self._image(1, self._vector(t, "translation"))
+        return self._image(1, _vector(t, self.dim, "translation"))
 
     def scale(self, factor):
         factor = _rational(factor, "scale factor")
@@ -474,43 +460,11 @@ def _maximal_masks(masks, least):
 # -- named operations --------------------------------------------------------
 
 
-def polytope_volume(P: Polytope):
-    """Exact Lebesgue volume of a full-dimensional polytope."""
-    return P.volume()
-
-
-def project_polytope(P: Polytope, v) -> Polytope:
-    """Orthogonal shadow of P on the hyperplane v-perp.
-
-    The result is flat in the ambient space and carries a chart whose basis is
-    an integer lattice basis of v-perp, so `volume_squared()` reports the
-    exact squared (n-1)-volume of the shadow.
-    """
-    v = tuple(v)
-    if len(v) != P.dim:
-        raise DimensionMismatchError("direction dimension does not match polytope")
-    if is_zero(v):
-        raise ZeroVectorError("cannot project along the zero vector")
-    vv = dot(v, v)
-    shadow = []
-    for x in P.vertices:
-        t = Fraction(dot(x, v), vv)
-        shadow.append(vsub(x, tuple(t * a for a in v)))
-    return convex_hull(shadow)
-
-
 def minkowski_sum_segment(P: Polytope, a, b) -> Polytope:
     """Minkowski sum of P with the segment from a to b."""
-    a, b = tuple(a), tuple(b)
-    if len(a) != P.dim or len(b) != P.dim:
-        raise DimensionMismatchError("segment endpoints must match the polytope dimension")
+    a, b = (_vector(x, P.dim, "segment endpoint") for x in (a, b))
     pts = [vadd(x, a) for x in P.vertices] + [vadd(x, b) for x in P.vertices]
     return convex_hull(pts)
-
-
-def hrep_vertices(inequalities, dim):
-    """Sorted vertices of {x : <a,x> <= c for each (a, c)}; [] if the normals a do not span."""
-    return sorted(v for v, _ in _hrep_rays(inequalities, dim)[1])
 
 
 def hrep_polytope(inequalities, dim) -> Polytope:
@@ -619,7 +573,7 @@ def polytope_from_text(text: str, source: str = "<string>") -> Polytope:
 
 
 def points_to_text(points) -> str:
-    rows = sorted(tuple(int(a) for a in p) for p in points)
+    rows = sorted(map(int_point, points))
     return "\n".join(" ".join(str(a) for a in p) for p in rows) + "\n"
 
 

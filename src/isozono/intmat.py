@@ -2,6 +2,11 @@
 
 Vectors are plain tuples of ints (or Fractions where noted); matrices are
 lists/tuples of row vectors.  Everything here is exact: no floats.
+
+Outside arguments go through one of three normalisers, each raising a
+library error instead of truncating: `int_point` for lattice points,
+generators and integer directions, `_rational` for rational scalars, and
+`geometry._vector` for rational vectors of a given length.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ from itertools import combinations
 from math import gcd, lcm
 from operator import mul
 
-from .errors import DimensionMismatchError, FormatError, IsozonoError, ZeroVectorError
+from .errors import DimensionMismatchError, FormatError, ZeroVectorError
 
 
 def dot(u, v):
@@ -67,7 +72,8 @@ def _norm_num(a):
 
 
 def _rational(x, what):
-    """x as a Fraction; a `FormatError` naming `what` if it is not a rational number."""
+    """x as a Fraction, the normaliser of rational scalars; a `FormatError`
+    naming `what` if it is not a rational number."""
     try:
         return Fraction(x)
     except (TypeError, ValueError, ZeroDivisionError, OverflowError):
@@ -113,11 +119,16 @@ def integerize(v):
 
 
 def int_point(p):
-    """p as a tuple of ints; raises if a coordinate is not integral."""
-    q = tuple(map(int, p))
-    if q != tuple(p):
-        raise IsozonoError(f"point {tuple(p)} has a non-integer coordinate")
-    return q
+    """p as a tuple of ints, the normaliser of lattice points, generators and
+    integer directions: text, or a coordinate that is not an integer, raises
+    `FormatError` rather than being truncated."""
+    try:
+        q = tuple(map(int, p))
+        if q == tuple(p):
+            return q
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise FormatError(f"point {p!r} is not a lattice point: a coordinate is not an integer")
 
 
 def pack(v, R: int) -> int:
@@ -342,9 +353,5 @@ def cross_nd(vectors, dim: int):
     return tuple(result)
 
 
-def gram_matrix(vectors):
-    return [[dot(u, v) for v in vectors] for u in vectors]
-
-
 def gram_det(vectors):
-    return det(gram_matrix(vectors))
+    return det([[dot(u, v) for v in vectors] for u in vectors])

@@ -26,7 +26,7 @@ from .errors import (
     ZeroVectorError,
 )
 from .geometry import Polytope
-from .intmat import content, dot, gram_det, is_zero, kernel_basis, vneg, vsub
+from .intmat import content, dot, gram_det, int_point, is_zero, kernel_basis, vneg, vsub
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,7 @@ class LatticeBasis:
 
 def dual_projection_lattice_basis(a) -> LatticeBasis:
     """Basis of {x in Z^n : <x, a> = 0} for a primitive vector a, n >= 2."""
-    a = tuple(int(x) for x in a)
+    a = int_point(a)
     if len(a) < 2:
         raise DimensionDeficiencyError("need ambient dimension >= 2")
     if is_zero(a):
@@ -60,7 +60,7 @@ def projection_lattice_det_squared(a) -> Fraction:
     Computed two independent ways (closed form 1/(a.a) and 1/Gram of the
     orthogonal-lattice basis); disagreement raises, by design.
     """
-    a = tuple(int(x) for x in a)
+    a = int_point(a)
     basis = dual_projection_lattice_basis(a)  # rejects a zero or non-primitive a
     closed = Fraction(1, dot(a, a))
     computed = Fraction(1, basis.gram_determinant)
@@ -107,10 +107,7 @@ def boundary_lattice_points(P: Polytope) -> int:
     """Number of integer points on the boundary of a lattice polygon."""
     if P.dim != 2 or P.chart is not None:
         raise DimensionDeficiencyError("boundary point counting is for full-dimensional polygons")
-    for v in P.vertices:
-        if any(Fraction(a).denominator != 1 for a in v):
-            raise ValueError(f"vertex {v} is not a lattice point")
-    cycle = P.cycle()
+    cycle = [int_point(v) for v in P.cycle()]  # FormatError off Z^2
     return sum(gcd(*vsub(q, p)) for p, q in zip(cycle, cycle[1:] + cycle[:1]))
 
 

@@ -19,6 +19,7 @@ from itertools import permutations, product
 
 from .boundary import brunn_minkowski_certificate, zonotope_boundary_identity
 from .catalog import BUILTIN_NAMES, builtin_graph
+from .errors import InvalidArgumentError
 from .geometry import convex_hull
 from .intmat import canonical_sign, content, gram_det, kernel_basis, vadd, vsub
 from .lattice import (boundary_lattice_points, count_lattice_points, pick_area,
@@ -405,7 +406,7 @@ def run(only=None, emit=print) -> int:
     if only is not None:
         missing = set(only) - {i[0] for i in ITEMS}
         if missing:
-            raise ValueError(f"unknown item ids: {sorted(missing)}")
+            raise InvalidArgumentError(f"unknown item ids: {sorted(missing)}")
     failures = 0
     for item_id, label, func in selected:
         try:

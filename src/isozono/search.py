@@ -30,9 +30,9 @@ from fractions import Fraction
 from itertools import chain, count, product
 
 from .catalog import _apply_hint, check_symmetry_hints
-from .errors import BudgetExceededError, DimensionMismatchError, InvalidArgumentError
-from .geometry import convex_hull
-from .intmat import _bit_indices, _norm_num, dot, int_point, pack, unpack, vadd, vneg
+from .errors import BudgetExceededError, InvalidArgumentError
+from .geometry import _vector, convex_hull
+from .intmat import _bit_indices, _norm_num, _rational, dot, int_point, pack, unpack, vadd, vneg
 from .lattice import lattice_lines
 from .plgraph import PLGraph, edge_boundary_direct
 from .zonotope import Zonotope, zonotope_of_graph
@@ -93,7 +93,7 @@ def _signed_permutation_closure(graph: PLGraph, hints):
     identity = tuple((i, 1) for i in range(dim))
     group = {identity}
     frontier = [identity]
-    gens = [tuple((int(j), int(s)) for j, s in h) for h in hints]
+    gens = [tuple(map(int_point, h)) for h in hints]
     check_symmetry_hints(dim, graph.generators, gens)
     while frontier:
         g = frontier.pop()
@@ -101,7 +101,7 @@ def _signed_permutation_closure(graph: PLGraph, hints):
             comp = tuple((g[j][0], g[j][1] * s) for j, s in h)
             if comp not in group:
                 if len(group) >= _GROUP_CAP:
-                    raise ValueError("symmetry group closure exceeds cap")
+                    raise InvalidArgumentError(f"symmetry closure exceeds {_GROUP_CAP} elements")
                 group.add(comp)
                 frontier.append(comp)
     return group
@@ -420,13 +420,12 @@ def zonotope_point_set(graph: PLGraph, alpha, center=None) -> ZonotopePointSet:
     More lattice lines times facet normals than the enumeration budget,
     counted before the scan, or more points than the budget, raises
     BudgetExceededError before any point is listed."""
-    alpha = Fraction(alpha)
+    alpha = _rational(alpha, "alpha")
     if alpha <= 0:
         raise InvalidArgumentError(f"alpha must be positive, got {alpha}")
     n = graph.dim
-    center = tuple([Fraction(0)] * n) if center is None else tuple(map(Fraction, center))
-    if len(center) != n:
-        raise DimensionMismatchError(f"center has {len(center)} coordinates, dim is {n}")
+    center = (Fraction(0),) * n if center is None else tuple(
+        map(Fraction, _vector(center, n, "center")))
     budget = default_budget()
     lines = _lattice_lines(zonotope_of_graph(graph), alpha, center, budget)
     count = sum(hi - lo + 1 for lo, hi in lines.values())
@@ -461,7 +460,7 @@ def convergence_experiment(graph: PLGraph, alphas, *, budget: int | None = None)
     budget caps the lattice lines scanned times the facet normals, per scale;
     a scale over it raises BudgetExceededError before any row is returned.
     """
-    alphas = [Fraction(a) for a in alphas]
+    alphas = [_rational(a, "alpha") for a in alphas]
     if not alphas:
         raise InvalidArgumentError("at least one alpha is required")
     if any(a <= 0 for a in alphas):

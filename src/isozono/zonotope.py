@@ -55,7 +55,7 @@ from typing import NamedTuple
 
 from .errors import (DimensionMismatchError, EmptySectionError, RankDeficientError,
                      UnpairedSegmentError)
-from .geometry import Polytope, convex_hull, hrep_polytope
+from .geometry import Polytope, _vector, convex_hull, hrep_polytope
 from .intmat import (
     _norm_num,
     _rational,
@@ -67,6 +67,7 @@ from .intmat import (
     dot,
     dots,
     independent_rows,
+    int_point,
     pack,
     unpack,
     vneg,
@@ -93,8 +94,7 @@ class Zonotope:
 
     def support(self, u) -> int:
         """Support value h(u) = sum |<u, v_i>| (the facet offset in direction u)."""
-        self._check_length(u)
-        return sum(abs(dot(u, g)) for g in self.generators)
+        return _norm_num(sum(map(abs, dots(_vector(u, self.dim, "direction"), self.generators))))
 
     def volume(self) -> int:
         """Exact volume: 2^n times the sum of |det| over n-subsets of generators."""
@@ -107,12 +107,12 @@ class Zonotope:
     def sweep(self, v) -> int:
         """vol(Z + [0, v]) - vol(Z) = 2^(n-1) sum_u w(u) |<u, v>| over the minor
         table; a generator reads its pairings off the facet table."""
-        self._check_length(v)
-        known = self._generator_sweeps.get(tuple(v))
+        v = _vector(v, self.dim, "direction")
+        known = self._generator_sweeps.get(v)
         if known is not None:
             return known
-        return 2 ** (self.dim - 1) * sum(
-            w * abs(dot(u, v)) for u, w in self.minor_table.items())
+        return _norm_num(2 ** (self.dim - 1) * sum(
+            w * abs(dot(u, v)) for u, w in self.minor_table.items()))
 
     @cached_property
     def _generator_sweeps(self):
@@ -121,12 +121,6 @@ class Zonotope:
         columns = zip(*(row.pairings for row in self.facet_table))
         return {g: 2 ** (self.dim - 1) * sum(map(mul, weights, map(abs, column)))
                 for g, column in zip(self.generators, columns)}
-
-    def _check_length(self, u):
-        # `dot` zips, so a vector of another length would give a wrong answer.
-        if len(u) != self.dim:
-            raise DimensionMismatchError(
-                f"vector of length {len(u)} vs zonotope of dimension {self.dim}")
 
     @cached_property
     def minor_table(self):
@@ -212,7 +206,7 @@ def build_zonotope_from_segments(dim: int, segment_vectors) -> Zonotope:
     the symmetric segment [-w, w], so the sum is centered with no translation
     remainder.  Unpaired vectors are rejected.
     """
-    pool = [tuple(int(a) for a in w) for w in segment_vectors]
+    pool = [int_point(w) for w in segment_vectors]
     gens = []
     while pool:
         w = pool.pop()
@@ -442,6 +436,7 @@ def homothety_check(P: Polytope, Q: Polytope):
     return _norm_num(scale), tuple(map(_norm_num, t))
 
 
+# The three wrappers below stay public for the benchmark harness, which calls them.
 def zonotope_volume(Z: Zonotope) -> int:
     return Z.volume()
 

@@ -375,14 +375,53 @@ def test_render_4d_exits_2(capsys, tmp_path):
     ["converge", "--graph", "l1:2", "--alphas", "1e400"],
     ["converge", "--graph", "l1:2", "--alphas", "1:100000000000000000000"],
     ["search", "--graph", "l1:2", "--m", "100000000000000000000", "--mode", "local"],
+    ["zonotope", "--graph", "l1:2", "--support", "1 x"],
+    ["converge", "--graph", "l1:2", "--alphas", "a:3"],
+    ["search", "--spec", "{l1:6 spec}", "--m", "2", "--box-radius", "1", "--use-symmetry"],
 ], ids=["section-level", "converge-alpha", "support-too-long", "support-too-short",
         "search-negative-iterations", "search-witness-cap-0", "search-negative-print-witnesses",
         "converge-alpha-1e20", "converge-alpha-1e400", "converge-range-1e20",
-        "search-local-m-1e20"])
-def test_bad_rational_or_direction_exits_2(capsys, argv):
-    code, out, err = run(capsys, *argv)
+        "search-local-m-1e20", "support-text", "converge-range-text",
+        "search-symmetry-closure-over-cap"])
+def test_bad_rational_or_direction_exits_2(capsys, tmp_path, argv):
+    spec = tmp_path / "l1-6.graph"
+    spec.write_text(_L1_6_SPEC)
+    code, out, err = run(capsys, *(str(spec) if a == "{l1:6 spec}" else a for a in argv))
     assert_one_error_line(code, err)
     assert out == ""
+
+
+# The six hyperoctahedral generators as symmetry rows: their closure has
+# 2^6 6! = 46080 signed permutations, over the 4096 cap.
+_L1_6_SPEC = """dim 6
+generator 1 0 0 0 0 0
+generator 0 1 0 0 0 0
+generator 0 0 1 0 0 0
+generator 0 0 0 1 0 0
+generator 0 0 0 0 1 0
+generator 0 0 0 0 0 1
+symmetry 2 1 3 4 5 6
+symmetry 1 3 2 4 5 6
+symmetry 1 2 4 3 5 6
+symmetry 1 2 3 5 4 6
+symmetry 1 2 3 4 6 5
+symmetry -1 2 3 4 5 6
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "--spec", "{file}"],
+    ["boundary", "--graph", "l1:2", "--set", "{file}"],
+    ["render", "--polytope", "{file}", "--out", "{file}.svg"],
+], ids=["spec", "point-set", "polytope"])
+def test_an_input_file_that_is_not_utf8_exits_2(capsys, tmp_path, argv):
+    # UnicodeDecodeError is a ValueError, not an OSError: the CLI reads each
+    # file as a FormatError instead.
+    path = tmp_path / "input.txt"
+    path.write_bytes(b"dim 2\n\xff\xfe\n")
+    code, out, err = run(capsys, *(a.replace("{file}", str(path)) for a in argv))
+    assert_one_error_line(code, err)
+    assert out == "" and "not UTF-8" in err
 
 
 @pytest.mark.parametrize("text", [

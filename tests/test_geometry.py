@@ -17,20 +17,19 @@ from isozono.geometry import (
     Chart,
     Polytope,
     _extreme_rays,
+    _hrep_rays,
     _monotone_chain,
     _norm_point,
     convex_hull,
-    hrep_vertices,
+    hrep_polytope,
     minkowski_sum_segment,
     points_from_text,
     points_to_text,
     polytope_from_text,
     polytope_to_text,
-    polytope_volume,
-    project_polytope,
 )
-from isozono.intmat import (_norm_num, content, dot, embed, integerize, is_zero, kernel_basis,
-                            kernel_chart, rank, vadd, vneg, vsub)
+from isozono.intmat import (_norm_num, content, dot, embed, gram_det, integerize, is_zero,
+                            kernel_basis, kernel_chart, rank, vadd, vneg, vsub)
 from test_intmat import leibniz_det, signed_minors
 
 OCTAGON = [(3, 1), (1, 3), (-1, 3), (-3, 1), (-3, -1), (-1, -3), (1, -3), (3, -1)]
@@ -74,8 +73,9 @@ def test_hull_flat_polygon_in_3d_has_chart():
     P = convex_hull(tri + [(1, 1, 2)])
     assert P.affine_dim == 2
     assert set(P.vertices) == set(tri)
-    assert P.volume_squared() == 12  # area sqrt(12) = 2*sqrt(3)
-    assert P.chart_volume() == 2
+    # Chart area 2 times sqrt(Gram det 3) of the basis: area sqrt(12) = 2*sqrt(3).
+    assert P.chart.body.volume() == 2
+    assert gram_det(P.chart.basis) == 3
 
 
 def test_contains_rational_and_boundary_points():
@@ -326,7 +326,14 @@ def test_affine_image_is_the_hull_of_the_mapped_vertices(P, f, data):
         # opposite sign, so the charts agree in what they read, not in form.
         assert image.chart.base == hull.chart.base
         assert _charted_vertices(image) == image.vertices
-    assert image.chart_volume() == f ** P.affine_dim * P.chart_volume() == hull.chart_volume()
+    assert _chart_volume(image) == f ** P.affine_dim * _chart_volume(P) == _chart_volume(hull)
+
+
+def _chart_volume(P):
+    """The volume of P in its own chart: 1 for a point."""
+    if P.affine_dim == 0:
+        return 1
+    return (P if P.chart is None else P.chart.body).volume()
 
 
 @st.composite
@@ -470,24 +477,15 @@ def test_minkowski_sum_segment_square_plus_diagonal():
     assert minkowski_sum_segment(unit, (0, 0), (1, 1)).volume() == 3
 
 
-def test_project_polytope_onto_hyperplane():
-    cube = convex_hull([(x, y, z) for x in (0, 2) for y in (0, 2) for z in (0, 2)])
-    proj = project_polytope(cube, (0, 0, 1))
-    assert proj.affine_dim == 2
-    assert proj.chart_volume() == 4
-
-
 def test_hrep_vertices_octagon():
     ineqs = [((1, 0), 3), ((-1, 0), 3), ((0, 1), 3), ((0, -1), 3),
              ((1, 1), 4), ((1, -1), 4), ((-1, 1), 4), ((-1, -1), 4)]
-    verts = hrep_vertices(ineqs, 2)
-    assert set(verts) == set(OCTAGON)
+    assert set(hrep_polytope(ineqs, 2).vertices) == set(OCTAGON)
 
 
 def test_hrep_vertices_redundant_rows_ignored():
     ineqs = [((1, 0), 1), ((-1, 0), 1), ((0, 1), 1), ((0, -1), 1), ((1, 1), 5)]
-    verts = hrep_vertices(ineqs, 2)
-    assert set(verts) == {(1, 1), (1, -1), (-1, 1), (-1, -1)}
+    assert set(hrep_polytope(ineqs, 2).vertices) == {(1, 1), (1, -1), (-1, 1), (-1, -1)}
 
 
 def test_polytope_text_round_trip():
@@ -540,16 +538,10 @@ def test_flat_polytope_volume_conventions():
     assert not seg.is_full_dimensional()
     with pytest.raises(DimensionDeficiencyError):
         seg.volume()
-    assert seg.volume_squared() == 8  # length 2*sqrt(2)
-    assert seg.chart_volume() == 2
+    # Chart length 2 times sqrt(Gram det 2) of the basis: length 2*sqrt(2).
+    assert seg.chart.body.volume() == 2
+    assert gram_det(seg.chart.basis) == 2
     assert convex_hull(OCTAGON).is_full_dimensional()
-
-
-def test_chart_volume_matches_volume_when_full_dimensional():
-    P = convex_hull(OCTAGON)
-    assert P.chart_volume() == 28
-    # A single point measures 1 in its own (empty) chart.
-    assert convex_hull([(1, 1)]).chart_volume() == 1
 
 
 # -- brute-force oracles for the double-description hull ----------------------
@@ -645,7 +637,13 @@ def test_hrep_vertices_matches_subset_oracle(points, data):
         rows.append((tuple(normal), P.support(normal) + data.draw(offsets)))
     rows += [((0,) * dim, data.draw(offsets))]
     rows = data.draw(st.permutations(rows))
-    assert hrep_vertices(rows, dim) == _hrep_oracle(rows, dim) == list(P.vertices)
-    assert hrep_vertices(rows + [((0,) * dim, Fraction(-1, 2))], dim) == []
+    assert _hrep_vertices(rows, dim) == _hrep_oracle(rows, dim) == list(P.vertices)
+    assert hrep_polytope(rows, dim).vertices == P.vertices
+    assert _hrep_vertices(rows + [((0,) * dim, Fraction(-1, 2))], dim) == []
     flat = [(n[:-1] + (0,), c) for n, c in rows]
-    assert hrep_vertices(flat, dim) == _hrep_oracle(flat, dim) == []
+    assert _hrep_vertices(flat, dim) == _hrep_oracle(flat, dim) == []
+
+
+def _hrep_vertices(rows, dim):
+    """The sorted vertices that the double description of `rows` reads off."""
+    return sorted(v for v, _ in _hrep_rays(rows, dim)[1])

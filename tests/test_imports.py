@@ -1,12 +1,15 @@
 """Import hygiene: every name a module of `isozono` imports is used there,
-and the front ends use only public names.
+the front ends use only public names, no module raises a bare `ValueError`
+or `TypeError`, and the public surface `isozono.__all__` is pinned.
 
 Every module is parsed and walked.  An imported name counts as used when it
 is read anywhere in the module (a bare name, or the root of an attribute
 chain).  `from __future__ import ...` binds nothing, and `__init__.py`
 imports to re-export, so both are exempt.  The front ends, `cli.py` and
 `reproduce.py`, import no underscore-prefixed name from another `isozono`
-module, nor read one off an imported module.
+module, nor read one off an imported module.  Every error the package
+raises is an `IsozonoError` subclass, so a caller (and the CLI, which
+catches only those and `OSError`) can tell a refused input from a bug.
 """
 
 import ast
@@ -80,3 +83,62 @@ def test_the_walk_sees_unused_and_used_imports():
               "from fractions import Fraction\nfrom itertools import product, chain\n"
               "def f(x: Fraction):\n    return m.floor(x) + len(list(product(x)))\n")
     assert _unused_imports(ast.parse(source)) == [(2, "os"), (5, "chain")]
+
+
+def _bare_raises(tree):
+    """(line, name) per `raise ValueError(...)` / `raise TypeError` (called or not)."""
+    bare = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id in ("ValueError", "TypeError"):
+                bare.append((node.lineno, exc.id))
+    return sorted(bare)
+
+
+def test_no_module_raises_a_bare_value_or_type_error():
+    bare = []
+    for path in sorted(Path(isozono.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        bare += [f"{path.name}:{line}: {name}" for line, name in _bare_raises(tree)]
+    assert not bare, "raise a library error instead:\n" + "\n".join(bare)
+
+
+def test_the_walk_sees_bare_raises():
+    source = ("def f(x):\n    if x:\n        raise ValueError('x')\n    raise TypeError\n"
+              "def g():\n    try:\n        pass\n    except ValueError:\n        raise\n"
+              "    raise KeyError('k')\n")
+    assert _bare_raises(ast.parse(source)) == [(3, "ValueError"), (4, "TypeError")]
+
+
+PUBLIC_NAMES = [
+    "AntipodalGeneratorError", "BMCertificate", "BUILTIN_NAMES", "BoundaryValue",
+    "BudgetExceededError", "ConvergenceRow", "DimensionDeficiencyError",
+    "DimensionMismatchError", "DuplicateGeneratorError", "EdgeBoundaryReport",
+    "EmptySectionError", "FVector", "FacetSlice", "FormatError", "GraphSpec",
+    "InternalConsistencyError", "InvalidArgumentError", "IsozonoError", "LatticeBasis",
+    "LimitingShapeRow", "NonPrimitiveGeneratorError", "PLGraph", "Polytope", "ProbeRow",
+    "RankDeficientError", "SearchResult", "UnpairedSegmentError", "ZeroVectorError",
+    "Zonotope", "ZonotopePointSet", "boundary", "boundary_identity_report",
+    "boundary_lattice_points", "brunn_minkowski_certificate", "build_zonotope",
+    "build_zonotope_from_segments", "builtin_graph", "canonical_set",
+    "canonicalize_generators", "catalog", "comparison_builtin", "continuous_boundary",
+    "convergence_experiment", "convex_hull", "count_lattice_points", "default_budget",
+    "directional_sweep", "dual_projection_lattice_basis", "edge_boundary_direct",
+    "emit_graph_spec", "errors", "exhaustive_min_boundary", "f_vector", "facet_polytope",
+    "finite_difference_probe", "gap_count", "geometry", "homothety_check",
+    "hull_direction_count", "hyperplane_section", "intmat", "lattice",
+    "limiting_shape_report", "local_search_min_boundary", "minkowski_sum_segment",
+    "parse_graph_spec", "pick_area", "plgraph", "points_from_text", "points_to_text",
+    "polytope_from_text", "polytope_to_text", "projection_count",
+    "projection_lattice_det_squared", "render", "render_off", "render_polytope",
+    "render_svg", "search", "validate_pl_graph", "zonotope", "zonotope_boundary_identity",
+    "zonotope_hrep", "zonotope_of_graph", "zonotope_point_set", "zonotope_vertices",
+    "zonotope_volume",
+]
+
+
+def test_the_public_surface_is_pinned():
+    # A name that joins or leaves `isozono.__all__` edits this list too, and
+    # says so in CHANGES.md.
+    assert sorted(isozono.__all__) == PUBLIC_NAMES

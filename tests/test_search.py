@@ -11,8 +11,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from isozono import search
-from isozono.catalog import BUILTIN_NAMES, builtin_graph
-from isozono.errors import BudgetExceededError, DimensionMismatchError, IsozonoError
+from isozono.catalog import BUILTIN_NAMES, _hyperoctahedral_hints, builtin_graph
+from isozono.errors import (BudgetExceededError, DimensionMismatchError, InvalidArgumentError,
+                            IsozonoError)
 from isozono.geometry import convex_hull
 from isozono.intmat import dot
 from isozono.plgraph import boundary_identity_report, edge_boundary_direct, validate_pl_graph
@@ -200,6 +201,14 @@ def test_symmetry_hint_must_fix_the_graph():
     assert len(exhaustive_min_boundary(graph, 2, box_radius=2).witnesses) == 3
     with pytest.raises(ValueError, match="does not preserve"):
         exhaustive_min_boundary(graph, 2, box_radius=2, symmetry_hints=[((1, 1), (0, 1))])
+
+
+def test_a_symmetry_closure_over_the_cap_is_an_invalid_argument():
+    # The hyperoctahedral group of dim 6 has 2^6 6! = 46080 elements.
+    graph = validate_pl_graph(6, [tuple(int(i == j) for j in range(6)) for i in range(6)])
+    with pytest.raises(InvalidArgumentError, match="symmetry closure exceeds 4096"):
+        exhaustive_min_boundary(graph, 2, box_radius=1,
+                                symmetry_hints=_hyperoctahedral_hints(6))
 
 
 def test_symmetry_hints_collapse_witness_orbits():

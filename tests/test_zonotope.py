@@ -24,7 +24,7 @@ from isozono.errors import (
     RankDeficientError,
     UnpairedSegmentError,
 )
-from isozono.geometry import convex_hull, hrep_vertices
+from isozono.geometry import _hrep_rays, convex_hull
 from isozono.intmat import (_bit_indices, _norm_num, canonical_sign, dot, independent_rows,
                             primitive_part, rank, vadd, vneg)
 from isozono.plgraph import PLGraph, canonicalize_generators
@@ -134,6 +134,18 @@ def test_support_and_sweep_reject_a_vector_of_another_length(u):
         z.support(u)
     with pytest.raises(DimensionMismatchError):
         z.sweep(u)
+
+
+def test_support_and_sweep_read_their_vector_as_exact_rationals():
+    # A float coordinate enters as its exact Fraction, so no float comes out,
+    # and text is refused rather than added.
+    z = Z("l1:2")
+    assert repr(z.sweep((0.5, 0))) == "1"
+    assert repr(z.support((0.5, 0))) == repr(Fraction(1, 2))
+    assert repr(z.sweep((Fraction(4, 2), 0))) == "4"
+    for method in (z.sweep, z.support):
+        with pytest.raises(FormatError):
+            method((1, "a"))
 
 
 def test_f_vector_oracles_2d_3d():
@@ -566,7 +578,7 @@ def test_hyperplane_section_matches_built_polytope_facets():
                 continue
             ineqs = [(tuple(a for i, a in enumerate(u) if i != axis),
                       Fraction(c) - u[axis] * level) for u, c in z.polytope().facets]
-            oracle = convex_hull(hrep_vertices(ineqs, z.dim - 1))
+            oracle = convex_hull([v for v, _ in _hrep_rays(ineqs, z.dim - 1)[1]])
             sec = hyperplane_section(z, axis, level)
             assert sec == oracle and sec.facets == oracle.facets
 
@@ -646,7 +658,7 @@ def test_hyperplane_section_matches_the_unfiltered_double_description(case):
     z, axis, level = case
     ineqs = [(normal[:axis] + normal[axis + 1:], c - normal[axis] * level)
              for u, c in z.facet_offsets for normal in (u, vneg(u))]
-    oracle = convex_hull(hrep_vertices(ineqs, z.dim - 1))
+    oracle = convex_hull([v for v, _ in _hrep_rays(ineqs, z.dim - 1)[1]])
     sec = hyperplane_section(z, axis, level)
     assert sec == oracle and sec.facets == oracle.facets
     assert (sec.chart is None) == (oracle.chart is None)
