@@ -9,8 +9,8 @@ gained per unit step of translation along v:
 For a polytope the sweep is sum_F max(0, <n_F, v>) * cell_F over facets,
 where cell_F is the facet's lattice (n-1)-volume in the sublattice of its
 hyperplane; the product is rational, so b(A) is computed exactly.  The
-cells are read as int numerators over one common denominator L
-(`Polytope._int_cells`), so the sum is an int sum and one division by L.
+cells are kept as int numerators over one common denominator L
+(`Polytope._cells`), so the sum is an int sum and one division by L.
 For the limiting zonotope Z = sum_i [-v_i, v_i] the sweep is read off its
 table of generator minors (`Zonotope.sweep`), and the closed identity
 b(Z) = n * vol(Z) holds.
@@ -54,7 +54,7 @@ def directional_sweep(body, direction):
     P = body
     if not P.is_full_dimensional():
         raise RankDeficientError("sweep requires a full-dimensional polytope")
-    normals, numerators, common = P._int_cells
+    normals, numerators, common = P._cells
     return _norm_num(Fraction(sum(s * m for s, m in zip(dots(direction, normals), numerators)
                                   if s > 0), common))
 

@@ -11,9 +11,9 @@ while the irrational factor cancels.
 Both hull directions go through one integer double-description routine,
 `_extreme_rays` (Motzkin's method, Fukuda & Prodon 1996): facets of a point
 set are extreme rays of its cone of valid inequalities, and vertices of an
-H-representation are extreme rays of its homogenisation.  Dimensions 1 and
-2 keep min/max and the monotone chain, 5-9x faster than the cone method on
-3 to 40 points.  Zonotopes use their own dedicated enumeration elsewhere.
+H-representation are extreme rays of its homogenisation.  Dimension 2
+keeps the monotone chain, 5-9x faster than the cone method on 3 to 40
+points.  Zonotopes use their own dedicated enumeration elsewhere.
 An H-representation's polytope (`hrep_polytope`) is read off that one
 double description: its vertices are the rays, and its facets the
 inequalities whose tight vertex sets are maximal (`_maximal_masks`), so a
@@ -30,9 +30,9 @@ left . basis = I, so chart coordinates are dot products, exact for rational
 points.  Facets need neither: their cells come from one pulling
 triangulation of the body's vertex-facet incidences (`_pulling_triangulation`),
 with int determinants of the body's integer multiple D P (`_int_body`,
-scaled the same way).  The cells are kept once more as int numerators over
-one common denominator L, so the cone-sum volume and the sweeps are int
-sums with one division.
+scaled the same way).  The cells are built once, as int numerators over one
+common denominator L (`Polytope._cells`), so the volume (a cone sum over the
+facets in every dimension) and the sweeps are int sums with one division.
 
 Outside vectors have one check, `_vector`: coordinates through
 `_norm_point` (exact, `FormatError` for one that is not a rational number)
@@ -58,6 +58,7 @@ from .intmat import (
     _bit_indices,
     _norm_num,
     _rational,
+    common_length,
     content,
     cross_nd,
     det,
@@ -171,13 +172,10 @@ class Polytope:
 
     @cached_property
     def _volume(self):
-        n = self.dim
-        if n == 2:
-            return _shoelace(self.cycle())
         d, verts, offsets = self._int_body
-        normals, numerators, common = self._int_cells
+        normals, numerators, common = self._cells
         heights = (c - a for c, a in zip(offsets, dots(verts[0], normals)))  # of D P
-        return _norm_num(Fraction(sum(map(mul, heights, numerators)), common * n * d))
+        return _norm_num(Fraction(sum(map(mul, heights, numerators)), common * self.dim * d))
 
     def facet_cells(self):
         """(normal, offset, lattice volume) per facet.
@@ -187,10 +185,14 @@ class Polytope:
         """
         if self.facets is None:
             raise DimensionDeficiencyError("facet data requires a full-dimensional polytope")
-        return self._cells
+        _, numerators, common = self._cells
+        return tuple((normal, offset, _norm_num(Fraction(m, common)))
+                     for (normal, offset), m in zip(self.facets, numerators))
 
     @cached_property
     def _cells(self):
+        """(normals, numerators, L): the facet cells, in facet order, as ints
+        over one common denominator L, so their weighted sums are int sums."""
         # A cell is the facet's shadow volume, summed over its simplices, over
         # |normal[k]| for the first k with normal[k] != 0: dropping coordinate
         # k is injective on H = normal-perp and maps H cap Z^n onto the kernel
@@ -200,20 +202,21 @@ class Polytope:
         # determinants, and each is D^(n-1) times the cell of P.
         n = self.dim
         scale, verts, offsets = self._int_body
+        normals = [normal for normal, _ in self.facets]
         masks = [sum(1 << i for i, s in enumerate(dots(normal, verts)) if s == c)
-                 for (normal, _), c in zip(self.facets, offsets)]
+                 for normal, c in zip(normals, offsets)]
         memo = {}
-        cells = []
-        for (normal, offset), mask in zip(self.facets, masks):
+        common = lcm(*(next(filter(None, map(abs, normal))) for normal in normals))  # |normal[k]|
+        numerators = []
+        for normal, mask in zip(normals, masks):
             k = next(i for i, a in enumerate(normal) if a)
             total = 0
             for simplex in _pulling_triangulation(mask, n - 1, masks, memo):
                 w, *rest = (verts[i] for i in _bit_indices(simplex))
                 total += abs(det([[a - b for j, (a, b) in enumerate(zip(v, w)) if j != k]
                                   for v in rest]))
-            cells.append((normal, offset, _norm_num(Fraction(
-                total, factorial(n - 1) * abs(normal[k]) * scale ** (n - 1)))))
-        return tuple(cells)
+            numerators.append(total * (common // abs(normal[k])))
+        return normals, numerators, common * factorial(n - 1) * scale ** (n - 1)
 
     @cached_property
     def _int_body(self):
@@ -222,16 +225,6 @@ class Polytope:
         vertex v on it."""
         scale, verts = _integer_multiple(self.vertices)
         return scale, verts, [int(c * scale) for _, c in self.facets]
-
-    @cached_property
-    def _int_cells(self):
-        """(normals, numerators, L): the facet cells, in facet order, as ints
-        over L, the lcm of their denominators, so a weighted sum of the cells
-        is an int sum and one division."""
-        cells = self.facet_cells()
-        common = lcm(*(cell.denominator for _, _, cell in cells))
-        return ([normal for normal, _, _ in cells],
-                [cell.numerator * (common // cell.denominator) for _, _, cell in cells], common)
 
     def cycle(self):
         """Vertices of a 2-polytope in counterclockwise cyclic order, from the
@@ -292,10 +285,7 @@ def convex_hull(points) -> Polytope:
     pts = [_norm_point(tuple(p)) for p in points]
     if not pts:
         raise InvalidArgumentError("convex_hull of an empty point set")
-    dim = len(pts[0])
-    for p in pts:
-        if len(p) != dim:
-            raise DimensionMismatchError("dimension mismatch among input points")
+    dim = common_length(pts)
     scale, pts = _integer_multiple(pts)
     hull = _hull_int(sorted(set(pts)), dim)
     return hull if scale == 1 else hull._image(Fraction(1, scale), (0,) * dim)
@@ -328,10 +318,6 @@ def _hull_int(pts, dim):
 
 
 def _hull_full(pts, dim):
-    if dim == 1:
-        xs = [p[0] for p in pts]
-        lo, hi = min(xs), max(xs)
-        return Polytope(1, [(lo,), (hi,)], [((1,), hi), ((-1,), -lo)])
     if dim == 2:
         cycle = _monotone_chain(pts)
         facets = []
@@ -411,16 +397,6 @@ def _extreme_rays(rows, d):
                     w = tuple(s * b - t * a for a, b in zip(y, z))
                     rays.append((primitive_part(w), common | 1 << i))
     return rays
-
-
-def _shoelace(cycle):
-    total = 0
-    m = len(cycle)
-    for i in range(m):
-        x0, y0 = cycle[i]
-        x1, y1 = cycle[(i + 1) % m]
-        total += x0 * y1 - x1 * y0
-    return _norm_num(Fraction(abs(total), 2))
 
 
 def _pulling_triangulation(mask, dim, faces, memo):
@@ -574,6 +550,7 @@ def polytope_from_text(text: str, source: str = "<string>") -> Polytope:
 
 def points_to_text(points) -> str:
     rows = sorted(map(int_point, points))
+    common_length(rows)
     return "\n".join(" ".join(str(a) for a in p) for p in rows) + "\n"
 
 

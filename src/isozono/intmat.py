@@ -131,6 +131,16 @@ def int_point(p):
     raise FormatError(f"point {p!r} is not a lattice point: a coordinate is not an integer")
 
 
+def common_length(points, dim=None, what="point"):
+    """The length `dim` of every point (the first point's when dim is None);
+    a point of another length raises `DimensionMismatchError`."""
+    for p in points:
+        dim = len(p) if dim is None else dim
+        if len(p) != dim:
+            raise DimensionMismatchError(f"{what} {p} of length {len(p)} vs dimension {dim}")
+    return dim
+
+
 def pack(v, R: int) -> int:
     """sum_i v_i R^(n-1-i): one balanced digit per coordinate, the first the
     most significant.  For odd R and every |v_i| <= R // 2 this is injective

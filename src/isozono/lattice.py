@@ -9,24 +9,49 @@ evaluated and must agree.
 Lattice points are found one line at a time by one integer kernel,
 `lattice_lines`: a line parallel to axis 0 meets integer slabs lo <= <u, x> <= hi
 in an interval, by floor and ceiling division.  <u, x> is an integer on Z^n,
-so each caller rounds its rational facet bounds inward once.
+so each caller rounds its rational facet bounds inward once, and first
+charges its lines times facet normals to the budget (`charge_lines`).
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import ceil, floor, gcd
+from math import ceil, floor, gcd, prod
 
 from .errors import (
+    BudgetExceededError,
     DimensionDeficiencyError,
     InternalConsistencyError,
+    InvalidArgumentError,
     NonPrimitiveGeneratorError,
     ZeroVectorError,
 )
 from .geometry import Polytope
 from .intmat import content, dot, gram_det, int_point, is_zero, kernel_basis, vneg, vsub
+
+DEFAULT_BUDGET = 10_000_000
+
+
+def default_budget(budget=None) -> int:
+    """The enumeration cap: `budget` when given, else ISOZONO_BUDGET (default
+    10^7).  Either source must be a positive integer.  Every scan resolves
+    None here, the one reader of ISOZONO_BUDGET, so none runs without a cap."""
+    source = "budget"
+    if budget is None:
+        raw = os.environ.get("ISOZONO_BUDGET")
+        if raw is None:
+            return DEFAULT_BUDGET
+        try:
+            budget = int(raw)
+        except ValueError as exc:
+            raise InvalidArgumentError(f"ISOZONO_BUDGET must be an integer, got {raw!r}") from exc
+        source = "ISOZONO_BUDGET"
+    if not isinstance(budget, int) or budget <= 0:
+        raise InvalidArgumentError(f"{source} must be a positive integer, got {budget!r}")
+    return budget
 
 
 @dataclass(frozen=True)
@@ -71,6 +96,16 @@ def projection_lattice_det_squared(a) -> Fraction:
     return closed
 
 
+def charge_lines(what, lines, normals, budget=None):
+    """`BudgetExceededError` if `lines` lattice lines times `normals` facet
+    normals exceed `default_budget(budget)`."""
+    budget = default_budget(budget)
+    if lines * normals > budget:
+        raise BudgetExceededError(
+            f"{what} scans {lines} lattice lines against {normals} "
+            f"facet normals, budget is {budget} line-normal pairs")
+
+
 def lattice_lines(slabs, ranges):
     """{y: (lo, hi)}: the points (t, y) of Z^n in every slab (u, lo_u, hi_u), lo <= t <= hi,
     one line per y in the box `ranges` of coordinates 1..n-1 (empty lines left out)."""
@@ -93,10 +128,12 @@ def lattice_lines(slabs, ranges):
 
 def count_lattice_points(P: Polytope) -> int:
     """Number of integer points in a full-dimensional polytope: facet (a, c) is the slab
-    (least <a, x> on the bounding box's integer points) <= <a, x> <= floor(c)."""
+    (least <a, x> on the bounding box's integer points) <= <a, x> <= floor(c), its lines
+    charged to the budget first (`charge_lines`)."""
     if P.chart is not None:
         raise DimensionDeficiencyError("lattice point counting requires a full-dimensional polytope")
     box = [(ceil(lo), floor(hi)) for lo, hi in zip(*P.bounding_box())]
+    charge_lines("the polytope", prod(e - s + 1 for s, e in box[1:]), len(P.facets))
     slabs = [(a, sum(min(x * s, x * e) for x, (s, e) in zip(a, box)), floor(c))
              for a, c in P.facets]
     lines = lattice_lines(slabs, [range(s, e + 1) for s, e in box[1:]])
@@ -115,7 +152,7 @@ def pick_area(P: Polytope) -> Fraction:
     """Area of a lattice polygon from its point counts: I + B/2 - 1.
 
     Deliberately computed only from counting, as an independent cross-check
-    of the shoelace volume.
+    of the volume, which is a cone sum over the facet cells.
     """
     B = boundary_lattice_points(P)
     I = count_lattice_points(P) - B

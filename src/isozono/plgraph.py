@@ -29,7 +29,7 @@ from .errors import (
     RankDeficientError,
     ZeroVectorError,
 )
-from .intmat import canonical_sign, content, int_point, is_zero, pack, rank, vneg
+from .intmat import canonical_sign, common_length, content, int_point, is_zero, pack, rank, vneg
 
 
 def canonicalize_generators(dim: int, raw):
@@ -37,9 +37,8 @@ def canonicalize_generators(dim: int, raw):
     if dim < 1:
         raise DimensionMismatchError(f"dimension must be at least 1, got {dim}")
     vecs = [int_point(v) for v in raw]
+    common_length(vecs, dim, "generator")
     for v in vecs:
-        if len(v) != dim:
-            raise DimensionMismatchError(f"generator {v} does not have dimension {dim}")
         if is_zero(v):
             raise ZeroVectorError("the zero vector cannot be a generator")
         if content(v) != 1:
@@ -76,9 +75,7 @@ def validate_pl_graph(dim: int, generators) -> PLGraph:
 
 def as_lattice_set(points, dim: int) -> frozenset:
     pts = frozenset(map(int_point, points))
-    for p in pts:
-        if len(p) != dim:
-            raise DimensionMismatchError(f"point {p} does not have dimension {dim}")
+    common_length(pts, dim)
     return pts
 
 

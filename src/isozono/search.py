@@ -4,8 +4,8 @@ Finite sets are compared up to translation: the canonical form of a set
 translates its lexicographically smallest point to the origin.  Exhaustive
 search enumerates canonical forms directly (origin plus points that are
 lexicographically positive), which quotients translation exactly.  All
-counting is exact; enumeration sizes are guarded by a budget (the
-ISOZONO_BUDGET environment variable, default 10 million) and oversized
+counting is exact; enumeration sizes are guarded by a budget
+(`lattice.default_budget`: ISOZONO_BUDGET, default 10 million) and oversized
 instances raise BudgetExceededError rather than truncating silently.
 
 Lattice points of a scaled zonotope alpha Z + c are found one line at a
@@ -22,7 +22,6 @@ catalog and the local-search start come from the same scan at doubling alpha.
 from __future__ import annotations
 
 import math
-import os
 import random
 from bisect import insort
 from dataclasses import dataclass
@@ -32,38 +31,20 @@ from itertools import chain, count, product
 from .catalog import _apply_hint, check_symmetry_hints
 from .errors import BudgetExceededError, InvalidArgumentError
 from .geometry import _vector, convex_hull
-from .intmat import _bit_indices, _norm_num, _rational, dot, int_point, pack, unpack, vadd, vneg
-from .lattice import lattice_lines
+from .intmat import (_bit_indices, _norm_num, _rational, common_length, dot, int_point, pack,
+                     unpack, vadd, vneg)
+from .lattice import charge_lines, default_budget, lattice_lines
 from .plgraph import PLGraph, edge_boundary_direct
 from .zonotope import Zonotope, zonotope_of_graph
 
-DEFAULT_BUDGET = 10_000_000
 _GROUP_CAP = 4096  # signed permutations in a closed symmetry group
-
-
-def default_budget(budget=None) -> int:
-    """The enumeration cap: `budget` when given, else ISOZONO_BUDGET (default
-    10^7).  Either source must be a positive integer.  Every scan resolves
-    None here, the one reader of ISOZONO_BUDGET, so none runs without a cap."""
-    source = "budget"
-    if budget is None:
-        raw = os.environ.get("ISOZONO_BUDGET")
-        if raw is None:
-            return DEFAULT_BUDGET
-        try:
-            budget = int(raw)
-        except ValueError as exc:
-            raise InvalidArgumentError(f"ISOZONO_BUDGET must be an integer, got {raw!r}") from exc
-        source = "ISOZONO_BUDGET"
-    if not isinstance(budget, int) or budget <= 0:
-        raise InvalidArgumentError(f"{source} must be a positive integer, got {budget!r}")
-    return budget
 
 
 def canonical_set(points):
     """Translate so the lexicographically smallest point is the origin; sort.
     The empty set is its own canonical form, ()."""
     pts = sorted(map(int_point, points))
+    common_length(pts)
     if not pts:
         return ()
     base = pts[0]
@@ -373,7 +354,6 @@ def _lattice_lines(Z: Zonotope, alpha: Fraction, center, budget=None):
     rounded inward.  `budget` (ISOZONO_BUDGET when None) caps the lines
     scanned times the facet normals, checked before the scan.
     """
-    budget = default_budget(budget)
     n = Z.dim
     normals = Z.facet_offsets
     ranges = []
@@ -382,10 +362,7 @@ def _lattice_lines(Z: Zonotope, alpha: Fraction, center, budget=None):
         h = alpha * Z.support(e)
         ranges.append(range(math.ceil(center[i] - h), math.floor(center[i] + h) + 1))
     lines = math.prod(r.stop - r.start for r in ranges)  # len() overflows past sys.maxsize
-    if lines * len(normals) > budget:
-        raise BudgetExceededError(
-            f"alpha = {alpha} scans {lines} lattice lines against {len(normals)} "
-            f"facet normals, budget is {budget} line-normal pairs")
+    charge_lines(f"alpha = {alpha}", lines, len(normals), budget)
     D = math.lcm(alpha.denominator, *(c.denominator for c in center))
     dc = tuple(c.numerator * (D // c.denominator) for c in center)
     scale = D // alpha.denominator * alpha.numerator

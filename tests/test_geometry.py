@@ -67,6 +67,43 @@ def test_hull_flat_segment_and_point():
     assert pt.vertices == ((5, 5),)
 
 
+def _min_max_hull(xs):
+    """Oracle for 1-D hulls: the segment from min(xs) to max(xs), with its
+    two facets, built directly rather than by the double description."""
+    lo, hi = min(xs), max(xs)
+    return Polytope(1, [(lo,), (hi,)], [((1,), hi), ((-1,), -lo)])
+
+
+_coordinates = st.one_of(st.integers(-40, 40), st.builds(
+    lambda p, q: _norm_num(Fraction(p, q)), st.integers(-40, 40), st.integers(1, 6)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_coordinates, min_size=2, max_size=10), st.data())
+def test_1d_hull_is_the_min_max_segment(xs, data):
+    xs = xs + data.draw(st.lists(st.sampled_from(xs), max_size=4))  # repeated points
+    assume(min(xs) < max(xs))
+    P = convex_hull([(x,) for x in xs])
+    assert _hull_record(P) == _hull_record(_min_max_hull(xs))
+    assert P.volume() == max(xs) - min(xs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 3).flatmap(lambda n: st.tuples(st.tuples(*[st.integers(-3, 3)] * n),
+                                                     st.tuples(*[st.integers(-5, 5)] * n))),
+       st.lists(_coordinates, min_size=2, max_size=8))
+def test_collinear_sets_keep_their_chart_body(line, ts):
+    direction, base = line
+    assume(not is_zero(direction) and min(ts) < max(ts))
+    pts = [_norm_point(tuple(b + t * a for a, b in zip(direction, base))) for t in ts]
+    P = convex_hull(pts)
+    assert P.affine_dim == 1
+    assert set(P.vertices) == {min(pts), max(pts)}
+    (left,) = P.chart.left
+    ys = [dot(left, vsub(p, P.chart.base)) for p in pts]
+    assert _hull_record(P.chart.body) == _hull_record(_min_max_hull(ys))
+
+
 def test_hull_flat_polygon_in_3d_has_chart():
     # Triangle in the z = x + y plane.
     tri = [(0, 0, 0), (2, 0, 2), (0, 2, 2)]
@@ -452,6 +489,8 @@ def test_cycle_is_a_rotation_of_the_angular_sort(name):
 
 
 def test_shoelace_matches_triangulation_fuzz():
+    # A fan over cycle() from its first vertex: the route independent of the
+    # cone sum over the edge cells that volume() takes.
     rng = random.Random(29)
     for _ in range(100):
         pts = {(rng.randint(-8, 8), rng.randint(-8, 8)) for _ in range(rng.randint(3, 12))}
@@ -531,6 +570,13 @@ def test_points_text_round_trip_and_errors():
     with pytest.raises(FormatError) as exc:
         points_from_text("0 0\n1 oops\n", source="pts.txt")
     assert "pts.txt:2" in str(exc.value)
+
+
+@pytest.mark.parametrize("points", [[(0, 0), (1,)], [(1,), (0, 0)], [(0, 0, 0), (1, 0)]])
+def test_points_to_text_refuses_a_ragged_point_list(points):
+    # It printed "0 0" and "1" for the first list.
+    with pytest.raises(DimensionMismatchError, match="vs dimension"):
+        points_to_text(points)
 
 
 def test_flat_polytope_volume_conventions():

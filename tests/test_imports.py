@@ -1,6 +1,7 @@
 """Import hygiene: every name a module of `isozono` imports is used there,
-the front ends use only public names, no module raises a bare `ValueError`
-or `TypeError`, and the public surface `isozono.__all__` is pinned.
+every private name it defines is used in the package, the front ends use
+only public names, no module raises a bare `ValueError` or `TypeError`, and
+the public surface `isozono.__all__` is pinned.
 
 Every module is parsed and walked.  An imported name counts as used when it
 is read anywhere in the module (a bare name, or the root of an attribute
@@ -13,6 +14,7 @@ catches only those and `OSError`) can tell a refused input from a bug.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import isozono
@@ -83,6 +85,65 @@ def test_the_walk_sees_unused_and_used_imports():
               "from fractions import Fraction\nfrom itertools import product, chain\n"
               "def f(x: Fraction):\n    return m.floor(x) + len(list(product(x)))\n")
     assert _unused_imports(ast.parse(source)) == [(2, "os"), (5, "chain")]
+
+
+def _private_definitions(tree):
+    """(line, name, node) per underscore-prefixed module-level name (function,
+    class or assignment) and per underscore-prefixed method, dunders aside."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.append((node.lineno, node.name, node))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [(node.lineno, t.id, node) for t in targets if isinstance(t, ast.Name)]
+        if isinstance(node, ast.ClassDef):
+            found += [(sub.lineno, sub.name, sub) for sub in node.body
+                      if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    return [(line, name, node) for line, name, node in found
+            if name.startswith("_") and not name.endswith("__")]
+
+
+def _references(node):
+    """The names read in `node`: bare names, attribute names and imported
+    names.  A docstring is a constant, so a name it mentions is not read."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute) and not isinstance(sub.ctx, ast.Store):
+            yield sub.attr
+        elif isinstance(sub, (ast.Import, ast.ImportFrom)):
+            yield from (alias.name for alias in sub.names)
+
+
+def _dead_private_names(trees):
+    """(file, line, name) per private definition (`_private_definitions`) that
+    no module in `trees` ({file: tree}) reads outside the definition itself."""
+    reads = Counter(name for tree in trees.values() for name in _references(tree))
+    return sorted((path, line, name) for path, tree in trees.items()
+                  for line, name, node in _private_definitions(tree)
+                  if reads[name] == Counter(_references(node))[name])
+
+
+def _package_trees():
+    return {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+            for path in sorted(Path(isozono.__file__).parent.glob("*.py"))}
+
+
+def test_every_private_name_is_used():
+    dead = [f"{path}:{line}: {name}" for path, line, name in _dead_private_names(_package_trees())]
+    assert not dead, "private name never used in the package:\n" + "\n".join(dead)
+
+
+def test_the_walk_sees_dead_private_names():
+    trees = {"a.py": ast.parse(
+        '"""Cells by `_shoelace`."""\n_CAP = 3\n_seen = 1\n'
+        "def _shoelace(c):\n    return _shoelace(c[1:])\n"
+        "class P:\n    def _int_cells(self):\n        pass\n"
+        "    def _used(self):\n        return _CAP\n    def __eq__(self, o):\n        pass\n"
+        "def f(p):\n    return p._used()\n"),
+        "b.py": ast.parse("from .a import _seen\n")}
+    assert _dead_private_names(trees) == [("a.py", 4, "_shoelace"), ("a.py", 7, "_int_cells")]
 
 
 def _bare_raises(tree):

@@ -9,8 +9,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import isozono
+from isozono import lattice, search
 from isozono.catalog import BUILTIN_NAMES, builtin_graph
-from isozono.errors import NonPrimitiveGeneratorError, ZeroVectorError
+from isozono.errors import BudgetExceededError, NonPrimitiveGeneratorError, ZeroVectorError
 from isozono.geometry import convex_hull
 from isozono.intmat import dot, gram_det
 from isozono.lattice import (
@@ -100,6 +102,33 @@ def test_pick_matches_volume_fuzz():
 def test_count_points_unit_cube_3d():
     cube = convex_hull([(x, y, z) for x in (0, 2) for y in (0, 2) for z in (0, 2)])
     assert count_lattice_points(cube) == 27
+
+
+def test_count_refuses_an_over_budget_box_before_scanning_a_line(monkeypatch):
+    # Legs 10^7: 10^7 + 1 lines times 3 facets, over the default budget.
+    def no_scan(*ranges):
+        raise AssertionError("a lattice line was scanned")
+
+    triangle = convex_hull([(0, 0), (10**7, 0), (0, 10**7)])
+    monkeypatch.delenv("ISOZONO_BUDGET", raising=False)
+    monkeypatch.setattr(lattice, "product", no_scan)
+    for count in (count_lattice_points, pick_area):
+        with pytest.raises(BudgetExceededError, match="scans 10000001 lattice lines against 3 "
+                                                      "facet normals, budget is 10000000"):
+            count(triangle)
+
+
+def test_count_budget_is_lines_times_facets(monkeypatch):
+    square = convex_hull([(0, 0), (2, 0), (0, 2), (2, 2)])  # 3 lines, 4 facets
+    monkeypatch.setenv("ISOZONO_BUDGET", "12")
+    assert count_lattice_points(square) == 9
+    monkeypatch.setenv("ISOZONO_BUDGET", "11")
+    with pytest.raises(BudgetExceededError):
+        count_lattice_points(square)
+
+
+def test_the_budget_lives_in_lattice():
+    assert isozono.default_budget is search.default_budget is lattice.default_budget
 
 
 def _box_scan_count(P):

@@ -101,6 +101,13 @@ def test_box_search_refuses_before_enumerating(monkeypatch):
         exhaustive_min_boundary(LINF, 6, box_radius=1)
 
 
+@pytest.mark.parametrize("points", [[(0, 0), (1,)], [(1,), (0, 0)], [(0, 0, 0), (1, 0)]])
+def test_canonical_set_refuses_a_ragged_point_list(points):
+    # It returned ((0, 0), (1,)) for the first list.
+    with pytest.raises(DimensionMismatchError, match="vs dimension"):
+        canonical_set(points)
+
+
 def test_default_budget_env_override(monkeypatch):
     monkeypatch.setenv("ISOZONO_BUDGET", "123456")
     assert default_budget() == 123456
