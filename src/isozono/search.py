@@ -14,9 +14,12 @@ facet pair (normals from the minor table).  The point count is
 the sum of hi - lo + 1, and the edge boundary is 2k|S| minus twice the edges
 inside S, where the edges along v from line y are the overlap of its interval
 with the next line's interval shifted back by v; convergence tables use both
-without building a point list.  A point has gauge at most alpha about c
-exactly when it lies in alpha Z + c, so the gauge prefixes behind the family
-catalog and the local-search start come from the same scan at doubling alpha.
+at a non-integer alpha without building a point list.  At an integer alpha
+they scan nothing: the count is the zonotope's Ehrhart polynomial
+(`Zonotope.ehrhart_coefficients`) at 2 alpha and the boundary its derivative
+in alpha.  A point has gauge at most alpha about c exactly when it lies in
+alpha Z + c, so the gauge prefixes behind the family catalog and the
+local-search start come from the same scan at doubling alpha.
 """
 
 from __future__ import annotations
@@ -431,11 +434,36 @@ class ConvergenceRow:
 def convergence_experiment(graph: PLGraph, alphas, *, budget: int | None = None):
     """Exact convergence table for X = Z(G) at increasing scales alpha.
 
-    Each row counts Z^n cap alpha Z from the integer line intervals of
-    `_lattice_lines` (the sum of hi - lo + 1) and takes the edge boundary from
-    the overlaps of neighbouring intervals, so no point list is built.  The
-    budget caps the lattice lines scanned times the facet normals, per scale;
-    a scale over it raises BudgetExceededError before any row is returned.
+    At an integer alpha the row is read off the Ehrhart polynomial
+    P(t) = sum_k c_k t^k of `Zonotope.ehrhart_coefficients` and scans nothing:
+    S = Z^n cap alpha Z has P(2 alpha) points and edge boundary
+    d/d alpha P(2 alpha) = sum_k k c_k 2^k alpha^(k-1).  With t = 2 alpha:
+
+    * Points.  alpha Z is sum_i [0, t v_i] moved by the lattice vector
+      -alpha sum_i v_i, and Stanley's formula counts that lattice zonotope:
+      P(t) = sum_X h(X) t^|X| over the linearly independent sets X of
+      generators, h(X) the gcd of X's maximal minors.
+    * Lines.  S is the lattice points of a convex body, so every lattice line
+      along a generator v_i meets it in a run with no gap, and the run costs
+      two boundary edges: |dS| = 2 sum_i lines_i(S).  Every fibre of alpha Z
+      along v_i holds a segment of length 2 alpha >= 1 in steps of v_i, so
+      lines_i(S) is the number of points of the lattice pi_i(Z^n) in the
+      projection pi_i(alpha Z) along v_i: the zonotope of the projected
+      generators at scale alpha.  Stanley's formula counts it in pi_i(Z^n),
+      where the index h(pi_i Y) of a projected independent set Y is
+      h(Y u {v_i}), since v_i is primitive; so
+      lines_i(S) = sum_Y h(Y u {v_i}) t^|Y| over the sets Y of the other
+      generators with Y u {v_i} independent.
+    * Regrouping.  Summed over i, each independent set X of k generators
+      appears once for each of its k elements v_i, as Y = X - {v_i}.  So
+      |dS| = 2 sum_k k c_k t^(k-1) = d/d alpha P(2 alpha).
+
+    Any other alpha counts Z^n cap alpha Z from the integer line intervals
+    of `_lattice_lines` (the sum of hi - lo + 1) and takes the edge boundary
+    from the overlaps of neighbouring intervals, so no point list is built.
+    The budget caps those scans' lattice lines times the facet normals, per
+    scale; a scale over it raises BudgetExceededError before any row is
+    returned.  A closed-form row charges nothing.
     """
     alphas = [_rational(a, "alpha") for a in alphas]
     if not alphas:
@@ -444,6 +472,7 @@ def convergence_experiment(graph: PLGraph, alphas, *, budget: int | None = None)
         raise InvalidArgumentError("alphas must be positive")
     if any(b <= a for a, b in zip(alphas, alphas[1:])):
         raise InvalidArgumentError("alphas must be strictly increasing")
+    budget = default_budget(budget)
     Z = zonotope_of_graph(graph)
     n = graph.dim
     vol_z = Z.volume()
@@ -451,9 +480,15 @@ def convergence_experiment(graph: PLGraph, alphas, *, budget: int | None = None)
     origin = (Fraction(0),) * n
     rows = []
     for a in alphas:
-        lines = _lattice_lines(Z, a, origin, budget)
-        points = sum(hi - lo + 1 for lo, hi in lines.values())
-        boundary = _lines_boundary(lines, graph.generators)
+        if a.denominator == 1:
+            t = 2 * a.numerator
+            coeffs = Z.ehrhart_coefficients
+            points = sum(c * t ** k for k, c in enumerate(coeffs))
+            boundary = 2 * sum(k * c * t ** (k - 1) for k, c in enumerate(coeffs) if k)
+        else:
+            lines = _lattice_lines(Z, a, origin, budget)
+            points = sum(hi - lo + 1 for lo, hi in lines.values())
+            boundary = _lines_boundary(lines, graph.generators)
         volume = _norm_num(a ** n * vol_z)
         cont = _norm_num(a ** (n - 1) * b_z)
         rows.append(ConvergenceRow(

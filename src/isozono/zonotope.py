@@ -50,6 +50,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations
+from math import gcd
 from operator import mul
 from typing import NamedTuple
 
@@ -121,6 +122,25 @@ class Zonotope:
         columns = zip(*(row.pairings for row in self.facet_table))
         return {g: 2 ** (self.dim - 1) * sum(map(mul, weights, map(abs, column)))
                 for g, column in zip(self.generators, columns)}
+
+    @cached_property
+    def ehrhart_coefficients(self):
+        """(c_0, ..., c_n) with |Z^n cap sum_i [0, t v_i]| = sum_k c_k t^k for
+        every integer t >= 0 (Stanley; Beck and Robins, Computing the
+        Continuous Discretely, ch. 9); for an integer alpha, alpha Z is that
+        set at t = 2 alpha moved by the lattice vector -alpha sum_i v_i.
+
+        c_k sums, over the linearly independent k-subsets X of the
+        generators, the gcd of X's k x k minors.  So c_0 = 1 and
+        c_1 = #generators (they are primitive), and the top two are data
+        already kept: c_(n-1) = sum_u w(u) over the minor table, whose
+        weights are those gcds for the (n-1)-subsets, and c_n = vol(Z) / 2^n.
+        Only 2 <= k <= n - 2 takes minors here."""
+        n, gens = self.dim, self.generators
+        low = [1, len(gens)] + [sum(_minor_gcd(X, n) for X in combinations(gens, k))
+                                for k in range(2, n - 1)]
+        # c_0 .. c_(n-2); in 1-D the minor table's one weight is c_0 itself.
+        return tuple(low[:n - 1]) + (sum(self.minor_table.values()), self.volume() // 2 ** n)
 
     @cached_property
     def minor_table(self):
@@ -231,6 +251,13 @@ def _minors(vectors, r):
         w = content(c)
         if w:
             yield canonical_sign(tuple(a // w for a in c)), w
+
+
+def _minor_gcd(vectors, n):
+    """gcd of the k x k minors of k vectors of Z^n: 0 iff they are dependent."""
+    k = len(vectors)
+    return gcd(*(det([[v[c] for c in cols] for v in vectors])
+                 for cols in combinations(range(n), k)))
 
 
 def _face_split(pairings, gens, codes):

@@ -318,8 +318,9 @@ def test_converge_rows(capsys):
 
 
 def test_converge_over_budget_exits_2(capsys):
+    # An integer alpha is read off the Ehrhart polynomial; this one is scanned.
     code, out, err = run(capsys, "converge", "--graph", "l1:2",
-                         "--alphas", "1000000", "--budget", "100")
+                         "--alphas", "2000001/2", "--budget", "100")
     assert_one_error_line(code, err)
     assert out == ""
 
@@ -337,6 +338,22 @@ def test_converge_alpha_range_syntax(capsys):
                        "--alphas", "1:3")
     assert code == 0
     assert len(out.splitlines()) == 4  # header + 3 rows
+
+
+@pytest.mark.parametrize("name", ["linf:4", "d4cross"])
+def test_converge_reaches_alpha_1e6_in_4d(capsys, name):
+    code, out, _ = run(capsys, "converge", "--graph", name, "--alphas", "1,10,1000000")
+    assert code == 0
+    rows = [line.split("\t") for line in out.splitlines()[1:]]
+    assert [r[0] for r in rows] == ["1", "10", "1000000"]
+
+
+def test_converge_integer_alpha_1e20_is_exact(capsys):
+    a = 10 ** 20
+    code, out, _ = run(capsys, "converge", "--graph", "l1:2", "--alphas", str(a))
+    assert code == 0
+    row = out.splitlines()[1].split("\t")
+    assert row[:4] == [str(a), str((2 * a + 1) ** 2), str(4 * a * a), str(4 * (2 * a + 1))]
 
 
 def test_render_svg_file(capsys, tmp_path):
@@ -371,8 +388,8 @@ def test_render_4d_exits_2(capsys, tmp_path):
     ["search", "--graph", "linf:2", "--m", "3", "--mode", "local", "--iterations", "-5"],
     ["search", "--graph", "linf:2", "--m", "3", "--box-radius", "1", "--witness-cap", "0"],
     ["search", "--graph", "linf:2", "--m", "3", "--box-radius", "1", "--print-witnesses", "-1"],
-    ["converge", "--graph", "l1:2", "--alphas", "100000000000000000000"],
-    ["converge", "--graph", "l1:2", "--alphas", "1e400"],
+    ["converge", "--graph", "l1:2", "--alphas", "200000000000000000001/2"],
+    ["converge", "--graph", "l1:2", "--alphas", f"{2 * 10 ** 400 + 1}/2"],
     ["converge", "--graph", "l1:2", "--alphas", "1:100000000000000000000"],
     ["search", "--graph", "l1:2", "--m", "100000000000000000000", "--mode", "local"],
     ["zonotope", "--graph", "l1:2", "--support", "1 x"],

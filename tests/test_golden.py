@@ -32,6 +32,7 @@ from isozono.catalog import BUILTIN_NAMES, builtin_graph
 from isozono.cli import main
 from isozono.geometry import convex_hull
 from isozono.intmat import canonical_sign, primitive_part, rank
+from isozono.search import convergence_experiment, zonotope_point_set
 from isozono.zonotope import Zonotope, f_vector
 
 TABLE = Path(__file__).with_name("golden_digests.json")
@@ -40,8 +41,8 @@ TABLE = Path(__file__).with_name("golden_digests.json")
 def _commands():
     """Per builtin: one `zonotope` report, one `section` at the level
     2h/3 - 1/7 of axis 1 (h the support value there), which is never an
-    integer, and `converge --alphas 1:3` (`linf:4` refuses alpha = 1 with
-    exit 2, and that refusal is an output too).  Then the exhaustive search
+    integer, and `converge --alphas 1:3`, whose integer rows come from the
+    Ehrhart polynomial on every builtin.  Then the exhaustive search
     at m = 6, r = 2 on four graphs and one seeded local search, whose
     witness lists are printed in order."""
     cmds = []
@@ -161,9 +162,32 @@ def _certificates():
     return records
 
 
+def _lattice_sets():
+    """Per builtin whose line scan fits the default budget (all but `linf:4`):
+    every field of the `convergence_experiment` rows at alpha = 1/2, 1, 3/2,
+    2, 5/2, 3, then the points and edge boundary of `zonotope_point_set` at
+    alpha = 1/2, 3/2, 5/2 about the centre c = (sum_i v_i mod 2) / 2, where
+    alpha Z + c is a lattice zonotope with generators 2 alpha v_i."""
+    records = []
+    for name in BUILTIN_NAMES:
+        if name == "linf:4":
+            continue
+        g = builtin_graph(name).graph()
+        rows = convergence_experiment(g, [Fraction(k, 2) for k in range(1, 7)])
+        records.append([name, [[r.alpha, r.points, r.volume, r.discrete_boundary,
+                                r.continuous_boundary, r.vol_ratio, r.boundary_ratio]
+                               for r in rows]])
+        centre = tuple(Fraction(sum(v[i] for v in g.generators) % 2, 2) for i in range(g.dim))
+        for k in (1, 3, 5):
+            ps = zonotope_point_set(g, Fraction(k, 2), centre)
+            records.append([name, k, centre, ps.points, ps.edge_boundary])
+    return records
+
+
 _LIBRARY = {"library: 4-D zonotopes": _zonotopes_4d, "library: 5-D zonotopes": _zonotopes_5d,
             "library: 3-D and 4-D hulls": _hulls,
-            "library: hull volumes, sweeps, certificates and flat charts": _certificates}
+            "library: hull volumes, sweeps, certificates and flat charts": _certificates,
+            "library: convergence rows and shifted lattice sets": _lattice_sets}
 
 
 def _library_digest(name):

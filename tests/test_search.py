@@ -16,6 +16,7 @@ from isozono.errors import (BudgetExceededError, DimensionMismatchError, Invalid
                             IsozonoError)
 from isozono.geometry import convex_hull
 from isozono.intmat import dot
+from isozono.lattice import count_lattice_points
 from isozono.plgraph import boundary_identity_report, edge_boundary_direct, validate_pl_graph
 from isozono.search import (
     SearchResult,
@@ -571,11 +572,31 @@ def test_zonotope_point_set_refuses_linf4_before_the_scan_under_the_default_budg
 
 def test_convergence_experiment_refuses_more_line_normal_pairs_than_the_budget_before_the_scan(
         monkeypatch):
+    # A non-integer alpha is scanned: 2 * 300001 + 1 lines, |y| <= 3 alpha.
     monkeypatch.setattr(search, "lattice_lines", _no_scan)
     with pytest.raises(BudgetExceededError) as err:
-        convergence_experiment(LINF, [10 ** 5], budget=100)
-    assert str(err.value) == ("alpha = 100000 scans 600001 lattice lines against 4 facet "
+        convergence_experiment(LINF, [Fraction(200001, 2)], budget=100)
+    assert str(err.value) == ("alpha = 200001/2 scans 600003 lattice lines against 4 facet "
                               "normals, budget is 100 line-normal pairs")
+
+
+def test_integer_rows_scan_nothing_and_charge_nothing(monkeypatch):
+    monkeypatch.setattr(search, "lattice_lines", _no_scan)
+    for name in BUILTIN_NAMES:
+        graph = builtin_graph(name).graph()
+        rows = convergence_experiment(graph, [1, 10, 10 ** 6], budget=1)
+        assert [r.alpha for r in rows] == [1, 10, 10 ** 6]
+    with pytest.raises(BudgetExceededError):
+        convergence_experiment(L1, [1, Fraction(3, 2)], budget=1)
+
+
+def test_convergence_rows_at_alpha_1e20():
+    a = 10 ** 20
+    row, = convergence_experiment(L1, [a])
+    side = 2 * a + 1
+    assert (row.points, row.discrete_boundary) == (side * side, 4 * side)
+    assert (row.volume, row.continuous_boundary) == (4 * a * a, 8 * a)
+    assert row.boundary_ratio == Fraction(2 * a, side)
 
 
 def test_convergence_experiment_exact_rows():
@@ -603,7 +624,7 @@ def test_convergence_experiment_validates_input():
     with pytest.raises(ValueError):
         convergence_experiment(L1, [0, 1])
     with pytest.raises(BudgetExceededError):
-        convergence_experiment(L1, [10 ** 6], budget=100)
+        convergence_experiment(L1, [Fraction(2 * 10 ** 6 + 1, 2)], budget=100)
 
 
 @functools.cache
@@ -713,11 +734,10 @@ def test_ehrhart_polynomial_of_l1_2():
 
 # For integer alpha, alpha Z(G) = -alpha sum v_i + alpha sum [0, 2 v_i] is a
 # lattice translate of alpha times the zonotope Stanley's formula counts.
-# linf:4 is left out: L(1) is already 2.7 million points.
 _EHRHART_ALPHAS = {1: 20, 2: 20, 3: 4, 4: 2}
 
 
-@pytest.mark.parametrize("name", [n for n in BUILTIN_NAMES if n != "linf:4"])
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_point_counts_match_ehrhart_polynomial(name):
     graph = builtin_graph(name).graph()
     coeffs = _ehrhart_coefficients(graph)
@@ -729,15 +749,87 @@ def test_point_counts_match_ehrhart_polynomial(name):
             assert zonotope_point_set(graph, t).cardinality == count
 
 
+def _scanned(graph, alpha):
+    """(points, edge boundary) of Z^n cap alpha Z by the line scan."""
+    lines = _lattice_lines(zonotope_of_graph(graph), Fraction(alpha), (Fraction(0),) * graph.dim)
+    return sum(hi - lo + 1 for lo, hi in lines.values()), _lines_boundary(lines, graph.generators)
+
+
+# linf:4 is left out: its scan at alpha = 1 is over the default budget.
+@pytest.mark.parametrize("name", [n for n in BUILTIN_NAMES if n != "linf:4"])
+def test_integer_rows_equal_the_line_scan(name):
+    graph = builtin_graph(name).graph()
+    alphas = range(1, _EHRHART_ALPHAS[graph.dim] + 1)
+    rows = convergence_experiment(graph, alphas)
+    assert [(r.points, r.discrete_boundary) for r in rows] == [_scanned(graph, a) for a in alphas]
+
+
 def test_convergence_alpha_1000_within_default_budget():
-    # The budget counts lines x normals, so 2d tables reach alpha = 1000.
+    # The scan counts lines x normals, so in 2-D it fits the default budget at
+    # alpha = 1000, where the closed-form row must equal it.
     for g in (L1, LINF, TRI):
         row, = convergence_experiment(g, [1000])
         assert row.points == sum(c * 1000 ** j for j, c in enumerate(_ehrhart_coefficients(g)))
+        assert (row.points, row.discrete_boundary) == _scanned(g, 1000)
         assert row.boundary_ratio < 1
     side = 2 * 1000 + 1
     row, = convergence_experiment(L1, [1000])
     assert (row.points, row.discrete_boundary) == (side * side, 4 * side)
+
+
+def _a_n_graph(n):
+    """A_n as an interval graph: the generator e_(i+1) + ... + e_j in Z^n for
+    each edge {i, j}, i < j, of K_(n+1) on the vertices 0..n."""
+    return validate_pl_graph(n, [tuple(int(i < k + 1 <= j) for k in range(n))
+                                 for i, j in combinations(range(n + 1), 2)])
+
+
+def _root(parent, x):
+    while parent[x] != x:
+        x = parent[x]
+    return x
+
+
+def _forest_counts(n):
+    """F_k, the number of k-edge forests on n + 1 labelled vertices, by
+    union-find over every edge subset of K_(n+1)."""
+    edges = list(combinations(range(n + 1), 2))
+    counts = [0] * (n + 1)
+    for mask in range(1 << len(edges)):
+        parent = list(range(n + 1))
+        k = 0
+        for b, (i, j) in enumerate(edges):
+            if mask >> b & 1:
+                ri, rj = _root(parent, i), _root(parent, j)
+                if ri == rj:
+                    break
+                parent[ri] = rj
+                k += 1
+        else:
+            counts[k] += 1
+    return counts
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_a_n_rows_match_the_forest_polynomial(n):
+    # The interval vectors are totally unimodular, so every independent set
+    # has minor gcd 1 and P(t) = sum_k F_k t^k (Postnikov): a route that
+    # shares no code with the minors.
+    graph = TRI if n == 2 else _a_n_graph(n)
+    if n == 2:
+        assert set(graph.generators) == set(_a_n_graph(2).generators)
+    forests = _forest_counts(n)
+    assert forests[:2] == [1, n * (n + 1) // 2] and forests[n] == (n + 1) ** (n - 1)
+    alphas = [1, 2, 3, 10 ** 6]
+    rows = convergence_experiment(graph, alphas)
+    for a, row in zip(alphas, rows):
+        assert row.points == sum(f * (2 * a) ** k for k, f in enumerate(forests))
+        assert row.discrete_boundary == sum(k * f * 2 ** k * a ** (k - 1)
+                                            for k, f in enumerate(forests) if k)
+    for a, row in zip(alphas[:2], rows):
+        assert count_lattice_points(zonotope_of_graph(graph).polytope().scale(a)) == row.points
+    if n == 4:
+        assert [r.points for r in rows[:2]] == [3081, 39801]
 
 
 def test_hull_direction_count_conventions():
