@@ -19,6 +19,14 @@ double description: its vertices are the rays, and its facets the
 inequalities whose tight vertex sets are maximal (`_maximal_masks`), so a
 full-dimensional body takes no second hull.
 
+The row order decides only the cost of the double description, never its
+output (Fukuda & Prodon), so a hull takes its points far from their
+centroid first: the first cones are already close to the hull, and a point
+strictly inside the cone built so far costs one `dots`.  The hull hands the
+vertex-facet incidences of its double description to its `Polytope`
+(`Polytope._tight`, carried by `_image`), so the facet cells need no
+vertex x facet scan.
+
 `convex_hull` scales rational input once by D, the lcm of its coordinate
 denominators (`_integer_multiple`), hulls the integer points on integer
 rows (each facet offset an exact int quotient), and maps the result back
@@ -46,7 +54,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 from math import factorial, lcm
-from operator import and_, mul
+from operator import and_, mul, or_
 
 from .errors import (
     DimensionDeficiencyError,
@@ -201,10 +209,9 @@ class Polytope:
         # Discretely, ch. 3 and 5).  The cells of D P (`_int_body`) take int
         # determinants, and each is D^(n-1) times the cell of P.
         n = self.dim
-        scale, verts, offsets = self._int_body
+        scale, verts, _ = self._int_body
         normals = [normal for normal, _ in self.facets]
-        masks = [sum(1 << i for i, s in enumerate(dots(normal, verts)) if s == c)
-                 for normal, c in zip(normals, offsets)]
+        masks = self._tight
         memo = {}
         common = lcm(*(next(filter(None, map(abs, normal))) for normal in normals))  # |normal[k]|
         numerators = []
@@ -217,6 +224,15 @@ class Polytope:
                                   for v in rest]))
             numerators.append(total * (common // abs(normal[k])))
         return normals, numerators, common * factorial(n - 1) * scale ** (n - 1)
+
+    @cached_property
+    def _tight(self):
+        """Per facet, in facet order, the bitmask of the vertices on it.  A
+        hull hands over the incidences of its double description, and
+        `_image` carries them; a hand-built body scans vertices x facets."""
+        _, verts, offsets = self._int_body
+        return [sum(1 << i for i, s in enumerate(dots(normal, verts)) if s == c)
+                for (normal, _), c in zip(self.facets, offsets)]
 
     @cached_property
     def _int_body(self):
@@ -251,7 +267,8 @@ class Polytope:
 
     def _image(self, f, t):
         """f P + t for f > 0: vertices, facet offsets and chart base map, and
-        the chart body (in chart coordinates) scales by f."""
+        the chart body (in chart coordinates) scales by f.  As f > 0 keeps
+        the vertex and the facet order, the incidences `_tight` carry over."""
         def image(p):
             return tuple(f * a + b for a, b in zip(p, t))
         facets = None
@@ -261,7 +278,10 @@ class Polytope:
         if chart is not None:
             body = chart.body if f == 1 else chart.body._image(f, (0,) * len(chart.basis))
             chart = Chart(_norm_point(image(chart.base)), chart.basis, chart.left, body)
-        return Polytope(self.dim, map(image, self.vertices), facets, chart)
+        poly = Polytope(self.dim, map(image, self.vertices), facets, chart)
+        if "_tight" in self.__dict__:
+            poly._tight = self._tight
+        return poly
 
     # -- dunder ------------------------------------------------------------
 
@@ -330,6 +350,9 @@ def _hull_full(pts, dim):
         poly = Polytope(2, cycle, facets)
         poly._cycle = tuple(cycle)
         return poly
+    # Far points first: k p - sum(pts) is k times p's offset from the centroid.
+    k, total = len(pts), [sum(c) for c in zip(*pts)]
+    pts = sorted(pts, key=lambda p: (-sum((k * a - s) ** 2 for a, s in zip(p, total)), p))
     # Facets are the extreme rays (a, c) of the cone {c - <a, p> >= 0 for all p}.
     rays = _extreme_rays([vneg(p) + (1,) for p in pts], dim + 1)
     facets = []
@@ -337,9 +360,15 @@ def _hull_full(pts, dim):
         g = content(y[:dim])  # g divides <a, p> = c at the tight integer points p
         facets.append((tuple(a // g for a in y[:dim]), y[dim] // g))
     # A point is a vertex iff the facets through it meet in no other point.
-    verts = [p for i, p in enumerate(pts)
-             if reduce(and_, (m for _, m in rays if m >> i & 1), -1) == 1 << i]
-    return Polytope(dim, verts, facets)
+    verts = sorted((i for i in _bit_indices(reduce(or_, (m for _, m in rays)))
+                    if reduce(and_, (m for _, m in rays if m >> i & 1)) == 1 << i),
+                   key=pts.__getitem__)
+    bit = {i: 1 << j for j, i in enumerate(verts)}  # sorted vertex order
+    incidences = sorted((f, sum(bit.get(i, 0) for i in _bit_indices(m)))
+                        for f, (_, m) in zip(facets, rays))
+    poly = Polytope(dim, [pts[i] for i in verts], [f for f, _ in incidences])
+    poly._tight = [m for _, m in incidences]
+    return poly
 
 
 def _monotone_chain(pts):
@@ -373,30 +402,43 @@ def _extreme_rays(rows, d):
     adjacent negative ray.  Two rays are adjacent iff no third ray is tight
     on every row both are tight on.  Rows that do not span Q^d leave a cone
     with a line in it, which has no extreme rays.
+
+    A row positive on every current ray cuts nothing, so it is skipped
+    after its one `dots`.  Each mask holds every row so far that is tight on
+    its ray: a new ray is a positive combination of a positive and a
+    negative ray, so it is tight on an earlier row iff both of them are.
+    The output is thus the extreme rays of the final cone with their tight
+    rows, which do not depend on the row order.  The order decides only the
+    cost (Fukuda and Prodon, "Double description method revisited", 1996),
+    so `_hull_full` hands over its points far from the centroid first.
     """
     basis = independent_rows(rows, d)
     if len(basis) < d:
         return []
-    rays = []
+    ys, masks = [], []
     for i in basis:
         y = cross_nd([rows[j] for j in basis if j != i], d)
-        rays.append((primitive_part(y if dot(rows[i], y) > 0 else vneg(y)),
-                     sum(1 << j for j in basis if j != i)))
+        ys.append(primitive_part(y if dot(rows[i], y) > 0 else vneg(y)))
+        masks.append(sum(1 << j for j in basis if j != i))
     for i, r in enumerate(rows):
         if i in basis:
             continue
-        signed = [(s, y, mask) for s, (y, mask) in zip(dots(r, [y for y, _ in rays]), rays)]
-        masks = [mask for _, mask in rays]
-        rays = [(y, mask if s else mask | 1 << i) for s, y, mask in signed if s >= 0]
+        values = dots(r, ys)
+        if min(values, default=1) > 0:
+            continue
+        signed = list(zip(values, ys, masks))
+        ys = [y for s, y, _ in signed if s >= 0]
+        kept = [m if s else m | 1 << i for s, _, m in signed if s >= 0]
         neg = [x for x in signed if x[0] < 0]
         for s, y, my in (x for x in signed if x[0] > 0):
             for t, z, mz in neg:
                 common = my & mz
                 if common.bit_count() >= d - 2 and not any(
                         m & common == common and m != my and m != mz for m in masks):
-                    w = tuple(s * b - t * a for a, b in zip(y, z))
-                    rays.append((primitive_part(w), common | 1 << i))
-    return rays
+                    ys.append(primitive_part(tuple(s * b - t * a for a, b in zip(y, z))))
+                    kept.append(common | 1 << i)
+        masks = kept
+    return list(zip(ys, masks))
 
 
 def _pulling_triangulation(mask, dim, faces, memo):

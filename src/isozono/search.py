@@ -434,9 +434,11 @@ class ConvergenceRow:
 def convergence_experiment(graph: PLGraph, alphas, *, budget: int | None = None):
     """Exact convergence table for X = Z(G) at increasing scales alpha.
 
-    At an integer alpha the row is read off the Ehrhart polynomial
-    P(t) = sum_k c_k t^k of `Zonotope.ehrhart_coefficients` and scans nothing:
-    S = Z^n cap alpha Z has P(2 alpha) points and edge boundary
+    When t = 2 alpha is an integer and alpha sum_i v_i a lattice vector (at
+    every integer alpha, and at a half-integer one when sum_i v_i is even)
+    the row is read off the Ehrhart polynomial P(t) = sum_k c_k t^k of
+    `Zonotope.ehrhart_coefficients` and scans nothing: S = Z^n cap alpha Z
+    has P(2 alpha) points and edge boundary
     d/d alpha P(2 alpha) = sum_k k c_k 2^k alpha^(k-1).  With t = 2 alpha:
 
     * Points.  alpha Z is sum_i [0, t v_i] moved by the lattice vector
@@ -478,10 +480,11 @@ def convergence_experiment(graph: PLGraph, alphas, *, budget: int | None = None)
     vol_z = Z.volume()
     b_z = n * vol_z
     origin = (Fraction(0),) * n
+    shift = [sum(c) for c in zip(*graph.generators)]  # sum_i v_i
     rows = []
     for a in alphas:
-        if a.denominator == 1:
-            t = 2 * a.numerator
+        if (2 * a).denominator == 1 and all((a * c).denominator == 1 for c in shift):
+            t = int(2 * a)
             coeffs = Z.ehrhart_coefficients
             points = sum(c * t ** k for k, c in enumerate(coeffs))
             boundary = 2 * sum(k * c * t ** (k - 1) for k, c in enumerate(coeffs) if k)

@@ -445,6 +445,70 @@ def test_hull_matches_the_per_point_integerize_route(pts):
     assert _hull_record(convex_hull(pts)) == _hull_record(_per_point_hull(pts))
 
 
+@st.composite
+def _crowded_point_sets(draw):
+    """3-D and 4-D points, ints or over a denominator q: a few grid points,
+    the midpoints of their pairs and the centroids of their 4-sets.  Most
+    centroids are interior, and a midpoint of two vertices on one facet is a
+    boundary point that is no vertex, which the double description meets
+    with a zero sign."""
+    dim = draw(st.integers(3, 4))
+    q = draw(st.sampled_from((1, 1, 2, 3)))
+    corners = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * dim), min_size=dim + 1,
+                            max_size=11 - dim, unique=True))
+    times4 = [tuple(4 * a for a in p) for p in corners]
+    times4 += [tuple(2 * (a + b) for a, b in zip(p, r)) for p, r in combinations(corners, 2)]
+    times4 += [tuple(map(sum, zip(*four))) for four in combinations(corners, 4)]
+    return [tuple(_norm_num(Fraction(a, 4 * q)) for a in p) for p in times4]
+
+
+def _scanned_tight(P):
+    """Oracle: per facet, the mask of the vertices on it, from testing every
+    vertex against every facet."""
+    return [sum(1 << i for i, v in enumerate(P.vertices) if dot(normal, v) == c)
+            for normal, c in P.facets]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_crowded_point_sets(), st.randoms(use_true_random=False))
+def test_hull_does_not_depend_on_the_input_order(pts, rnd):
+    P = convex_hull(pts)
+    assume(P.chart is None)
+    shuffled = list(pts)
+    rnd.shuffle(shuffled)
+    Q = convex_hull(shuffled)
+    assert repr((Q.vertices, Q.facets, Q.facet_cells(), Q.volume())) == repr(
+        (P.vertices, P.facets, P.facet_cells(), P.volume()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_crowded_point_sets(), st.randoms(use_true_random=False))
+def test_extreme_rays_and_tight_rows_do_not_depend_on_the_row_order(pts, rnd):
+    rows = [integerize(vneg(p) + (1,)) for p in pts]
+    order = list(range(len(rows)))
+    rnd.shuffle(order)
+    rays = _extreme_rays([rows[i] for i in order], len(rows[0]))
+    # Bit j of a mask is row order[j] of the unshuffled rows.
+    unshuffled = {(y, sum(1 << order[j] for j in range(len(order)) if m >> j & 1))
+                  for y, m in rays}
+    assert unshuffled == set(_extreme_rays(rows, len(rows[0])))
+    assert len(unshuffled) == len(rays)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_crowded_point_sets())
+def test_hull_incidences_match_the_vertex_facet_scan(pts):
+    # The hull hands its incidences over, and f P + t (f > 0) carries them.
+    P = convex_hull(pts)
+    assume(P.chart is None)
+    n = P.dim
+    for Q in (P, P.scale(Fraction(3, 2)), P.translate((1, -2, 3, -1)[:n]),
+              P.scale(Fraction(2, 3)).translate((Fraction(1, 3),) * n)):
+        assert "_tight" in vars(Q)
+        assert Q._tight == _scanned_tight(Q)
+        assert Polytope(n, Q.vertices, Q.facets)._tight == Q._tight
+
+
 def test_cycle_is_counterclockwise():
     P = convex_hull([(0, 0), (4, 0), (4, 4), (0, 4)])
     cyc = P.cycle()

@@ -590,6 +590,41 @@ def test_integer_rows_scan_nothing_and_charge_nothing(monkeypatch):
         convergence_experiment(L1, [1, Fraction(3, 2)], budget=1)
 
 
+def _scanned_row(graph, alpha):
+    """(points, edge boundary) of Z^n cap alpha Z by the line scan: the oracle
+    of the closed-form rows."""
+    lines = _lattice_lines(zonotope_of_graph(graph), alpha, (Fraction(0),) * graph.dim)
+    return sum(hi - lo + 1 for lo, hi in lines.values()), _lines_boundary(lines, graph.generators)
+
+
+def _no_lines(Z, alpha, center, budget=None):
+    raise AssertionError("the row was scanned")
+
+
+@pytest.mark.parametrize("name, alphas, expected", [
+    ("tri", ["1/2", "3/2", "5/2"], [(7, 18), (37, 42), (91, 66)]),
+    ("d4cross", ["1/2", "3/2"], [(601, 4056), (31897, 80520)]),
+])
+def test_half_integer_rows_with_an_even_generator_sum_scan_nothing(
+        monkeypatch, name, alphas, expected):
+    # alpha sum_i v_i is a lattice vector, so alpha Z is a lattice zonotope moved
+    # by a lattice vector and P(2 alpha) gives the row.
+    graph = builtin_graph(name).graph()
+    alphas = [Fraction(a) for a in alphas]
+    assert [_scanned_row(graph, a) for a in alphas] == expected
+    monkeypatch.setattr(search, "_lattice_lines", _no_lines)
+    rows = convergence_experiment(graph, alphas)
+    assert [(r.points, r.discrete_boundary) for r in rows] == expected
+
+
+def test_half_integer_rows_with_an_odd_generator_sum_are_scanned(monkeypatch):
+    # l1:2 has sum_i v_i = (1, 1): alpha Z at alpha = 1/2 is not a lattice translate.
+    assert _scanned_row(L1, Fraction(1, 2)) == (1, 4)
+    monkeypatch.setattr(search, "_lattice_lines", _no_lines)
+    with pytest.raises(AssertionError, match="the row was scanned"):
+        convergence_experiment(L1, [Fraction(1, 2)])
+
+
 def test_convergence_rows_at_alpha_1e20():
     a = 10 ** 20
     row, = convergence_experiment(L1, [a])
