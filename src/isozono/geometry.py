@@ -133,7 +133,7 @@ class Polytope:
 
     def __init__(self, dim, vertices, facets=None, chart=None):
         self.dim = dim
-        self.vertices = tuple(sorted(_norm_point(v) for v in vertices))
+        self.vertices = tuple(sorted(_vector(v, dim, "vertex") for v in vertices))
         self.facets = None if facets is None else tuple(sorted(
             (tuple(n), c if isinstance(c, int) else _norm_num(Fraction(c)))
             for n, c in facets))

@@ -9,8 +9,9 @@ evaluated and must agree.
 Lattice points are found one line at a time by one integer kernel,
 `lattice_lines`: a line parallel to axis 0 meets integer slabs lo <= <u, x> <= hi
 in an interval, by floor and ceiling division.  <u, x> is an integer on Z^n,
-so each caller rounds its rational facet bounds inward once, and first
-charges its lines times facet normals to the budget (`charge_lines`).
+so each caller rounds its rational facet bounds inward once.  The scan
+charges its lines times slabs to the budget before its first line, so no
+caller scans uncharged.
 """
 
 from __future__ import annotations
@@ -96,19 +97,18 @@ def projection_lattice_det_squared(a) -> Fraction:
     return closed
 
 
-def charge_lines(what, lines, normals, budget=None):
-    """`BudgetExceededError` if `lines` lattice lines times `normals` facet
-    normals exceed `default_budget(budget)`."""
-    budget = default_budget(budget)
-    if lines * normals > budget:
-        raise BudgetExceededError(
-            f"{what} scans {lines} lattice lines against {normals} "
-            f"facet normals, budget is {budget} line-normal pairs")
-
-
-def lattice_lines(slabs, ranges):
+def lattice_lines(what, slabs, ranges, budget=None):
     """{y: (lo, hi)}: the points (t, y) of Z^n in every slab (u, lo_u, hi_u), lo <= t <= hi,
-    one line per y in the box `ranges` of coordinates 1..n-1 (empty lines left out)."""
+    one line per y in the box `ranges` of coordinates 1..n-1 (empty lines left out).
+
+    Before the first line, `BudgetExceededError` if the lines times the slabs
+    (facet normals) exceed `default_budget(budget)`; `what` names the body."""
+    budget = default_budget(budget)
+    lines = prod(r.stop - r.start for r in ranges)  # len() overflows past sys.maxsize
+    if lines * len(slabs) > budget:
+        raise BudgetExceededError(
+            f"{what} scans {lines} lattice lines against {len(slabs)} "
+            f"facet normals, budget is {budget} line-normal pairs")
     steep, flat = [], []
     for u, lo, hi in slabs:
         if u[0] < 0:
@@ -128,15 +128,14 @@ def lattice_lines(slabs, ranges):
 
 def count_lattice_points(P: Polytope) -> int:
     """Number of integer points in a full-dimensional polytope: facet (a, c) is the slab
-    (least <a, x> on the bounding box's integer points) <= <a, x> <= floor(c), its lines
-    charged to the budget first (`charge_lines`)."""
+    (least <a, x> on the bounding box's integer points) <= <a, x> <= floor(c), one per
+    facet, so the scan charges its lines times the facets."""
     if P.chart is not None:
         raise DimensionDeficiencyError("lattice point counting requires a full-dimensional polytope")
     box = [(ceil(lo), floor(hi)) for lo, hi in zip(*P.bounding_box())]
-    charge_lines("the polytope", prod(e - s + 1 for s, e in box[1:]), len(P.facets))
     slabs = [(a, sum(min(x * s, x * e) for x, (s, e) in zip(a, box)), floor(c))
              for a, c in P.facets]
-    lines = lattice_lines(slabs, [range(s, e + 1) for s, e in box[1:]])
+    lines = lattice_lines("the polytope", slabs, [range(s, e + 1) for s, e in box[1:]])
     return sum(hi - lo + 1 for lo, hi in lines.values())
 
 

@@ -63,6 +63,11 @@ class PLGraph:
     dim: int
     generators: tuple
 
+    def __post_init__(self):
+        # Lattice points of one length; `validate_pl_graph` makes them canonical.
+        object.__setattr__(self, "generators", tuple(map(int_point, self.generators)))
+        common_length(self.generators, self.dim, "generator")
+
     @property
     def degree(self) -> int:
         return 2 * len(self.generators)

@@ -10,7 +10,8 @@ instances raise BudgetExceededError rather than truncating silently.
 
 Lattice points of a scaled zonotope alpha Z + c are found one line at a
 time by the integer line scan of `lattice.lattice_lines`, with one slab per
-facet pair (normals from the minor table).  The point count is
+facet pair (a row of the facet table), which charges its lines times the
+facet pairs to the budget before its first line.  The point count is
 the sum of hi - lo + 1, and the edge boundary is 2k|S| minus twice the edges
 inside S, where the edges along v from line y are the overlap of its interval
 with the next line's interval shifted back by v; convergence tables use both
@@ -36,7 +37,7 @@ from .errors import BudgetExceededError, InvalidArgumentError
 from .geometry import _vector, convex_hull
 from .intmat import (_bit_indices, _norm_num, _rational, common_length, dot, int_point, pack,
                      unpack, vadd, vneg)
-from .lattice import charge_lines, default_budget, lattice_lines
+from .lattice import default_budget, lattice_lines
 from .plgraph import PLGraph, edge_boundary_direct
 from .zonotope import Zonotope, zonotope_of_graph
 
@@ -224,9 +225,9 @@ def exhaustive_min_boundary(graph: PLGraph, m: int, box_radius: int, *,
                         witnesses_truncated=truncated, evaluated=count)
 
 
-def _gauge(normals, p, center):
+def _gauge(rows, p, center):
     """Minkowski gauge of p about `center` (a tuple of Fractions) in the
-    zonotope with the given (normal, offset) pairs: the largest |<u, p - c>| / h.
+    zonotope with the given facet-table rows: the largest |<u, p - c>| / h(u).
 
     Compared in integers: with D the common denominator of the centre and
     a = |<u, D(p - c)>|, the ratio a / h beats a' / h' iff a h' > a' h, so
@@ -235,8 +236,8 @@ def _gauge(normals, p, center):
     D = math.lcm(*(c.denominator for c in center))
     q = tuple(D * a - c.numerator * (D // c.denominator) for a, c in zip(p, center))
     best, h_best = 0, 1
-    for u, h in normals:
-        a = abs(dot(u, q))
+    for row in rows:
+        a, h = abs(dot(row.normal, q)), row.offset
         if a * h_best > best * h:
             best, h_best = a, h
     return Fraction(best, h_best * D)
@@ -255,16 +256,16 @@ def _smallest_gauges(Z: Zonotope, count: int, center, budget=None):
     each scan's lines, and the scored scan's points, times the facet normals.
     """
     budget = default_budget(budget)
-    alpha = Fraction(1, max(h for _, h in Z.facet_offsets))
+    alpha = Fraction(1, max(row.offset for row in Z.facet_table))
     while True:
         lines = _lattice_lines(Z, alpha, center, budget)
         size = sum(hi - lo + 1 for lo, hi in lines.values())
-        if size * len(Z.facet_offsets) > budget:
+        if size * len(Z.facet_table) > budget:
             raise BudgetExceededError(
                 f"alpha = {alpha} holds {size} lattice points to score against "
-                f"{len(Z.facet_offsets)} facet normals, budget is {budget}")
+                f"{len(Z.facet_table)} facet normals, budget is {budget}")
         if size >= count:
-            return sorted((_gauge(Z.facet_offsets, p, center), p) for p in
+            return sorted((_gauge(Z.facet_table, p, center), p) for p in
                           ((t,) + y for y, (lo, hi) in lines.items()
                            for t in range(lo, hi + 1)))[:count]
         alpha *= 2
@@ -355,25 +356,22 @@ def _lattice_lines(Z: Zonotope, alpha: Fraction, center, budget=None):
     With D the common denominator of alpha and center, facet normal u gives
     the slab |D <u, x> - <u, D center>| <= D alpha h(u), divided by D and
     rounded inward.  `budget` (ISOZONO_BUDGET when None) caps the lines
-    scanned times the facet normals, checked before the scan.
+    scanned times the facet normals, charged by the scan before its first line.
     """
     n = Z.dim
-    normals = Z.facet_offsets
     ranges = []
     for i in range(1, n):
         e = tuple(1 if j == i else 0 for j in range(n))
         h = alpha * Z.support(e)
         ranges.append(range(math.ceil(center[i] - h), math.floor(center[i] + h) + 1))
-    lines = math.prod(r.stop - r.start for r in ranges)  # len() overflows past sys.maxsize
-    charge_lines(f"alpha = {alpha}", lines, len(normals), budget)
     D = math.lcm(alpha.denominator, *(c.denominator for c in center))
     dc = tuple(c.numerator * (D // c.denominator) for c in center)
     scale = D // alpha.denominator * alpha.numerator
     slabs = []
-    for u, h in normals:
-        k, H = dot(u, dc), scale * h
-        slabs.append((u, -((H - k) // D), (k + H) // D))
-    return lattice_lines(slabs, ranges)
+    for row in Z.facet_table:
+        k, H = dot(row.normal, dc), scale * row.offset
+        slabs.append((row.normal, -((H - k) // D), (k + H) // D))
+    return lattice_lines(f"alpha = {alpha}", slabs, ranges, budget)
 
 
 def _lines_boundary(lines, generators) -> int:

@@ -1,24 +1,22 @@
 """Centered zonotopes of primitive integer generators, with exact face data.
 
 A zonotope here is Z = sum_i [-v_i, v_i] for canonical generators v_i (same
-validation as the lattice graphs).  Its face data come from one table of
-generator minors, built in a single pass over the (n-1)-subsets S of
+validation as the lattice graphs).  Its face data come from one facet table
+(`facet_table`), built in a single pass over the (n-1)-subsets S of
 generators: cross_nd(S) = w_S * u with u canonical and primitive adds |w_S|
-to w(u) (Ziegler, Lectures on Polytopes, Lecture 7).  The keys u are exactly
-the facet normals, each supporting the pair of facets at offset
-h(u) = sum_i |<u, v_i>|, and the sweep along v is 2^(n-1) sum_u w(u) |<u, v>|.
-Next to it, the facet table (`facet_table`) holds per normal u the row of
-pairings <u, v_i>, computed once, and what the row fixes: h(u), the packed
-centre shift t_u and the tight generators T_u (below).  The facet offsets,
-the top level of the face recursion, the sweeps along the generators and
-the hyperplane sections all read that one table.  The volume is
-deliberately not read off either table: it stays the n-subset determinant
-sum 2^n sum_S |det S| (`intmat.abs_det_sum`), so b(Z) = n vol(Z) compares
-two independent routes.  In 4-D that sum computes the six 2 x 2 minors of
-each generator pair once and reads the subset a < b < c < d as the Laplace
-pairing of pair (a, b) with pair (c, d); no (n-1)-subset cross product, and
-so no minor-table weight, enters it.  In 3-D and above 4-D it takes one
-`det` per subset.
+to the weight w(u) (Ziegler, Lectures on Polytopes, Lecture 7).  The u are
+the facet normals, one row per pair of opposite facets; the row also holds
+the pairings <u, v_i>, computed once, and what they fix: the offset
+h(u) = sum_i |<u, v_i>|, the packed centre shift t_u and the tight
+generators T_u (below).  The H-representation, the face recursion, the
+sweeps 2^(n-1) sum_u w(u) |<u, v>|, the Ehrhart coefficients and the
+hyperplane sections all read that one table.  The volume is not read off
+it: it stays the n-subset determinant sum 2^n sum_S |det S|
+(`intmat.abs_det_sum`), so b(Z) = n vol(Z) compares two independent routes.
+In 4-D that sum computes the six 2 x 2 minors of each generator pair once
+and reads the subset a < b < c < d as the Laplace pairing of pair (a, b)
+with pair (c, d); no (n-1)-subset cross product, and so no weight, enters
+it.  In 3-D and above 4-D it takes one `det` per subset.
 
 Faces are enumerated over flats, the generator subsets T that contain every
 generator of their span.  Each face of Z(F) = sum_{v in F} [-v, v] is
@@ -30,13 +28,14 @@ faces have distinct centres and one recursion (`_flat_faces`) names every
 face by its centre, a signed sum of generators and so an integer point of
 Z^n.  A flat with as many generators as its rank is a parallelepiped, whose
 faces are its signed sums in closed form.  Otherwise the top level takes its
-normals from the minor table, and a lower flat takes them, by the same rule,
+normals from the facet table, and a lower flat takes them, by the same rule,
 in a chart of coordinates on which it projects injectively.  Every proper
 face lies on a facet and is a face of it, so the union over facets is
 complete: the vertices are the centres of dimension 0, and the f-vector
 counts centres by dimension.  A hyperplane section cuts Z only by the facets
 that the hyperplane meets, and its vertices and facets are read off one
-double description of those inequalities (`geometry.hrep_polytope`).
+double description of those inequalities (`geometry.hrep_polytope`); the
+face that maximises a coordinate is the section at its top level.
 
 Coordinate i of a centre lies in [-h(e_i), h(e_i)], so the recursion keeps
 each centre packed as one int, sum_i t_i R^(n-1-i) with balanced digits in
@@ -56,12 +55,13 @@ from typing import NamedTuple
 
 from .errors import (DimensionMismatchError, EmptySectionError, RankDeficientError,
                      UnpairedSegmentError)
-from .geometry import Polytope, _vector, convex_hull, hrep_polytope
+from .geometry import Polytope, _vector, hrep_polytope
 from .intmat import (
     _norm_num,
     _rational,
     abs_det_sum,
     canonical_sign,
+    common_length,
     content,
     cross_nd,
     det,
@@ -84,6 +84,7 @@ class FacetRow(NamedTuple):
     offset: int      # h(u) = sum_i |<u, v_i>|
     shift: int       # packed code of t_u = sum_i sign(<u, v_i>) v_i
     tight: tuple     # T_u, the generators with <u, v_i> = 0
+    weight: int      # w(u) = sum |w_S| over the (n-1)-subsets S with cross_nd(S) = w_S * u
 
 
 @dataclass(frozen=True)
@@ -92,6 +93,11 @@ class Zonotope:
 
     dim: int
     generators: tuple
+
+    def __post_init__(self):
+        # Lattice points of one length; `build_zonotope` makes them canonical.
+        object.__setattr__(self, "generators", tuple(map(int_point, self.generators)))
+        common_length(self.generators, self.dim, "generator")
 
     def support(self, u) -> int:
         """Support value h(u) = sum |<u, v_i>| (the facet offset in direction u)."""
@@ -106,19 +112,19 @@ class Zonotope:
         return 2 ** self.dim * abs_det_sum(self.generators, self.dim)
 
     def sweep(self, v) -> int:
-        """vol(Z + [0, v]) - vol(Z) = 2^(n-1) sum_u w(u) |<u, v>| over the minor
-        table; a generator reads its pairings off the facet table."""
+        """vol(Z + [0, v]) - vol(Z) = 2^(n-1) sum_u w(u) |<u, v>| over the facet
+        table; a generator reads its pairings off the table's columns."""
         v = _vector(v, self.dim, "direction")
         known = self._generator_sweeps.get(v)
         if known is not None:
             return known
         return _norm_num(2 ** (self.dim - 1) * sum(
-            w * abs(dot(u, v)) for u, w in self.minor_table.items()))
+            row.weight * abs(dot(row.normal, v)) for row in self.facet_table))
 
     @cached_property
     def _generator_sweeps(self):
         """{v_i: sweep(v_i)}, each from column i of the facet table."""
-        weights = self.minor_table.values()
+        weights = [row.weight for row in self.facet_table]
         columns = zip(*(row.pairings for row in self.facet_table))
         return {g: 2 ** (self.dim - 1) * sum(map(mul, weights, map(abs, column)))
                 for g, column in zip(self.generators, columns)}
@@ -133,41 +139,31 @@ class Zonotope:
         c_k sums, over the linearly independent k-subsets X of the
         generators, the gcd of X's k x k minors.  So c_0 = 1 and
         c_1 = #generators (they are primitive), and the top two are data
-        already kept: c_(n-1) = sum_u w(u) over the minor table, whose
+        already kept: c_(n-1) = sum_u w(u) over the facet table, whose
         weights are those gcds for the (n-1)-subsets, and c_n = vol(Z) / 2^n.
         Only 2 <= k <= n - 2 takes minors here."""
         n, gens = self.dim, self.generators
         low = [1, len(gens)] + [sum(_minor_gcd(X, n) for X in combinations(gens, k))
                                 for k in range(2, n - 1)]
-        # c_0 .. c_(n-2); in 1-D the minor table's one weight is c_0 itself.
-        return tuple(low[:n - 1]) + (sum(self.minor_table.values()), self.volume() // 2 ** n)
-
-    @cached_property
-    def minor_table(self):
-        """{u: w(u)}, sorted by u: the facet normals (one per +- pair) and the
-        summed |w_S| of the (n-1)-subsets S with cross_nd(S) = w_S * u."""
-        table = {}
-        for u, w in _minors(self.generators, self.dim):
-            table[u] = table.get(u, 0) + w
-        return dict(sorted(table.items()))
+        # c_0 .. c_(n-2); in 1-D the table's one weight is c_0 itself.
+        return tuple(low[:n - 1]) + (sum(row.weight for row in self.facet_table),
+                                     self.volume() // 2 ** n)
 
     @cached_property
     def facet_table(self):
-        """(`FacetRow`, ...) per minor-table normal u, in minor-table order:
-        the pairings <u, v_i> are computed here once, and h(u), t_u and T_u
-        are read off them (`_face_split`)."""
+        """(`FacetRow`, ...) per facet normal u, sorted by u: the weight w(u)
+        sums |w_S| over the (n-1)-subsets S with cross_nd(S) = w_S * u, the
+        pairings <u, v_i> are computed here once, and h(u), t_u and T_u are
+        read off them (`_face_split`)."""
+        weights = {}
+        for u, w in _minors(self.generators, self.dim):
+            weights[u] = weights.get(u, 0) + w
         gens, codes = self.generators, self._codes
         table = []
-        for u in self.minor_table:
+        for u, w in sorted(weights.items()):
             row = tuple(dots(u, gens))
-            table.append(FacetRow(u, row, sum(map(abs, row)), *_face_split(row, gens, codes)))
+            table.append(FacetRow(u, row, sum(map(abs, row)), *_face_split(row, gens, codes), w))
         return tuple(table)
-
-    @cached_property
-    def facet_offsets(self):
-        """[(u, h(u))]: one outward normal u of each pair of opposite facets,
-        in minor-table order, with its facet offset."""
-        return [(row.normal, row.offset) for row in self.facet_table]
 
     @cached_property
     def _radix(self) -> int:
@@ -199,7 +195,7 @@ class Zonotope:
     def _polytope(self) -> Polytope:
         vertices = sorted(c for c, k in self._faces.items() if k == 0)
         return Polytope(self.dim, unpack(vertices, self._radix, self.dim),
-                        [f for u, h in self.facet_offsets for f in ((u, h), (vneg(u), h))])
+                        [f for u, _, h, *_ in self.facet_table for f in ((u, h), (vneg(u), h))])
 
 
 @lru_cache(maxsize=16)
@@ -390,16 +386,15 @@ def facet_polytope(Z: Zonotope, axis: int) -> FacetSlice:
 
     Returned in the chart that drops that coordinate, together with the
     ambient translation vector t = sum sign(v_i[axis]) * v_i: the face is the
-    hull of the vertices of Z with v[axis] = t[axis], moved by -t.  It is the
-    sub-zonotope of the generators with vanishing `axis` coordinate; when
-    those do not span the hyperplane the face is lower-dimensional and
-    `is_facet` is False.
+    section of Z at level t[axis] = h(e_axis) (`hyperplane_section`), moved
+    by -t.  It is the sub-zonotope of the generators with vanishing `axis`
+    coordinate; when those do not span the hyperplane the face is
+    lower-dimensional and `is_facet` is False.
     """
     e = _axis_unit(Z, axis)
     shift, _ = _face_split([dot(e, g) for g in Z.generators], Z.generators, Z._codes)
     t = Z._centre(shift)
-    face = convex_hull([tuple(a - b for i, (a, b) in enumerate(zip(v, t)) if i != axis)
-                        for v in Z.polytope().vertices if v[axis] == t[axis]])
+    face = hyperplane_section(Z, axis, t[axis]).translate(vneg(t[:axis] + t[axis + 1:]))
     return FacetSlice(face, t, face.is_full_dimensional())
 
 
@@ -429,13 +424,13 @@ def hyperplane_section(Z: Zonotope, axis: int, level) -> Polytope:
     a, q = level.numerator, level.denominator
     coordinate = {g: g[axis] for g in Z.generators}
     ineqs = []
-    for u, pairings, c, _, tight in Z.facet_table:
-        t, _ = _face_split(pairings, Z.generators, coordinate)
-        r = q * sum(abs(g[axis]) for g in tight)
-        for normal, mid in ((u, t), (vneg(u), -t)):
+    for row in Z.facet_table:
+        t, _ = _face_split(row.pairings, Z.generators, coordinate)
+        r = q * sum(abs(g[axis]) for g in row.tight)
+        for normal, mid in ((row.normal, t), (vneg(row.normal), -t)):
             if abs(a - q * mid) <= r:
                 ineqs.append((tuple(q * b for i, b in enumerate(normal) if i != axis),
-                              q * c - normal[axis] * a))
+                              q * row.offset - normal[axis] * a))
     return hrep_polytope(ineqs, Z.dim - 1)
 
 

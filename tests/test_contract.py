@@ -1,8 +1,9 @@
 """The input contract of the public surface.
 
 Every callable in `isozono.__all__` that takes a vector, a point list or a
-rational scalar, and every public method of `Polytope` and `Zonotope` that
-does, is fed malformed input: empty, the zero vector, a wrong length,
+rational scalar, the constructors of `Polytope`, `Zonotope` and `PLGraph`
+included, and every public method of `Polytope` and `Zonotope` that does,
+is fed malformed input: empty, the zero vector, a wrong length,
 ragged (points of different lengths, or a coordinate that is itself a
 sequence), float, non-integral, text and 10^40-sized ints.  Each call must
 return an exact value, with no float anywhere in it, or raise an
@@ -32,10 +33,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import isozono
-from isozono import (FormatError, IsozonoError, Polytope, Zonotope, build_zonotope,
-                     build_zonotope_from_segments, canonical_set, canonicalize_generators,
-                     convergence_experiment, convex_hull, directional_sweep,
-                     dual_projection_lattice_basis, edge_boundary_direct,
+from isozono import (DimensionMismatchError, FormatError, IsozonoError, Polytope, Zonotope,
+                     build_zonotope, build_zonotope_from_segments, canonical_set,
+                     canonicalize_generators, convergence_experiment, convex_hull,
+                     directional_sweep, dual_projection_lattice_basis, edge_boundary_direct,
                      finite_difference_probe, gap_count, hull_direction_count,
                      hyperplane_section, minkowski_sum_segment, points_to_text,
                      projection_count, projection_lattice_det_squared, validate_pl_graph,
@@ -49,6 +50,9 @@ _HUGE = 10 ** 40
 # (name, kind, call): the public name, the kind of argument it is probed
 # through, and a call that passes one such argument in a 2-D setting.
 PROBES = [
+    ("Polytope", "points", lambda pts: Polytope(2, pts)),
+    ("Zonotope", "points", lambda pts: Zonotope(2, pts).volume()),
+    ("PLGraph", "points", lambda pts: isozono.PLGraph(2, pts)),
     ("Polytope.contains", "vector", _SQUARE.contains),
     ("Polytope.support", "vector", _SQUARE.support),
     ("Polytope.translate", "vector", _SQUARE.translate),
@@ -88,11 +92,7 @@ _COUNTS = "takes a graph and integer counts"
 NOT_PROBED = {
     **dict.fromkeys(["BMCertificate", "BoundaryValue", "ConvergenceRow", "EdgeBoundaryReport",
                      "FVector", "FacetSlice", "GraphSpec", "LatticeBasis", "LimitingShapeRow",
-                     "PLGraph", "ProbeRow", "SearchResult", "ZonotopePointSet"], _RECORD),
-    "Polytope": "the constructor takes a hull's own vertices and facets; `convex_hull` "
-                "takes point lists, and the methods are probed",
-    "Zonotope": "the constructor takes canonical generators; `build_zonotope` takes "
-                "generator lists, and the methods are probed",
+                     "ProbeRow", "SearchResult", "ZonotopePointSet"], _RECORD),
     **dict.fromkeys(["boundary_lattice_points", "brunn_minkowski_certificate",
                      "continuous_boundary", "count_lattice_points", "emit_graph_spec",
                      "f_vector", "homothety_check", "pick_area", "polytope_to_text",
@@ -204,3 +204,13 @@ def test_a_non_integer_lattice_input_is_refused_not_truncated(call):
     # (0, 1), 1/2 and "0 1"), the last three a plain ValueError.
     with pytest.raises(FormatError):
         call()
+
+
+def test_the_constructors_check_their_vectors():
+    # The zonotope used to give the volume 2.0 of its float generator.
+    with pytest.raises(FormatError):
+        Zonotope(2, ((0.5, 0), (0, 1))).volume()
+    with pytest.raises(DimensionMismatchError):
+        Polytope(2, [(0, 0), (1,)])
+    with pytest.raises(DimensionMismatchError):
+        isozono.PLGraph(2, ((1, 0), (0, 1, 0)))

@@ -104,14 +104,10 @@ def test_count_points_unit_cube_3d():
     assert count_lattice_points(cube) == 27
 
 
-def test_count_refuses_an_over_budget_box_before_scanning_a_line(monkeypatch):
+def test_count_refuses_an_over_budget_box_before_scanning_a_line(monkeypatch, no_scan):
     # Legs 10^7: 10^7 + 1 lines times 3 facets, over the default budget.
-    def no_scan(*ranges):
-        raise AssertionError("a lattice line was scanned")
-
     triangle = convex_hull([(0, 0), (10**7, 0), (0, 10**7)])
     monkeypatch.delenv("ISOZONO_BUDGET", raising=False)
-    monkeypatch.setattr(lattice, "product", no_scan)
     for count in (count_lattice_points, pick_area):
         with pytest.raises(BudgetExceededError, match="scans 10000001 lattice lines against 3 "
                                                       "facet normals, budget is 10000000"):

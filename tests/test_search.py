@@ -433,24 +433,24 @@ def test_local_search_boundary_delta_matches_full_recount():
                 == _full_recount_local_search(graph, m, 3000, seed)), (graph.generators, m, seed)
 
 
-def _fraction_gauge(normals, p, center):
-    """Slow oracle: one Fraction per normal."""
+def _fraction_gauge(rows, p, center):
+    """Slow oracle: one Fraction per facet-table row."""
     q = tuple(Fraction(a) - c for a, c in zip(p, center))
-    return max(Fraction(abs(dot(u, q)), h) for u, h in normals)
+    return max(Fraction(abs(dot(row.normal, q)), row.offset) for row in rows)
 
 
 def test_integer_gauge_matches_fraction_oracle():
     rng = random.Random(4)
     for name, per_center in (("linf:3", 15), ("linf:4", 3)):
         Z = zonotope_of_graph(builtin_graph(name).graph())
-        normals = Z.facet_offsets
+        rows = Z.facet_table
         n = Z.dim
         for center in product((Fraction(0), Fraction(1, 2)), repeat=n):
             points = [(0,) * n, (1,) * n] + [tuple(rng.randint(-6, 6) for _ in range(n))
                                              for _ in range(per_center)]
             for p in points:
-                expected = _fraction_gauge(normals, p, center)
-                assert search._gauge(normals, p, center) == expected, (name, p, center)
+                expected = _fraction_gauge(rows, p, center)
+                assert search._gauge(rows, p, center) == expected, (name, p, center)
 
 
 def test_gauge_ball_start_is_the_smallest_gauge_prefix():
@@ -459,7 +459,7 @@ def test_gauge_ball_start_is_the_smallest_gauge_prefix():
     Z = zonotope_of_graph(SKEW)
     origin = (Fraction(0),) * 2
     box = product(range(-20, 21), repeat=2)
-    expected = sorted(box, key=lambda p: (search._gauge(Z.facet_offsets, p, origin), p))[:10]
+    expected = sorted(box, key=lambda p: (search._gauge(Z.facet_table, p, origin), p))[:10]
     start = [p for _, p in search._smallest_gauges(Z, 10, origin)]
     assert start == expected
     assert max(abs(p[0]) for p in start) == 4
@@ -496,7 +496,7 @@ def test_smallest_gauges_match_box_oracle(case):
     reach = max(Z.support(tuple(int(j == i) for j in range(n))) for i in range(n))
     radius = math.ceil(got[-1][0] * reach) + 1
     box = product(range(-radius, radius + 1), repeat=n)
-    expected = sorted((_fraction_gauge(Z.facet_offsets, p, center), p) for p in box)[:count]
+    expected = sorted((_fraction_gauge(Z.facet_table, p, center), p) for p in box)[:count]
     assert got == expected
 
 
@@ -544,13 +544,9 @@ def test_zonotope_point_set_refuses_more_points_than_the_budget(monkeypatch):
         zonotope_point_set(LINF, 1)
 
 
-def _no_scan(slabs, ranges):
-    raise AssertionError("the lattice lines were scanned")
-
-
-def test_zonotope_point_set_refuses_more_lines_than_the_budget_before_the_scan(monkeypatch):
+def test_zonotope_point_set_refuses_more_lines_than_the_budget_before_the_scan(
+        monkeypatch, no_scan):
     monkeypatch.setenv("ISOZONO_BUDGET", "100")
-    monkeypatch.setattr(search, "lattice_lines", _no_scan)
     # 2 * 3 * 10**5 + 1 lines across |y| <= alpha h(e_1), h(e_1) = 3.
     with pytest.raises(BudgetExceededError, match="scans 600001 lattice lines against 4 facet "
                        "normals, budget is 100 line-normal pairs"):
@@ -559,11 +555,10 @@ def test_zonotope_point_set_refuses_more_lines_than_the_budget_before_the_scan(m
 
 @pytest.mark.parametrize("alpha, lines", [(1, 55 ** 3), (Fraction(1, 2), 27 ** 3)])
 def test_zonotope_point_set_refuses_linf4_before_the_scan_under_the_default_budget(
-        monkeypatch, alpha, lines):
+        monkeypatch, no_scan, alpha, lines):
     # Each scan is fewer lines than the budget but, against 680 facet normals,
     # more line-normal pairs: the bound convergence_experiment applies.
     monkeypatch.delenv("ISOZONO_BUDGET", raising=False)
-    monkeypatch.setattr(search, "lattice_lines", _no_scan)
     with pytest.raises(BudgetExceededError) as err:
         zonotope_point_set(builtin_graph("linf:4").graph(), alpha)
     assert str(err.value) == (f"alpha = {alpha} scans {lines} lattice lines against 680 facet "
@@ -571,17 +566,15 @@ def test_zonotope_point_set_refuses_linf4_before_the_scan_under_the_default_budg
 
 
 def test_convergence_experiment_refuses_more_line_normal_pairs_than_the_budget_before_the_scan(
-        monkeypatch):
+        no_scan):
     # A non-integer alpha is scanned: 2 * 300001 + 1 lines, |y| <= 3 alpha.
-    monkeypatch.setattr(search, "lattice_lines", _no_scan)
     with pytest.raises(BudgetExceededError) as err:
         convergence_experiment(LINF, [Fraction(200001, 2)], budget=100)
     assert str(err.value) == ("alpha = 200001/2 scans 600003 lattice lines against 4 facet "
                               "normals, budget is 100 line-normal pairs")
 
 
-def test_integer_rows_scan_nothing_and_charge_nothing(monkeypatch):
-    monkeypatch.setattr(search, "lattice_lines", _no_scan)
+def test_integer_rows_scan_nothing_and_charge_nothing(no_scan):
     for name in BUILTIN_NAMES:
         graph = builtin_graph(name).graph()
         rows = convergence_experiment(graph, [1, 10, 10 ** 6], budget=1)
@@ -597,31 +590,31 @@ def _scanned_row(graph, alpha):
     return sum(hi - lo + 1 for lo, hi in lines.values()), _lines_boundary(lines, graph.generators)
 
 
-def _no_lines(Z, alpha, center, budget=None):
-    raise AssertionError("the row was scanned")
-
-
-@pytest.mark.parametrize("name, alphas, expected", [
+_HALF_INTEGER_ROWS = [
     ("tri", ["1/2", "3/2", "5/2"], [(7, 18), (37, 42), (91, 66)]),
     ("d4cross", ["1/2", "3/2"], [(601, 4056), (31897, 80520)]),
-])
+]
+
+
+@pytest.mark.parametrize("name, alphas, expected",
+                         _HALF_INTEGER_ROWS + [("l1:2", ["1/2"], [(1, 4)])])
+def test_half_integer_rows_match_the_scan(name, alphas, expected):
+    graph = builtin_graph(name).graph()
+    assert [_scanned_row(graph, Fraction(a)) for a in alphas] == expected
+
+
+@pytest.mark.parametrize("name, alphas, expected", _HALF_INTEGER_ROWS)
 def test_half_integer_rows_with_an_even_generator_sum_scan_nothing(
-        monkeypatch, name, alphas, expected):
+        no_scan, name, alphas, expected):
     # alpha sum_i v_i is a lattice vector, so alpha Z is a lattice zonotope moved
     # by a lattice vector and P(2 alpha) gives the row.
-    graph = builtin_graph(name).graph()
-    alphas = [Fraction(a) for a in alphas]
-    assert [_scanned_row(graph, a) for a in alphas] == expected
-    monkeypatch.setattr(search, "_lattice_lines", _no_lines)
-    rows = convergence_experiment(graph, alphas)
+    rows = convergence_experiment(builtin_graph(name).graph(), [Fraction(a) for a in alphas])
     assert [(r.points, r.discrete_boundary) for r in rows] == expected
 
 
-def test_half_integer_rows_with_an_odd_generator_sum_are_scanned(monkeypatch):
+def test_half_integer_rows_with_an_odd_generator_sum_are_scanned(no_scan):
     # l1:2 has sum_i v_i = (1, 1): alpha Z at alpha = 1/2 is not a lattice translate.
-    assert _scanned_row(L1, Fraction(1, 2)) == (1, 4)
-    monkeypatch.setattr(search, "_lattice_lines", _no_lines)
-    with pytest.raises(AssertionError, match="the row was scanned"):
+    with pytest.raises(AssertionError, match="a lattice line was scanned"):
         convergence_experiment(L1, [Fraction(1, 2)])
 
 

@@ -25,7 +25,7 @@ from isozono.errors import (
     UnpairedSegmentError,
 )
 from isozono.geometry import _hrep_rays, convex_hull
-from isozono.intmat import (_bit_indices, _norm_num, canonical_sign, dot, independent_rows,
+from isozono.intmat import (_bit_indices, _norm_num, canonical_sign, det, dot, independent_rows,
                             primitive_part, rank, vadd, vneg)
 from isozono.plgraph import PLGraph, canonicalize_generators
 from isozono.zonotope import (
@@ -102,9 +102,9 @@ def _random_4d_sets(count, seed):
 
 def test_volume_shares_nothing_with_the_minor_table(monkeypatch):
     """b(Z) = n vol(Z) compares two routes only while the volume reads
-    neither the (n-1)-subset cross products nor the tables built on them:
-    on fresh zonotopes, volume() must run with `cross_nd` raising and must
-    leave `minor_table` and `facet_table` unbuilt."""
+    neither the (n-1)-subset cross products nor the minor weights summed
+    from them: on fresh zonotopes, volume() must run with `cross_nd` raising
+    and must leave `facet_table`, which holds the weights, unbuilt."""
     def refuse(*args):
         raise AssertionError("the volume called cross_nd")
 
@@ -115,7 +115,7 @@ def test_volume_shares_nothing_with_the_minor_table(monkeypatch):
     for dim, gens in cases + [(4, gens) for gens in random_sets]:
         z = zonotope.Zonotope(dim, gens)
         vol = z.volume()
-        assert "minor_table" not in vars(z) and "facet_table" not in vars(z)
+        assert "facet_table" not in vars(z)
         if gens in random_sets:
             assert vol == 16 * sum(abs(leibniz_det(s)) for s in combinations(gens, 4))
 
@@ -343,7 +343,8 @@ def test_f_vector_of_generic_sets_matches_the_general_position_formula(z):
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(_generator_sets(), _generic_sets()))
 def test_faces_match_the_chart_route(z):
-    assert z._faces == _chart_faces(z.generators, z.dim, z.minor_table, z._codes)
+    normals = [row.normal for row in z.facet_table]
+    assert z._faces == _chart_faces(z.generators, z.dim, normals, z._codes)
 
 
 def _packing_edge_cases():
@@ -510,6 +511,37 @@ def test_facet_polytope_flat_face_of_24_plane_generators_is_fast():
     assert len(fs.face.vertices) == 48
 
 
+def _top_vertices_face(z, axis):
+    """The face maximising coordinate `axis` the direct way, the oracle of the
+    top section: the hull of the vertices of Z at the top level, moved by
+    -t and read in the dropped-axis chart."""
+    t = tuple(map(sum, zip(*(g if g[axis] > 0 else vneg(g) for g in z.generators if g[axis]))))
+    return convex_hull([tuple(a - b for i, (a, b) in enumerate(zip(v, t)) if i != axis)
+                        for v in z.polytope().vertices if v[axis] == t[axis]])
+
+
+def _assert_faces_match_the_vertex_route(z):
+    for axis in range(z.dim):
+        face, oracle = facet_polytope(z, axis).face, _top_vertices_face(z, axis)
+        assert (face.vertices, face.facets) == (oracle.vertices, oracle.facets)
+        assert (face.chart is None) == (oracle.chart is None)
+        if oracle.chart is not None:
+            got, want = face.chart, oracle.chart
+            assert (got.base, got.basis, got.left, got.body.vertices, got.body.facets) == (
+                want.base, want.basis, want.left, want.body.vertices, want.body.facets)
+
+
+@pytest.mark.parametrize("name", [n for n in BUILTIN_NAMES if builtin_graph(n).dim >= 2])
+def test_facet_polytope_matches_the_top_vertices_of_builtins(name):
+    _assert_faces_match_the_vertex_route(Z(name))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_generator_sets())
+def test_facet_polytope_matches_the_top_vertices_of_random_sets(z):
+    _assert_faces_match_the_vertex_route(z)
+
+
 def _full_rank_face(z, axis):
     """Oracle for a face that spans the hyperplane: the (n-1)-zonotope of the
     generators with vanishing `axis` coordinate, built in the dropped-axis
@@ -637,7 +669,7 @@ def test_hyperplane_section_is_nonempty_up_to_the_support_value(case):
     assert sec.vertices
     for v in (sec.vertices[0], sec.vertices[-1]):
         x = v[:axis] + (level,) + v[axis:]
-        assert all(abs(dot(u, x)) <= c for u, c in z.facet_offsets)
+        assert all(abs(dot(row.normal, x)) <= row.offset for row in z.facet_table)
 
 
 # A 4-D section with inequalities tight on 4 coplanar vertices that are not
@@ -656,8 +688,8 @@ def test_hyperplane_section_matches_the_unfiltered_double_description(case):
     # vertices.  A flat section (|level| = h, or a 1-D zonotope's point) must
     # carry the oracle's chart.
     z, axis, level = case
-    ineqs = [(normal[:axis] + normal[axis + 1:], c - normal[axis] * level)
-             for u, c in z.facet_offsets for normal in (u, vneg(u))]
+    ineqs = [(normal[:axis] + normal[axis + 1:], row.offset - normal[axis] * level)
+             for row in z.facet_table for normal in (row.normal, vneg(row.normal))]
     oracle = convex_hull([v for v, _ in _hrep_rays(ineqs, z.dim - 1)[1]])
     sec = hyperplane_section(z, axis, level)
     assert sec == oracle and sec.facets == oracle.facets
@@ -675,17 +707,23 @@ def test_facet_table_matches_support_and_the_face_split(z):
     # Each row against the support function, the face split of freshly
     # computed pairings, and the facet pair itself: t_u is the vertex mean
     # of the facet {<u, x> = h(u)} of the built polytope, -t_u that of its
-    # opposite.  A generator's sweep, read off the table's columns, equals
-    # that of its negation, which takes the minor-table formula.  linf:4
-    # (5,376 vertices, 680 normals) would take seconds here; the golden
-    # digests cover its facet offsets.
-    assert [row.normal for row in z.facet_table] == list(z.minor_table)
+    # opposite.  The weight w(u) is checked by determinants instead of cross
+    # products: an (n-1)-subset S has cross_nd(S) = +-w_S u exactly when S
+    # lies in T_u, and then |det(S + [u])| = |<cross_nd(S), u>| = w_S <u, u>.
+    # A generator's sweep, read off the table's columns, equals that of its
+    # negation, which takes the weighted sum over the rows.  linf:4 (5,376
+    # vertices, 680 normals) would take seconds here; the golden digests
+    # cover its facet offsets.
+    normals = [row.normal for row in z.facet_table]
+    assert normals == sorted(set(normals))
     P = z.polytope()
-    for u, pairings, h, shift, tight in z.facet_table:
+    for u, pairings, h, shift, tight, weight in z.facet_table:
         assert pairings == tuple(dot(u, g) for g in z.generators)
         assert h == z.support(u)
         assert (shift, tight) == zonotope._face_split(pairings, z.generators, z._codes)
         assert tight == tuple(g for g in z.generators if dot(u, g) == 0)
+        assert weight * dot(u, u) == sum(abs(det(list(S) + [u]))
+                                         for S in combinations(tight, z.dim - 1))
         for sign in (1, -1):
             face = [v for v in P.vertices if sign * dot(u, v) == h]
             mean = tuple(Fraction(sign * sum(x), len(face)) for x in zip(*face))
