@@ -15,9 +15,10 @@ facet pairs to the budget before its first line.  The point count is
 the sum of hi - lo + 1, and the edge boundary is 2k|S| minus twice the edges
 inside S, where the edges along v from line y are the overlap of its interval
 with the next line's interval shifted back by v; convergence tables use both
-at a non-integer alpha without building a point list.  At an integer alpha
-they scan nothing: the count is the zonotope's Ehrhart polynomial
-(`Zonotope.ehrhart_coefficients`) at 2 alpha and the boundary its derivative
+when 2 alpha is not an integer, without building a point list.  When 2 alpha
+is an integer they scan nothing: the count and the boundary are read off the
+zonotope's table of flats (`Zonotope.flat_table`, `_flat_row`), and at an
+integer alpha they are its Ehrhart polynomial at 2 alpha and the derivative
 in alpha.  A point has gauge at most alpha about c exactly when it lies in
 alpha Z + c, so the gauge prefixes behind the family catalog and the
 local-search start come from the same scan at doubling alpha.
@@ -416,6 +417,25 @@ def zonotope_point_set(graph: PLGraph, alpha, center=None) -> ZonotopePointSet:
                             alpha, center)
 
 
+def _flat_row(Z: Zonotope, t: int, center):
+    """(points, edge boundary) of Z^n cap (alpha Z + center) at alpha = t / 2
+    for an integer t >= 1, read off `Zonotope.flat_table` with no scan: the
+    counted flats' weights, summed by rank, are the coefficients c_k of the
+    proof in `convergence_experiment`, tested in ints as <y, D x> = 0 mod D."""
+    D = 2 * math.lcm(*(c.denominator for c in center))
+    X = [c.numerator * (D // c.denominator) - D // 2 * t * s
+         for c, s in zip(center, map(sum, zip(*Z.generators)))]
+    if all(a % D == 0 for a in X):
+        coeffs = Z.ehrhart_coefficients
+    else:
+        coeffs = [0] * (Z.dim + 1)
+        for flat in Z.flat_table:
+            if all(dot(y, X) % D == 0 for y in flat.basis):
+                coeffs[flat.rank] += flat.weight
+    return (sum(c * t ** k for k, c in enumerate(coeffs)),
+            2 * sum(k * c * t ** (k - 1) for k, c in enumerate(coeffs) if k))
+
+
 @dataclass(frozen=True)
 class ConvergenceRow:
     """One scale of the volume/point-count and boundary-ratio limits."""
@@ -432,31 +452,40 @@ class ConvergenceRow:
 def convergence_experiment(graph: PLGraph, alphas, *, budget: int | None = None):
     """Exact convergence table for X = Z(G) at increasing scales alpha.
 
-    When t = 2 alpha is an integer and alpha sum_i v_i a lattice vector (at
-    every integer alpha, and at a half-integer one when sum_i v_i is even)
-    the row is read off the Ehrhart polynomial P(t) = sum_k c_k t^k of
-    `Zonotope.ehrhart_coefficients` and scans nothing: S = Z^n cap alpha Z
-    has P(2 alpha) points and edge boundary
-    d/d alpha P(2 alpha) = sum_k k c_k 2^k alpha^(k-1).  With t = 2 alpha:
+    When t = 2 alpha is an integer the row is read off the table of flats
+    (`_flat_row`) and scans nothing.  Let S = Z^n cap (alpha Z + c) for a
+    rational centre c (c = 0 in this table) and x = c - alpha sum_i v_i, so
+    alpha Z + c = x + sum_i [0, t v_i].  Let c_k sum c_F over the flats F of
+    rank k with x in Z^n + F.  Then S has P(t) = sum_k c_k t^k points and
+    edge boundary d/d alpha P(2 alpha) = 2 sum_k k c_k t^(k-1):
 
-    * Points.  alpha Z is sum_i [0, t v_i] moved by the lattice vector
-      -alpha sum_i v_i, and Stanley's formula counts that lattice zonotope:
-      P(t) = sum_X h(X) t^|X| over the linearly independent sets X of
-      generators, h(X) the gcd of X's maximal minors.
+    * Indicator.  Stanley's proof splits a lattice zonotope into translates,
+      by lattice vectors, of the half-open parallelepipeds on t X for the
+      linearly independent sets X of generators.  Such a parallelepiped is a
+      fundamental domain of the lattice t Z X in span X, and Z^n cap span X
+      holds Z X with index g(X), the gcd of X's maximal minors.  So its
+      translate by x holds t^|X| g(X) lattice points if x lies in
+      Z^n + span X, and none otherwise.  That is <y, x> integral for each y
+      in the flat's basis of Z^n cap F^perp, a saturated lattice; with D the
+      denominator of x, <y, D x> = 0 mod D, tested in ints.  Grouping the
+      sets X by span gives P(t).  When D x = 0 mod D, as at every integer
+      alpha about the origin, every flat counts and c_k is
+      `Zonotope.ehrhart_coefficients`.
     * Lines.  S is the lattice points of a convex body, so every lattice line
       along a generator v_i meets it in a run with no gap, and the run costs
-      two boundary edges: |dS| = 2 sum_i lines_i(S).  Every fibre of alpha Z
-      along v_i holds a segment of length 2 alpha >= 1 in steps of v_i, so
-      lines_i(S) is the number of points of the lattice pi_i(Z^n) in the
-      projection pi_i(alpha Z) along v_i: the zonotope of the projected
-      generators at scale alpha.  Stanley's formula counts it in pi_i(Z^n),
-      where the index h(pi_i Y) of a projected independent set Y is
-      h(Y u {v_i}), since v_i is primitive; so
-      lines_i(S) = sum_Y h(Y u {v_i}) t^|Y| over the sets Y of the other
-      generators with Y u {v_i} independent.
+      two boundary edges: |dS| = 2 sum_i lines_i(S).  Every fibre of
+      alpha Z + c along v_i holds a segment of length t >= 1 in steps of
+      v_i, so lines_i(S) is the number of points of the lattice pi_i(Z^n) in
+      the projection pi_i(alpha Z + c) along v_i: the zonotope of the
+      projected generators, moved by pi_i(x).  The same count in pi_i(Z^n)
+      gives lines_i(S) = sum_Y [x in Z^n + span(Y u {v_i})] g(Y u {v_i}) t^|Y|
+      over the sets Y of the other generators with Y u {v_i} independent:
+      the index of pi_i(Y) is g(Y u {v_i}), since v_i is primitive, and
+      pi_i(x) lies in pi_i(Z^n) + span pi_i(Y) exactly when x lies in
+      Z^n + span(Y u {v_i}).
     * Regrouping.  Summed over i, each independent set X of k generators
-      appears once for each of its k elements v_i, as Y = X - {v_i}.  So
-      |dS| = 2 sum_k k c_k t^(k-1) = d/d alpha P(2 alpha).
+      appears once for each of its k elements v_i, as Y = X - {v_i}, with
+      the indicator of span X.  So |dS| = 2 sum_k k c_k t^(k-1).
 
     Any other alpha counts Z^n cap alpha Z from the integer line intervals
     of `_lattice_lines` (the sum of hi - lo + 1) and takes the edge boundary
@@ -478,14 +507,10 @@ def convergence_experiment(graph: PLGraph, alphas, *, budget: int | None = None)
     vol_z = Z.volume()
     b_z = n * vol_z
     origin = (Fraction(0),) * n
-    shift = [sum(c) for c in zip(*graph.generators)]  # sum_i v_i
     rows = []
     for a in alphas:
-        if (2 * a).denominator == 1 and all((a * c).denominator == 1 for c in shift):
-            t = int(2 * a)
-            coeffs = Z.ehrhart_coefficients
-            points = sum(c * t ** k for k, c in enumerate(coeffs))
-            boundary = 2 * sum(k * c * t ** (k - 1) for k, c in enumerate(coeffs) if k)
+        if (2 * a).denominator == 1:
+            points, boundary = _flat_row(Z, int(2 * a), origin)
         else:
             lines = _lattice_lines(Z, a, origin, budget)
             points = sum(hi - lo + 1 for lo, hi in lines.values())

@@ -9,8 +9,8 @@ the facet normals, one row per pair of opposite facets; the row also holds
 the pairings <u, v_i>, computed once, and what they fix: the offset
 h(u) = sum_i |<u, v_i>|, the packed centre shift t_u and the tight
 generators T_u (below).  The H-representation, the face recursion, the
-sweeps 2^(n-1) sum_u w(u) |<u, v>|, the Ehrhart coefficients and the
-hyperplane sections all read that one table.  The volume is not read off
+sweeps 2^(n-1) sum_u w(u) |<u, v>|, the table of flats and the hyperplane
+sections all read that one table.  The volume is not read off
 it: it stays the n-subset determinant sum 2^n sum_S |det S|
 (`intmat.abs_det_sum`), so b(Z) = n vol(Z) compares two independent routes.
 In 4-D that sum computes the six 2 x 2 minors of each generator pair once
@@ -41,6 +41,14 @@ Coordinate i of a centre lies in [-h(e_i), h(e_i)], so the recursion keeps
 each centre packed as one int, sum_i t_i R^(n-1-i) with balanced digits in
 the radix R = 2 max_i h(e_i) + 1.  Codes add and negate like the vectors,
 int order is tuple order, and only the vertices are unpacked.
+
+The lattice-point counts of the scaled zonotopes come from a second, lazily
+built table (`flat_table`): one row per flat F, the span of some generators,
+with its rank, Stanley's weight c_F (the sum of the minor gcds of F's bases
+among the generators) and a basis of Z^n cap F^perp.  Its rank n - 1 layer is
+the facet table's rows and its top row the volume; only the ranks below
+n - 1 take minors of their own.  The Ehrhart coefficients are its rank sums.
+The volume, the facet table, the faces and the sections never build it.
 """
 
 from __future__ import annotations
@@ -69,6 +77,7 @@ from .intmat import (
     dots,
     independent_rows,
     int_point,
+    kernel_basis,
     pack,
     unpack,
     vneg,
@@ -85,6 +94,14 @@ class FacetRow(NamedTuple):
     shift: int       # packed code of t_u = sum_i sign(<u, v_i>) v_i
     tight: tuple     # T_u, the generators with <u, v_i> = 0
     weight: int      # w(u) = sum |w_S| over the (n-1)-subsets S with cross_nd(S) = w_S * u
+
+
+class FlatRow(NamedTuple):
+    """One row of `Zonotope.flat_table`: a flat F spanned by generators."""
+
+    rank: int     # dim F
+    weight: int   # c_F = sum g(X) over the bases X of F among the generators
+    basis: tuple  # a basis of the saturated lattice Z^n cap F^perp
 
 
 @dataclass(frozen=True)
@@ -133,21 +150,43 @@ class Zonotope:
     def ehrhart_coefficients(self):
         """(c_0, ..., c_n) with |Z^n cap sum_i [0, t v_i]| = sum_k c_k t^k for
         every integer t >= 0 (Stanley; Beck and Robins, Computing the
-        Continuous Discretely, ch. 9); for an integer alpha, alpha Z is that
-        set at t = 2 alpha moved by the lattice vector -alpha sum_i v_i.
+        Continuous Discretely, ch. 9): c_k sums the weights of the rank-k
+        rows of `flat_table`."""
+        coeffs = [0] * (self.dim + 1)
+        for flat in self.flat_table:
+            coeffs[flat.rank] += flat.weight
+        return tuple(coeffs)
 
-        c_k sums, over the linearly independent k-subsets X of the
-        generators, the gcd of X's k x k minors.  So c_0 = 1 and
-        c_1 = #generators (they are primitive), and the top two are data
-        already kept: c_(n-1) = sum_u w(u) over the facet table, whose
-        weights are those gcds for the (n-1)-subsets, and c_n = vol(Z) / 2^n.
-        Only 2 <= k <= n - 2 takes minors here."""
+    @cached_property
+    def flat_table(self):
+        """(`FlatRow`, ...) per flat F, the span of some generators, by rank:
+        c_F sums, over the bases X of F among the generators, the gcd g(X) of
+        X's maximal minors, and the row keeps a basis of the saturated lattice
+        Z^n cap F^perp (`intmat.kernel_basis`).
+
+        Built downward from data already kept.  The top flat is R^n with
+        c = vol(Z) / 2^n.  The rank n - 1 flats are the facet table's rows:
+        the tight generators T_u span u^perp, their (n-1)-subsets' minor gcds
+        sum to w(u), and (u,) is the basis.  A flat of rank k <= n - 2 groups
+        the independent k-subsets X by span, keyed by X's k x k minors over
+        g(X): a point of the Grassmannian, so equal keys are equal spans.  The
+        empty set is the one 0-subset, its one minor 1, and the rank-0 flat
+        {0} keeps the identity basis; in 1-D that flat is the facet row."""
         n, gens = self.dim, self.generators
-        low = [1, len(gens)] + [sum(_minor_gcd(X, n) for X in combinations(gens, k))
-                                for k in range(2, n - 1)]
-        # c_0 .. c_(n-2); in 1-D the table's one weight is c_0 itself.
-        return tuple(low[:n - 1]) + (sum(row.weight for row in self.facet_table),
-                                     self.volume() // 2 ** n)
+        table = []
+        for k in range(n - 1):
+            flats = {}  # key: [a basis X of the flat, c_F]
+            for X in combinations(gens, k):
+                minors = [det([[v[c] for c in cols] for v in X])
+                          for cols in combinations(range(n), k)]
+                g = gcd(*minors)
+                if g:
+                    flat = flats.setdefault(canonical_sign([m // g for m in minors]), [X, 0])
+                    flat[1] += g
+            table += [FlatRow(k, c, tuple(kernel_basis(X, n))) for X, c in flats.values()]
+        table += [FlatRow(n - 1, row.weight, (row.normal,)) for row in self.facet_table]
+        table.append(FlatRow(n, self.volume() // 2 ** n, ()))
+        return tuple(table)
 
     @cached_property
     def facet_table(self):
@@ -247,13 +286,6 @@ def _minors(vectors, r):
         w = content(c)
         if w:
             yield canonical_sign(tuple(a // w for a in c)), w
-
-
-def _minor_gcd(vectors, n):
-    """gcd of the k x k minors of k vectors of Z^n: 0 iff they are dependent."""
-    k = len(vectors)
-    return gcd(*(det([[v[c] for c in cols] for v in vectors])
-                 for cols in combinations(range(n), k)))
 
 
 def _face_split(pairings, gens, codes):

@@ -318,9 +318,10 @@ def test_converge_rows(capsys):
 
 
 def test_converge_over_budget_exits_2(capsys):
-    # An integer alpha is read off the Ehrhart polynomial; this one is scanned.
+    # A row with 2 alpha integral is read off the table of flats; this one is
+    # scanned.
     code, out, err = run(capsys, "converge", "--graph", "l1:2",
-                         "--alphas", "2000001/2", "--budget", "100")
+                         "--alphas", "2000002/3", "--budget", "100")
     assert_one_error_line(code, err)
     assert out == ""
 
@@ -356,6 +357,23 @@ def test_converge_integer_alpha_1e20_is_exact(capsys):
     assert row[:4] == [str(a), str((2 * a + 1) ** 2), str(4 * a * a), str(4 * (2 * a + 1))]
 
 
+def test_converge_half_integer_alpha_1e20_is_exact(capsys):
+    # alpha = 10^20 + 1/2: the l1:2 square alpha Z holds the lattice square
+    # of side 2 * 10^20 + 1, read off the table of flats with no scan.
+    side = 2 * 10 ** 20 + 1
+    code, out, _ = run(capsys, "converge", "--graph", "l1:2", "--alphas", f"{side}/2")
+    assert code == 0
+    row = out.splitlines()[1].split("\t")
+    assert (row[0], row[1], row[3]) == (f"{side}/2", str(side * side), str(4 * side))
+
+
+def test_converge_linf4_half_integer_rows(capsys):
+    code, out, _ = run(capsys, "converge", "--graph", "linf:4", "--alphas", "1/2,3/2")
+    assert code == 0
+    rows = [line.split("\t") for line in out.splitlines()[1:]]
+    assert [r[:2] for r in rows] == [["1/2", "172641"], ["3/2", "13510185"]]
+
+
 def test_render_svg_file(capsys, tmp_path):
     out_path = tmp_path / "z.svg"
     code, out, _ = run(capsys, "render", "--graph", "linf:2",
@@ -388,8 +406,8 @@ def test_render_4d_exits_2(capsys, tmp_path):
     ["search", "--graph", "linf:2", "--m", "3", "--mode", "local", "--iterations", "-5"],
     ["search", "--graph", "linf:2", "--m", "3", "--box-radius", "1", "--witness-cap", "0"],
     ["search", "--graph", "linf:2", "--m", "3", "--box-radius", "1", "--print-witnesses", "-1"],
-    ["converge", "--graph", "l1:2", "--alphas", "200000000000000000001/2"],
-    ["converge", "--graph", "l1:2", "--alphas", f"{2 * 10 ** 400 + 1}/2"],
+    ["converge", "--graph", "l1:2", "--alphas", "200000000000000000002/3"],
+    ["converge", "--graph", "l1:2", "--alphas", f"{2 * 10 ** 400 + 2}/3"],
     ["converge", "--graph", "l1:2", "--alphas", "1:100000000000000000000"],
     ["search", "--graph", "l1:2", "--m", "100000000000000000000", "--mode", "local"],
     ["zonotope", "--graph", "l1:2", "--support", "1 x"],

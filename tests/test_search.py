@@ -20,6 +20,7 @@ from isozono.lattice import count_lattice_points
 from isozono.plgraph import boundary_identity_report, edge_boundary_direct, validate_pl_graph
 from isozono.search import (
     SearchResult,
+    _flat_row,
     _lattice_lines,
     _lines_boundary,
     canonical_set,
@@ -567,10 +568,11 @@ def test_zonotope_point_set_refuses_linf4_before_the_scan_under_the_default_budg
 
 def test_convergence_experiment_refuses_more_line_normal_pairs_than_the_budget_before_the_scan(
         no_scan):
-    # A non-integer alpha is scanned: 2 * 300001 + 1 lines, |y| <= 3 alpha.
+    # 2 alpha is not an integer, so the row is scanned: 2 * 200002 + 1 lines,
+    # |y| <= 3 alpha.
     with pytest.raises(BudgetExceededError) as err:
-        convergence_experiment(LINF, [Fraction(200001, 2)], budget=100)
-    assert str(err.value) == ("alpha = 200001/2 scans 600003 lattice lines against 4 facet "
+        convergence_experiment(LINF, [Fraction(200002, 3)], budget=100)
+    assert str(err.value) == ("alpha = 200002/3 scans 400005 lattice lines against 4 facet "
                               "normals, budget is 100 line-normal pairs")
 
 
@@ -580,7 +582,7 @@ def test_integer_rows_scan_nothing_and_charge_nothing(no_scan):
         rows = convergence_experiment(graph, [1, 10, 10 ** 6], budget=1)
         assert [r.alpha for r in rows] == [1, 10, 10 ** 6]
     with pytest.raises(BudgetExceededError):
-        convergence_experiment(L1, [1, Fraction(3, 2)], budget=1)
+        convergence_experiment(L1, [1, Fraction(4, 3)], budget=1)
 
 
 def _scanned_row(graph, alpha):
@@ -596,8 +598,13 @@ _HALF_INTEGER_ROWS = [
 ]
 
 
-@pytest.mark.parametrize("name, alphas, expected",
-                         _HALF_INTEGER_ROWS + [("l1:2", ["1/2"], [(1, 4)])])
+_ODD_SUM_ROWS = [
+    ("l1:2", ["1/2", "3/2", "5/2"], [(1, 4), (9, 12), (25, 20)]),
+    ("linf:2", ["1/2", "3/2"], [(9, 32), (69, 88)]),
+]
+
+
+@pytest.mark.parametrize("name, alphas, expected", _HALF_INTEGER_ROWS + _ODD_SUM_ROWS)
 def test_half_integer_rows_match_the_scan(name, alphas, expected):
     graph = builtin_graph(name).graph()
     assert [_scanned_row(graph, Fraction(a)) for a in alphas] == expected
@@ -612,10 +619,14 @@ def test_half_integer_rows_with_an_even_generator_sum_scan_nothing(
     assert [(r.points, r.discrete_boundary) for r in rows] == expected
 
 
-def test_half_integer_rows_with_an_odd_generator_sum_are_scanned(no_scan):
-    # l1:2 has sum_i v_i = (1, 1): alpha Z at alpha = 1/2 is not a lattice translate.
-    with pytest.raises(AssertionError, match="a lattice line was scanned"):
-        convergence_experiment(L1, [Fraction(1, 2)])
+@pytest.mark.parametrize("name, alphas, expected", _ODD_SUM_ROWS)
+def test_half_integer_rows_with_an_odd_generator_sum_scan_nothing(
+        no_scan, name, alphas, expected):
+    # l1:2 and linf:2 have an odd sum_i v_i, so alpha Z at a half-integer alpha
+    # is not a lattice translate of a lattice zonotope; the flats that x misses
+    # drop out of the count.
+    rows = convergence_experiment(builtin_graph(name).graph(), [Fraction(a) for a in alphas])
+    assert [(r.points, r.discrete_boundary) for r in rows] == expected
 
 
 def test_convergence_rows_at_alpha_1e20():
@@ -652,7 +663,7 @@ def test_convergence_experiment_validates_input():
     with pytest.raises(ValueError):
         convergence_experiment(L1, [0, 1])
     with pytest.raises(BudgetExceededError):
-        convergence_experiment(L1, [Fraction(2 * 10 ** 6 + 1, 2)], budget=100)
+        convergence_experiment(L1, [Fraction(2 * 10 ** 6 + 2, 3)], budget=100)
 
 
 @functools.cache
@@ -739,6 +750,7 @@ def test_l1_1_has_one_line_with_empty_key():
     assert lines == {(): (-2, 3)}
 
 
+@functools.cache
 def _ehrhart_coefficients(graph):
     """Stanley's formula for the zonotope sum [0, 2 v_i]: the coefficient of
     t^j sums, over the linearly independent j-subsets S of {2 v_i}, the gcd
@@ -772,6 +784,9 @@ def test_point_counts_match_ehrhart_polynomial(name):
     alphas = range(1, _EHRHART_ALPHAS[graph.dim] + 1)
     expected = [sum(c * t ** j for j, c in enumerate(coeffs)) for t in alphas]
     assert [r.points for r in convergence_experiment(graph, alphas)] == expected
+    # The table of flats, summed by rank, is the polynomial in alpha over 2^k.
+    ranks = zonotope_of_graph(graph).ehrhart_coefficients
+    assert [c << k for k, c in enumerate(ranks)] == coeffs
     for t, count in zip(alphas, expected):
         if count <= 60_000:  # materialising larger sets only costs time
             assert zonotope_point_set(graph, t).cardinality == count
@@ -858,6 +873,128 @@ def test_a_n_rows_match_the_forest_polynomial(n):
         assert count_lattice_points(zonotope_of_graph(graph).polytope().scale(a)) == row.points
     if n == 4:
         assert [r.points for r in rows[:2]] == [3081, 39801]
+
+
+def _scanned_at(graph, t, center):
+    """(points, edge boundary) of Z^n cap (t/2 Z + center) by the line scan."""
+    lines = _lattice_lines(zonotope_of_graph(graph), Fraction(t, 2), center)
+    return sum(hi - lo + 1 for lo, hi in lines.values()), _lines_boundary(lines, graph.generators)
+
+
+# The largest t = 2 alpha per dimension at which the table meets the scan.
+_FLAT_REACH = {1: 5, 2: 5, 3: 5, 4: 2}
+_SCANNED_BUILTINS = [n for n in BUILTIN_NAMES if n != "linf:4"]
+
+
+@pytest.mark.parametrize("name", _SCANNED_BUILTINS)
+def test_flat_rows_match_the_scan_at_half_integer_centres(name):
+    # Every centre in {0, 1/2}^n, so x = c - alpha sum_i v_i meets every
+    # pattern of half-integer coordinates that the flats can tell apart.
+    # zonotope_point_set keeps the scan and lists the points.
+    graph = builtin_graph(name).graph()
+    Z = zonotope_of_graph(graph)
+    for center in product((Fraction(0), Fraction(1, 2)), repeat=graph.dim):
+        for t in range(1, _FLAT_REACH[graph.dim] + 1):
+            row = _flat_row(Z, t, center)
+            assert row == _scanned_at(graph, t, center), (t, center)
+            ps = zonotope_point_set(graph, Fraction(t, 2), center)
+            assert (ps.cardinality, ps.edge_boundary) == row
+
+
+@st.composite
+def _flat_row_cases(draw):
+    """A builtin but linf:4, a t = 2 alpha within reach, and a rational centre
+    with one denominator in 2..6."""
+    graph = builtin_graph(draw(st.sampled_from(_SCANNED_BUILTINS))).graph()
+    t = draw(st.integers(1, _FLAT_REACH[graph.dim]))
+    den = draw(st.integers(2, 6))
+    center = tuple(Fraction(draw(st.integers(-2 * den, 2 * den)), den)
+                   for _ in range(graph.dim))
+    return graph, t, center
+
+
+@settings(max_examples=60, deadline=None)
+@given(_flat_row_cases())
+def test_flat_rows_match_the_scan_at_rational_centres(case):
+    graph, t, center = case
+    assert _flat_row(zonotope_of_graph(graph), t, center) == _scanned_at(graph, t, center)
+
+
+def _set_partitions(items):
+    """Every partition of the list `items` into blocks, as lists of lists."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in _set_partitions(rest):
+        yield [[first]] + part
+        for i in range(len(part)):
+            yield part[:i] + [[first] + part[i]] + part[i + 1:]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_a_n_flats_are_the_set_partitions_of_the_vertices(n):
+    # The generator of edge {i, j} of K_(n+1) lies in a flat exactly when i
+    # and j share a block of its partition; the bases of a block of s vertices
+    # are its spanning trees, each of minor gcd 1, so c_F is the product of
+    # Cayley's s^(s-2) over the blocks.
+    graph = _a_n_graph(n)
+    edges = list(combinations(range(n + 1), 2))
+    gens = {(i, j): tuple(int(i < k + 1 <= j) for k in range(n)) for i, j in edges}
+    assert set(gens.values()) == set(graph.generators)
+    want = {}
+    for part in _set_partitions(list(range(n + 1))):
+        inside = frozenset(e for e in edges if any(set(e) <= set(b) for b in part))
+        want[inside] = (n + 1 - len(part), math.prod(len(b) ** (len(b) - 2) for b in part
+                                                     if len(b) > 1))
+    got = {}
+    for flat in zonotope_of_graph(graph).flat_table:
+        inside = frozenset(e for e in edges if all(dot(y, gens[e]) == 0 for y in flat.basis))
+        assert inside not in got
+        got[inside] = (flat.rank, flat.weight)
+    assert got == want
+    assert len(got) == {2: 5, 3: 15, 4: 52}[n]  # the Bell numbers
+
+
+def test_linf4_flat_table_and_its_half_integer_row():
+    # The one 4-D half-integer scan of the suite, run once under an explicit
+    # budget (27^3 lines times 680 facet normals).
+    graph = builtin_graph("linf:4").graph()
+    Z = zonotope_of_graph(graph)
+    ranks = [flat.rank for flat in Z.flat_table]
+    assert [ranks.count(k) for k in range(5)] == [1, 40, 362, 680, 1]
+    assert Z.ehrhart_coefficients[2] == 838
+    origin = (Fraction(0),) * 4
+    row, = convergence_experiment(graph, [Fraction(1, 2)])
+    lines = _lattice_lines(Z, Fraction(1, 2), origin, 27 ** 3 * 680)
+    scanned = (sum(hi - lo + 1 for lo, hi in lines.values()),
+               _lines_boundary(lines, graph.generators))
+    assert (row.points, row.discrete_boundary) == scanned == (172641, 1363104)
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_every_builtin_reads_half_integer_rows_without_a_scan(no_scan, name):
+    # alpha Z holds (alpha - 1/2) Z and lies in (alpha + 1/2) Z, two lattice
+    # zonotopes that the Leibniz oracle counts, so P(t - 1) <= points <= P(t + 1);
+    # the cube l1:n holds exactly [-k, k]^n at alpha = k + 1/2.
+    graph = builtin_graph(name).graph()
+    n = graph.dim
+    oracle = _ehrhart_coefficients(graph)
+    alphas = [Fraction(1, 2), 1, Fraction(3, 2), Fraction(2 * 10 ** 6 + 1, 2)]
+    rows = convergence_experiment(graph, alphas)
+
+    def count(a):
+        return sum(c * a ** k for k, c in enumerate(oracle))
+
+    for a, row in zip(alphas, rows):
+        if a.denominator == 1:
+            assert row.points == count(a)
+        else:
+            assert count(a - Fraction(1, 2)) <= row.points <= count(a + Fraction(1, 2))
+            if name.startswith("l1:"):
+                side = 2 * a
+                assert (row.points, row.discrete_boundary) == (side ** n,
+                                                               2 * n * side ** (n - 1))
 
 
 def test_hull_direction_count_conventions():

@@ -4,7 +4,7 @@ import random
 import time
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import comb
+from math import comb, gcd
 from operator import mul
 
 import pytest
@@ -118,6 +118,24 @@ def test_volume_shares_nothing_with_the_minor_table(monkeypatch):
         assert "facet_table" not in vars(z)
         if gens in random_sets:
             assert vol == 16 * sum(abs(leibniz_det(s)) for s in combinations(gens, 4))
+
+
+def test_shape_and_certificate_work_leaves_the_flat_table_unbuilt():
+    """Only the convergence rows read the table of flats: the volume, the
+    facet table, the faces, the sweeps, the sections and a certificate on
+    fresh zonotopes must leave it unbuilt."""
+    for name in BUILTIN_NAMES:
+        spec = builtin_graph(name)
+        z = zonotope.Zonotope(spec.dim, spec.generators)
+        z.volume()
+        f_vector(z)
+        for g in z.generators:
+            z.sweep(g)
+        if z.dim >= 2:
+            facet_polytope(z, 0)
+            hyperplane_section(z, 0, Fraction(1, 2))
+        brunn_minkowski_certificate(z.polytope(), spec.graph())
+        assert "facet_table" in vars(z) and "flat_table" not in vars(z)
 
 
 def test_support_function_is_sum_of_abs():
@@ -730,6 +748,44 @@ def test_facet_table_matches_support_and_the_face_split(z):
             assert mean == z._centre(shift)
     for g in z.generators:
         assert z.sweep(g) == z.sweep(vneg(g))
+
+
+def _brute_flats(z):
+    """{generators in F: (rank F, c_F)} over every flat F spanned by
+    generators, from each independent subset X (Leibniz minors, gcd g(X)) and
+    the generators that leave its rank unchanged."""
+    n, gens = z.dim, z.generators
+    flats = {}
+    for k in range(n + 1):
+        for X in combinations(gens, k):
+            g = gcd(*(leibniz_det([[v[c] for c in cols] for v in X])
+                      for cols in combinations(range(n), k)))
+            if g:
+                closure = tuple(v for v in gens if rank(list(X) + [v], n) == k)
+                flats[closure] = (k, flats.get(closure, (k, 0))[1] + g)
+    return flats
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(_generator_sets(),
+                 st.sampled_from([n for n in BUILTIN_NAMES if n != "linf:4"]).map(Z)))
+def test_flat_table_matches_the_brute_closures(z):
+    # Each row's basis spans the saturated lattice Z^n cap F^perp: it has
+    # n - rank F vectors, orthogonal to exactly the generators of F, whose
+    # maximal minors have gcd 1.  The rows are the brute closures, each once.
+    n = z.dim
+    got = {}
+    for flat in z.flat_table:
+        inside = tuple(g for g in z.generators if all(dot(y, g) == 0 for y in flat.basis))
+        assert inside not in got
+        got[inside] = (flat.rank, flat.weight)
+        assert len(flat.basis) == n - flat.rank == rank(list(flat.basis), n)
+        if flat.basis:
+            assert gcd(*(leibniz_det([[y[c] for c in cols] for y in flat.basis])
+                         for cols in combinations(range(n), len(flat.basis)))) == 1
+    assert got == _brute_flats(z)
+    assert [sum(c for k, c in got.values() if k == r) for r in range(n + 1)] == \
+        list(z.ehrhart_coefficients)
 
 
 @settings(max_examples=60, deadline=None)
