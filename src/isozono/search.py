@@ -36,8 +36,8 @@ from itertools import chain, count, product
 from .catalog import _apply_hint, check_symmetry_hints
 from .errors import BudgetExceededError, InvalidArgumentError
 from .geometry import _vector, convex_hull
-from .intmat import (_bit_indices, _norm_num, _rational, common_length, dot, int_point, pack,
-                     unpack, vadd, vneg)
+from .intmat import (_bit_indices, _norm_num, _rational, common_length, dot, dots, int_point,
+                     pack, unpack, vadd, vneg)
 from .lattice import default_budget, lattice_lines
 from .plgraph import PLGraph, edge_boundary_direct
 from .zonotope import Zonotope, zonotope_of_graph
@@ -226,22 +226,25 @@ def exhaustive_min_boundary(graph: PLGraph, m: int, box_radius: int, *,
                         witnesses_truncated=truncated, evaluated=count)
 
 
-def _gauge(rows, p, center):
-    """Minkowski gauge of p about `center` (a tuple of Fractions) in the
-    zonotope with the given facet-table rows: the largest |<u, p - c>| / h(u).
+def _gauge(rows, points, center):
+    """(keys, E): the Minkowski gauge about `center` (a tuple of Fractions) in
+    the zonotope with the given facet-table rows, the largest
+    |<u, p - c>| / h(u), is keys[i] / E for the i-th of `points`.
 
-    Compared in integers: with D the common denominator of the centre and
-    a = |<u, D(p - c)>|, the ratio a / h beats a' / h' iff a h' > a' h, so
-    only the winner becomes a Fraction, a / (h D).
+    The key is an int: with D the common denominator of the centre and
+    L = lcm h(u), key(p) = max_u |<u, D(p - c)>| (L / h(u)) and E = L D, so
+    keys compare as the gauges do.  Each row takes one `dots` pass of D u
+    over the points, in small ints, and only |<D u, p> - <u, D c>| is
+    scaled by L / h(u).
     """
     D = math.lcm(*(c.denominator for c in center))
-    q = tuple(D * a - c.numerator * (D // c.denominator) for a, c in zip(p, center))
-    best, h_best = 0, 1
+    dc = tuple(c.numerator * (D // c.denominator) for c in center)
+    L = math.lcm(*(row.offset for row in rows))
+    cols = []
     for row in rows:
-        a, h = abs(dot(row.normal, q)), row.offset
-        if a * h_best > best * h:
-            best, h_best = a, h
-    return Fraction(best, h_best * D)
+        w, k = L // row.offset, dot(row.normal, dc)
+        cols.append([abs(x - k) * w for x in dots(tuple(D * a for a in row.normal), points)])
+    return list(map(max, zip(*cols))), L * D
 
 
 def _smallest_gauges(Z: Zonotope, count: int, center, budget=None):
@@ -253,22 +256,25 @@ def _smallest_gauges(Z: Zonotope, count: int, center, budget=None):
     <= alpha and no others.  Once it holds `count` points, every point outside
     it sorts after all of them, so its first `count` are the prefix.  alpha
     doubles from 1 / max h(u), below which no nonzero lattice point has gauge
-    <= alpha about the origin.  `budget` (ISOZONO_BUDGET when None) caps
-    each scan's lines, and the scored scan's points, times the facet normals.
+    <= alpha about the origin.  The points are sorted by the int keys of
+    `_gauge`, and only the prefix's keys become Fractions.  `budget`
+    (ISOZONO_BUDGET when None) caps each scan's lines, and the scored scan's
+    points, times the facet normals.
     """
     budget = default_budget(budget)
-    alpha = Fraction(1, max(row.offset for row in Z.facet_table))
+    rows = Z.facet_table
+    alpha = Fraction(1, max(row.offset for row in rows))
     while True:
         lines = _lattice_lines(Z, alpha, center, budget)
         size = sum(hi - lo + 1 for lo, hi in lines.values())
-        if size * len(Z.facet_table) > budget:
+        if size * len(rows) > budget:
             raise BudgetExceededError(
                 f"alpha = {alpha} holds {size} lattice points to score against "
-                f"{len(Z.facet_table)} facet normals, budget is {budget}")
+                f"{len(rows)} facet normals, budget is {budget}")
         if size >= count:
-            return sorted((_gauge(Z.facet_table, p, center), p) for p in
-                          ((t,) + y for y, (lo, hi) in lines.items()
-                           for t in range(lo, hi + 1)))[:count]
+            points = [(t,) + y for y, (lo, hi) in lines.items() for t in range(lo, hi + 1)]
+            keys, E = _gauge(rows, points, center)
+            return [(Fraction(k, E), p) for k, p in sorted(zip(keys, points))[:count]]
         alpha *= 2
 
 
@@ -282,10 +288,21 @@ def local_search_min_boundary(graph: PLGraph, m: int, iterations: int = 20000,
     so the result never degrades with more iterations.  Deterministic for a
     fixed seed.  The start is the m lattice points of smallest gauge about
     the origin; the enumeration budget caps m and that start's line scans.
-    A move from S to S' u {cand}, with S' = S - {out}, changes |dS| by
-    2|N(out) & S'| - 2|N(cand) & S'|: out's edges into S' become boundary
-    edges and cand's stop being ones.  Points are `intmat.pack` codes: a
-    neighbour is one int addition, and sorted codes are sorted points.
+    Points are `intmat.pack` codes: a neighbour is one int addition, and
+    sorted codes are sorted points.
+
+    A table nb holds, for every point in or next to the set S, its number
+    of neighbours in S; a point it lacks has none, and |dS| is the sum of
+    2k - nb[p] over S.  A move from S to S' u {cand}, with S' = S - {out},
+    changes |dS| by 2|N(out) & S'| - 2|N(cand) & S'|: out's edges into S'
+    become boundary edges and cand's stop being ones.  That is
+    2(nb[out] - nb[cand] + [cand - out is a step]), since out is no
+    neighbour of itself and is one of cand's exactly when they differ by a
+    step.  An accepted move updates the table in 2k steps; a rejected one
+    touches nothing, and cand in S (cand = out included) changes nothing.
+    Each index is drawn as `random.Random.choice` draws it: getrandbits of
+    n's bit length, again until below n, so a seed takes the same path as
+    the three `choice` calls it replaces.
     """
     if m < 1:
         raise InvalidArgumentError(f"cardinality must be >= 1, got {m}")
@@ -306,36 +323,52 @@ def local_search_min_boundary(graph: PLGraph, m: int, iterations: int = 20000,
     current = set(order)
     codes = [pack(v, R) for v in gens]
     steps = [*codes, *(-c for c in codes)]
-    cur_b = edge_boundary_direct(graph, start)
+    adjacent = frozenset(steps)
+    nb = {}
+    for c in order:
+        for s in steps:
+            nb[c + s] = nb.get(c + s, 0) + 1
+    cur_b = graph.degree * m - sum(nb.get(c, 0) for c in order)
     best_b = cur_b
     best_set = frozenset(current)
     temperature = float(graph.degree)
     cooling = 0.999
-    if m > 1:
-        for _ in range(iterations):
-            k = rng.choice(range(len(order)))
-            out = order[k]
-            i = rng.choice(range(len(order) - 1))
-            anchor = order[i + (i >= k)]
-            v = rng.choice(codes)
-            cand = anchor + v if rng.random() < 0.5 else anchor - v
-            if cand in current and cand != out:
-                temperature *= cooling
-                continue
-            current.discard(out)
-            delta = 2 * (sum(out + s in current for s in steps)
-                         - sum(cand + s in current for s in steps))
+    getrandbits = rng.getrandbits
+
+    def below(n):
+        bits = n.bit_length()
+        r = getrandbits(bits)
+        while r >= n:
+            r = getrandbits(bits)
+        return r
+
+    for _ in range(iterations if m > 1 else 0):  # m = 1 leaves no anchor to draw
+        k = below(m)
+        out = order[k]
+        i = below(m - 1)
+        anchor = order[i + (i >= k)]
+        v = codes[below(len(codes))]
+        cand = anchor + v if rng.random() < 0.5 else anchor - v
+        if cand not in current:
+            delta = 2 * (nb.get(out, 0) - nb[cand] + (cand - out in adjacent))
             if delta <= 0 or rng.random() < math.exp(-delta / max(temperature, 1e-9)):
+                current.remove(out)
                 current.add(cand)
+                for s in steps:
+                    x = out + s
+                    if nb[x] == 1:
+                        del nb[x]
+                    else:
+                        nb[x] -= 1
+                    x = cand + s
+                    nb[x] = nb.get(x, 0) + 1
                 del order[k]
                 insort(order, cand)
                 cur_b += delta
                 if cur_b < best_b:
                     best_b = cur_b
                     best_set = frozenset(current)
-            else:
-                current.add(out)
-            temperature *= cooling
+        temperature *= cooling
     witness = canonical_set(unpack(best_set, R, graph.dim))
     return SearchResult(m, best_b, (witness,), False, evaluated=iterations)
 

@@ -424,7 +424,11 @@ def _full_recount_local_search(graph, m, iterations, seed):
 
 
 def test_local_search_boundary_delta_matches_full_recount():
-    for graph, m, seed in product(GRAPHS_WITH_SKEW, (1, 2, 5, 9, 14), (0, 3, 8)):
+    # The oracle draws with rng.choice, which takes n.bit_length() bits and
+    # rejects values >= n; (n - 1).bit_length() bits would differ exactly when
+    # n is a power of two: m or m - 1 at m = 2, 3, 17 and 33, and the
+    # generator draw on linf:2.
+    for graph, m, seed in product(GRAPHS_WITH_SKEW, (1, 2, 3, 5, 9, 14, 17, 33), (0, 3, 8)):
         assert (local_search_min_boundary(graph, m, 400, seed)
                 == _full_recount_local_search(graph, m, 400, seed)), (graph.generators, m, seed)
     # Long walks leave the start far behind: a pair stays adjacent and drifts
@@ -432,6 +436,10 @@ def test_local_search_boundary_delta_matches_full_recount():
     for graph, m, seed in product((L1, SKEW), (2, 14), (0, 3, 8)):
         assert (local_search_min_boundary(graph, m, 3000, seed)
                 == _full_recount_local_search(graph, m, 3000, seed)), (graph.generators, m, seed)
+    # The sizes of the annealing bench jobs.
+    for graph, m in product((LINF, TRI, builtin_graph("l1:3").graph()), (22, 38)):
+        assert (local_search_min_boundary(graph, m, 3000, 11)
+                == _full_recount_local_search(graph, m, 3000, 11)), (graph.generators, m)
 
 
 def _fraction_gauge(rows, p, center):
@@ -449,9 +457,9 @@ def test_integer_gauge_matches_fraction_oracle():
         for center in product((Fraction(0), Fraction(1, 2)), repeat=n):
             points = [(0,) * n, (1,) * n] + [tuple(rng.randint(-6, 6) for _ in range(n))
                                              for _ in range(per_center)]
-            for p in points:
-                expected = _fraction_gauge(rows, p, center)
-                assert search._gauge(rows, p, center) == expected, (name, p, center)
+            keys, E = search._gauge(rows, points, center)
+            for p, key in zip(points, keys):
+                assert Fraction(key, E) == _fraction_gauge(rows, p, center), (name, p, center)
 
 
 def test_gauge_ball_start_is_the_smallest_gauge_prefix():
@@ -459,8 +467,9 @@ def test_gauge_ball_start_is_the_smallest_gauge_prefix():
     # |x| = 3 and misses a point of the true start.
     Z = zonotope_of_graph(SKEW)
     origin = (Fraction(0),) * 2
-    box = product(range(-20, 21), repeat=2)
-    expected = sorted(box, key=lambda p: (search._gauge(Z.facet_table, p, origin), p))[:10]
+    box = list(product(range(-20, 21), repeat=2))
+    keys, _ = search._gauge(Z.facet_table, box, origin)
+    expected = [p for _, p in sorted(zip(keys, box))][:10]
     start = [p for _, p in search._smallest_gauges(Z, 10, origin)]
     assert start == expected
     assert max(abs(p[0]) for p in start) == 4
@@ -482,15 +491,10 @@ def _gauge_cases(draw):
     return graph, draw(st.integers(1, 40)), center
 
 
-@settings(max_examples=60, deadline=None)
-@given(_gauge_cases())
-@example((SKEW, 10, (Fraction(0), Fraction(0))))
-@example((SKEW, 40, (Fraction(1, 2), Fraction(1, 2))))
-def test_smallest_gauges_match_box_oracle(case):
-    # Every point of gauge at most g about c in [0, 1/2]^n lies within
-    # g * h(e_i) + 1/2 of the origin along axis i, so a box of radius
+def _assert_smallest_gauges_match_box_oracle(graph, count, center):
+    # Every point of gauge at most g about c in [0, 1)^n lies within
+    # g * h(e_i) + 1 of the origin along axis i, so a box of radius
     # ceil(g * max_i h(e_i)) + 1 holds all points of the count-th gauge g or less.
-    graph, count, center = case
     Z = zonotope_of_graph(graph)
     got = search._smallest_gauges(Z, count, center)
     n = graph.dim
@@ -499,6 +503,29 @@ def test_smallest_gauges_match_box_oracle(case):
     box = product(range(-radius, radius + 1), repeat=n)
     expected = sorted((_fraction_gauge(Z.facet_table, p, center), p) for p in box)[:count]
     assert got == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(_gauge_cases())
+@example((SKEW, 10, (Fraction(0), Fraction(0))))
+@example((SKEW, 40, (Fraction(1, 2), Fraction(1, 2))))
+def test_smallest_gauges_match_box_oracle(case):
+    _assert_smallest_gauges_match_box_oracle(*case)
+
+
+_RATIONAL_COORDINATE = st.integers(2, 6).flatmap(
+    lambda d: st.integers(0, d - 1).map(lambda a: Fraction(a, d)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_gauge_cases(), st.lists(_RATIONAL_COORDINATE, min_size=3, max_size=3))
+@example((SKEW, 40, None), [Fraction(1, 6), Fraction(2, 5), Fraction(0)])
+@example((builtin_graph("l1:3").graph(), 30, None), [Fraction(1, 4), Fraction(2, 3), Fraction(5, 6)])
+def test_smallest_gauges_match_box_oracle_at_rational_centres(case, coordinates):
+    # The int keys scale by L D, with D the centre's common denominator; a
+    # centre of denominators 2..6 in [0, 1)^n makes D up to 60.
+    graph, count, _ = case
+    _assert_smallest_gauges_match_box_oracle(graph, count, tuple(coordinates[:graph.dim]))
 
 
 @pytest.mark.parametrize("name", [n for n in BUILTIN_NAMES
