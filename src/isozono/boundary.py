@@ -27,9 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
-from .errors import (DimensionMismatchError, InvalidArgumentError, RankDeficientError,
+from .errors import (DimensionDeficiencyError, DimensionMismatchError, InvalidArgumentError,
                      ZeroVectorError)
 from .geometry import Polytope, _vector, minkowski_sum_segment
 from .intmat import _norm_num, _rational, dots, is_zero
@@ -53,7 +52,7 @@ def directional_sweep(body, direction):
         return body.sweep(direction)
     P = body
     if not P.is_full_dimensional():
-        raise RankDeficientError("sweep requires a full-dimensional polytope")
+        raise DimensionDeficiencyError("sweep requires a full-dimensional polytope")
     normals, numerators, common = P._cells
     return _norm_num(Fraction(sum(s * m for s, m in zip(dots(direction, normals), numerators)
                                   if s > 0), common))
@@ -107,8 +106,6 @@ class BMCertificate:
 
 
 def brunn_minkowski_certificate(A: Polytope, graph: PLGraph) -> BMCertificate:
-    if not A.is_full_dimensional():
-        raise RankDeficientError("the certificate requires a full-dimensional body")
     n = graph.dim
     Z = zonotope_of_graph(graph)
     vol_a = A.volume()
@@ -141,30 +138,22 @@ class ProbeRow:
 def finite_difference_probe(A: Polytope, graph: PLGraph, epsilons) -> tuple:
     """Difference quotients (vol(A + eps*Z) - vol(A)) / eps, exactly.
 
-    The Minkowski sum is built one segment at a time after clearing
-    denominators, so every intermediate hull has integer vertices.  The
+    The Minkowski sum is built one segment [-eps v, eps v] at a time.  The
     quotients decrease monotonically to b(A) as eps decreases to 0; callers
     can check that against `continuous_boundary`.
     """
     if A.dim != graph.dim:
         raise DimensionMismatchError(
             f"body dimension {A.dim} does not match graph dimension {graph.dim}")
-    n = A.dim
     vol_a = Fraction(A.volume())
     rows = []
     for eps in epsilons:
         eps = _rational(eps, "probe step")
         if eps <= 0:
             raise InvalidArgumentError("probe step must be positive")
-        denoms = [eps.denominator]
-        denoms.extend(Fraction(c).denominator for v in A.vertices for c in v)
-        m = lcm(*denoms)
-        Q = A.scale(m)
-        k = int(m * eps)
+        Q = A
         for v in graph.generators:
-            seg_hi = tuple(k * c for c in v)
-            seg_lo = tuple(-k * c for c in v)
-            Q = minkowski_sum_segment(Q, seg_lo, seg_hi)
-        vol = Fraction(Q.volume(), m ** n)
+            Q = minkowski_sum_segment(Q, [-eps * c for c in v], [eps * c for c in v])
+        vol = Fraction(Q.volume())
         rows.append(ProbeRow(eps, vol, (vol - vol_a) / eps))
     return tuple(rows)

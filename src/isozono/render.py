@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from .errors import DimensionDeficiencyError
 from .geometry import Polytope, _monotone_chain
-from .intmat import det, dot, kernel_chart, vsub
+from .intmat import _bit_indices, det, dot, kernel_chart, vsub
 from .zonotope import Zonotope
 
 
@@ -52,9 +52,10 @@ def render_svg(body, path=None) -> str:
     return text
 
 
-def _facet_cycle(P: Polytope, normal, offset):
-    """Indices of a facet's vertices, cyclically ordered, outward-oriented."""
-    tight = [i for i, v in enumerate(P.vertices) if dot(normal, v) == offset]
+def _facet_cycle(P: Polytope, normal, mask):
+    """Indices of a facet's vertices, cyclically ordered, outward-oriented;
+    `mask` is the facet's vertex bitmask from `Polytope._tight`."""
+    tight = list(_bit_indices(mask))
     basis, left = kernel_chart([normal], P.dim)
     base = P.vertices[tight[0]]
     chart = {tuple(dot(l, vsub(P.vertices[i], base)) for l in left): i for i in tight}
@@ -69,7 +70,7 @@ def render_off(body, path=None) -> str:
     P = _as_polytope(body)
     if P.dim != 3 or not P.is_full_dimensional():
         raise DimensionDeficiencyError("OFF rendering needs a full-dimensional 3-polytope")
-    faces = [_facet_cycle(P, normal, offset) for normal, offset in P.facets]
+    faces = [_facet_cycle(P, normal, mask) for (normal, _), mask in zip(P.facets, P._tight)]
     edges = set()
     for face in faces:
         for a, b in zip(face, face[1:] + face[:1]):

@@ -61,7 +61,7 @@ from math import gcd
 from operator import mul
 from typing import NamedTuple
 
-from .errors import (DimensionMismatchError, EmptySectionError, RankDeficientError,
+from .errors import (DimensionDeficiencyError, DimensionMismatchError, EmptySectionError,
                      UnpairedSegmentError)
 from .geometry import Polytope, _vector, hrep_polytope
 from .intmat import (
@@ -216,14 +216,10 @@ class Zonotope:
         """{generator: its `pack` code in radix R = `_radix`}."""
         return {g: pack(g, self._radix) for g in self.generators}
 
-    def _centre(self, code):
-        """The point whose packed code is `code`."""
-        return unpack([code], self._radix, self.dim)[0]
-
     @cached_property
     def _faces(self):
         """{code: dimension} of every proper face, keyed by the packed code of
-        its centre (`_codes`, `_centre`)."""
+        its centre (`_codes`)."""
         return _flat_faces(self.generators, self.dim, self._codes, {},
                            [(row.shift, row.tight) for row in self.facet_table])
 
@@ -291,10 +287,9 @@ def _minors(vectors, r):
 def _face_split(pairings, gens, codes):
     """(t_u, T_u) for a functional u with pairings[i] = <u, gens[i]> (read in
     any chart that keeps their signs): t_u = sum sign(pairings[i]) gens[i]
-    over the nonzero pairings, summed as `codes[g]` per generator (a packed
-    code, or any other additive image such as one coordinate), and T_u the
-    tuple of gens[i] whose pairing is zero.  The face of Z(gens) that
-    maximises u is t_u + Z(T_u)."""
+    over the nonzero pairings, as the sum of the packed codes `codes[g]`,
+    and T_u the tuple of gens[i] whose pairing is zero.  The face of
+    Z(gens) that maximises u is t_u + Z(T_u)."""
     shift = 0
     tight = []
     for g, s in zip(gens, pairings):
@@ -425,7 +420,7 @@ def facet_polytope(Z: Zonotope, axis: int) -> FacetSlice:
     """
     e = _axis_unit(Z, axis)
     shift, _ = _face_split([dot(e, g) for g in Z.generators], Z.generators, Z._codes)
-    t = Z._centre(shift)
+    (t,) = unpack([shift], Z._radix, Z.dim)
     face = hyperplane_section(Z, axis, t[axis]).translate(vneg(t[:axis] + t[axis + 1:]))
     return FacetSlice(face, t, face.is_full_dimensional())
 
@@ -436,8 +431,8 @@ def hyperplane_section(Z: Zonotope, axis: int, level) -> Polytope:
     Only the facets that meet the hyperplane H = {x[axis] = level} are cut.
     The facet with normal u is t_u + Z(T_u) (`facet_table`), so along the
     axis it spans t_u[axis] +- r_u with r_u = sum_{g in T_u} |g[axis]|, and
-    the facet with normal -u spans -t_u[axis] +- r_u; t_u[axis] is read as
-    sum_i sign(<u, v_i>) v_i[axis] from the table's pairings.  The other
+    the facet with normal -u spans -t_u[axis] +- r_u; t_u[axis] is a digit
+    of the row's packed shift, unpacked once for all rows.  The other
     facets' inequalities are redundant on H: |level| <= h puts a point y of
     Z in H, and a point x of H outside Z leaves Z on the segment from y at
     some z in H, through a facet that contains z and so meets H; that
@@ -454,10 +449,10 @@ def hyperplane_section(Z: Zonotope, axis: int, level) -> Polytope:
             f"|level| = {abs(level)} exceeds the support value {h} along axis {axis}")
     # With level = a/q, each test and inequality is scaled by q, so all stay ints.
     a, q = level.numerator, level.denominator
-    coordinate = {g: g[axis] for g in Z.generators}
+    shifts = unpack([row.shift for row in Z.facet_table], Z._radix, Z.dim)
     ineqs = []
-    for row in Z.facet_table:
-        t, _ = _face_split(row.pairings, Z.generators, coordinate)
+    for row, shift in zip(Z.facet_table, shifts):
+        t = shift[axis]
         r = q * sum(abs(g[axis]) for g in row.tight)
         for normal, mid in ((row.normal, t), (vneg(row.normal), -t)):
             if abs(a - q * mid) <= r:
@@ -478,7 +473,7 @@ def homothety_check(P: Polytope, Q: Polytope):
     if P.dim != Q.dim:
         raise DimensionMismatchError("homothety requires equal dimensions")
     if not (P.is_full_dimensional() and Q.is_full_dimensional()):
-        raise RankDeficientError("homothety check requires full-dimensional polytopes")
+        raise DimensionDeficiencyError("homothety check requires full-dimensional polytopes")
     if len(P.vertices) != len(Q.vertices):
         return None
     (p0, *_, p1), (q0, *_, q1) = P.vertices, Q.vertices

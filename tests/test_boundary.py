@@ -3,9 +3,11 @@
 import random
 from fractions import Fraction
 from itertools import combinations, product
+from math import lcm
 
 import pytest
 from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from isozono.boundary import (
     brunn_minkowski_certificate,
@@ -15,10 +17,11 @@ from isozono.boundary import (
     zonotope_boundary_identity,
 )
 from isozono.catalog import BUILTIN_NAMES, builtin_graph
-from isozono.errors import DimensionMismatchError, FormatError, ZeroVectorError
+from isozono.errors import (DimensionDeficiencyError, DimensionMismatchError, FormatError,
+                            ZeroVectorError)
 from isozono.geometry import convex_hull, minkowski_sum_segment
 from isozono.intmat import _norm_num, canonical_sign, content, dot
-from isozono.zonotope import build_zonotope, zonotope_of_graph
+from isozono.zonotope import build_zonotope, homothety_check, zonotope_of_graph
 from test_geometry import _scaled_point_sets
 from test_intmat import leibniz_det
 
@@ -83,6 +86,21 @@ def test_sweep_rejects_bad_input():
         directional_sweep(P, (0, 0))
     with pytest.raises(DimensionMismatchError):
         directional_sweep(P, (1, 0, 0))
+
+
+@pytest.mark.parametrize("flat, name", [
+    (convex_hull([(0, 0), (1, 1)]), "linf:2"),
+    (convex_hull([(0, 0, 0), (1, 0, 0), (0, 1, 0)]), "linf:3"),
+], ids=["segment-2d", "triangle-3d"])
+def test_flat_bodies_raise_dimension_deficiency(flat, name):
+    # The sweep, the homothety check and the certificate (through A.volume())
+    # refuse a flat body with the one class for "full-dimensional required".
+    g = builtin_graph(name).graph()
+    for call in (lambda: directional_sweep(flat, g.generators[0]),
+                 lambda: homothety_check(flat, zonotope_of_graph(g).polytope()),
+                 lambda: brunn_minkowski_certificate(flat, g)):
+        with pytest.raises(DimensionDeficiencyError):
+            call()
 
 
 _LEGS_2 = convex_hull([(0, 0), (2, 0), (0, 2)])
@@ -239,3 +257,42 @@ def test_probe_3d_matches_zonotope_determinant_sum():
     expected = sum(abs(leibniz_det(list(S))) for S in combinations(gens, 3))
     assert row.volume == expected
     assert row.quotient == expected - A.volume()
+
+
+def _cleared_probe(A, graph, eps):
+    """(vol(A + eps Z), its difference quotient) with every denominator
+    cleared first: A scaled by m, the lcm of eps's and the vertices'
+    denominators, the segments +-(m eps) v added on integer vertices, and
+    the volume divided by m^n.  The oracle for `finite_difference_probe`,
+    which adds +-eps v to A as it is."""
+    m = lcm(eps.denominator, *(Fraction(c).denominator for v in A.vertices for c in v))
+    Q = A.scale(m)
+    k = int(m * eps)
+    for v in graph.generators:
+        Q = minkowski_sum_segment(Q, tuple(-k * c for c in v), tuple(k * c for c in v))
+    vol = Fraction(Q.volume(), m ** A.dim)
+    return vol, (vol - Fraction(A.volume())) / eps
+
+
+@st.composite
+def _rational_probe_cases(draw):
+    """(A, graph, eps): a full-dimensional hull of 3 to 7 points of
+    (1/q)Z^dim, dim 2 or 3 and q in 2..6, a builtin graph of that dimension,
+    and eps = a/b with a in 1..6 and b in 1..5."""
+    dim = draw(st.integers(2, 3))
+    q = draw(st.integers(2, 6))
+    points = draw(st.lists(st.tuples(*[st.integers(-4, 4)] * dim), min_size=dim + 1, max_size=7))
+    A = convex_hull([tuple(Fraction(a, q) for a in p) for p in points])
+    assume(A.is_full_dimensional())
+    name = draw(st.sampled_from([n for n in BUILTIN_NAMES if builtin_graph(n).graph().dim == dim]))
+    eps = Fraction(draw(st.integers(1, 6)), draw(st.integers(1, 5)))
+    return A, builtin_graph(name).graph(), eps
+
+
+@settings(max_examples=40, deadline=None)
+@given(_rational_probe_cases())
+def test_probe_rows_match_the_cleared_denominator_route(case):
+    A, graph, eps = case
+    (row,) = finite_difference_probe(A, graph, [eps])
+    assert row.epsilon == eps
+    assert repr((row.volume, row.quotient)) == repr(_cleared_probe(A, graph, eps))

@@ -1,5 +1,6 @@
 """SVG and OFF emission."""
 
+import random
 import re
 from fractions import Fraction
 
@@ -7,11 +8,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from isozono.catalog import builtin_graph
+from isozono.catalog import BUILTIN_NAMES, builtin_graph
 from isozono.errors import DimensionDeficiencyError
-from isozono.geometry import convex_hull
-from isozono.intmat import dot, vsub
+from isozono.geometry import _monotone_chain, convex_hull
+from isozono.intmat import det, dot, kernel_chart, vsub
 from isozono.render import render_off, render_polytope, render_svg
+from isozono.zonotope import hyperplane_section
 
 
 def test_svg_octagon_structure(tmp_path):
@@ -101,6 +103,57 @@ def test_off_faces_point_outward_on_rational_hulls(points, denominator):
     P = convex_hull([tuple(Fraction(a, denominator) for a in p) for p in points])
     assume(P.is_full_dimensional())
     _assert_faces_point_outward(P)
+
+
+def _scan_facet_cycle(P, normal, offset):
+    """A facet's vertex indices from a vertex x facet scan, then cyclically
+    ordered and outward-oriented in the facet's chart."""
+    tight = [i for i, v in enumerate(P.vertices) if dot(normal, v) == offset]
+    basis, left = kernel_chart([normal], P.dim)
+    base = P.vertices[tight[0]]
+    chart = {tuple(dot(l, vsub(P.vertices[i], base)) for l in left): i for i in tight}
+    ordered = _monotone_chain(chart)
+    if det([list(basis[0]), list(basis[1]), list(normal)]) < 0:
+        ordered = ordered[::-1]
+    return [chart[y] for y in ordered]
+
+
+def _scan_off(P):
+    """The OFF text with each face's vertices found by the scan: the oracle
+    for `render_off`, which reads them off the incidence masks."""
+    faces = [_scan_facet_cycle(P, normal, offset) for normal, offset in P.facets]
+    edges = {frozenset(e) for face in faces for e in zip(face, face[1:] + face[:1])}
+    lines = ["OFF", f"{len(P.vertices)} {len(faces)} {len(edges)}"]
+    lines += [" ".join(f"{float(c):.12g}" for c in v) for v in P.vertices]
+    lines += [f"{len(face)} " + " ".join(map(str, face)) for face in faces]
+    return "\n".join(lines) + "\n"
+
+
+def _seeded_hulls():
+    """Ten full-dimensional 3-D hulls of 5 to 14 points, seeds 0..9; odd
+    seeds put the points in (1/q)Z^3 for q in 2..5."""
+    hulls = []
+    for seed in range(10):
+        rng = random.Random(seed)
+        q = 1 if seed % 2 == 0 else rng.randint(2, 5)
+        while True:
+            P = convex_hull([tuple(Fraction(rng.randint(-4, 4), q) for _ in range(3))
+                             for _ in range(rng.randint(5, 14))])
+            if P.is_full_dimensional():
+                hulls.append(P)
+                break
+    return hulls
+
+
+def test_off_faces_match_the_vertex_facet_scan():
+    # Every 3-D builtin zonotope (a hand-built body), a rational section of a
+    # 4-D one (from a double description) and ten seeded hulls, half of them
+    # rational (incidences carried through the 1/D image).
+    bodies = [builtin_graph(name).zonotope().polytope() for name in BUILTIN_NAMES
+              if builtin_graph(name).graph().dim == 3]
+    bodies.append(hyperplane_section(builtin_graph("d4cross").zonotope(), 0, Fraction(1, 2)))
+    for P in bodies + _seeded_hulls():
+        assert render_off(P) == _scan_off(P)
 
 
 def test_off_writes_file(tmp_path):

@@ -16,6 +16,7 @@ from isozono.boundary import brunn_minkowski_certificate
 from isozono.catalog import BUILTIN_NAMES, builtin_graph
 from isozono.errors import (
     AntipodalGeneratorError,
+    DimensionDeficiencyError,
     DimensionMismatchError,
     DuplicateGeneratorError,
     EmptySectionError,
@@ -183,7 +184,8 @@ def test_f_vector_euler_and_structure():
     # mean of a brute scan {v in V : <u, v> = h(u)} of every facet.
     for z in (Z("tri"), Z("linf:3"), Z("l1:4"), Z("d4cross"), FIVE):
         P = z.polytope()
-        centres = {z._centre(c) for c, k in z._faces.items() if k == z.dim - 1}
+        centres = set(intmat.unpack([c for c, k in z._faces.items() if k == z.dim - 1],
+                                    z._radix, z.dim))
         means = set()
         for u, h in P.facets:
             tight = [v for v in P.vertices if dot(u, v) == h]
@@ -300,7 +302,7 @@ def test_face_centres_on_random_generator_sets(z):
     on = [sum(1 << j for j, (u, h) in enumerate(P.facets) if dot(u, v) == h)
           for v in P.vertices]
     for code, k in z._faces.items():
-        c = z._centre(code)
+        (c,) = intmat.unpack([code], z._radix, z.dim)
         through = sum(1 << j for j, (u, h) in enumerate(P.facets) if dot(u, c) == h)
         face = [v for v, m in zip(P.vertices, on) if m & through == through]
         assert tuple(Fraction(sum(x), len(face)) for x in zip(*face)) == c
@@ -718,6 +720,44 @@ def test_hyperplane_section_matches_the_unfiltered_double_description(case):
             want.base, want.basis, want.left, want.body.vertices)
 
 
+def _coordinate_shift(z, row, axis):
+    """t_u[axis] = sum_i sign(<u, v_i>) v_i[axis], summed generator by
+    generator from the row's pairings: the oracle for the digit of the packed
+    shift that `hyperplane_section` reads."""
+    return sum(g[axis] if s > 0 else -g[axis] for g, s in zip(z.generators, row.pairings) if s)
+
+
+def _assert_shift_digits_match_the_coordinate_split(z):
+    shifts = intmat.unpack([row.shift for row in z.facet_table], z._radix, z.dim)
+    for row, shift in zip(z.facet_table, shifts):
+        assert shift == tuple(_coordinate_shift(z, row, axis) for axis in range(z.dim))
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_shift_digits_match_the_coordinate_split_on_builtins(name):
+    _assert_shift_digits_match_the_coordinate_split(Z(name))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_generator_sets())
+def test_shift_digits_match_the_coordinate_split_on_random_generator_sets(z):
+    _assert_shift_digits_match_the_coordinate_split(z)
+
+
+def test_hyperplane_section_splits_no_facet(monkeypatch):
+    # Sections read t_u off the facet table, so once each table is built no
+    # face split runs: with `_face_split` raising, every builtin's sections
+    # at levels 0, 1/2 and h along each axis come out as before.
+    def refuse(*args):
+        raise AssertionError("a facet was split again")
+
+    cases = [(z, axis, level) for z in map(Z, BUILTIN_NAMES) for axis in range(z.dim)
+             for level in (0, Fraction(1, 2), z.support(zonotope._axis_unit(z, axis)))]
+    expected = [(s.vertices, s.facets) for s in (hyperplane_section(*c) for c in cases)]
+    monkeypatch.setattr(zonotope, "_face_split", refuse)
+    assert [(s.vertices, s.facets) for s in (hyperplane_section(*c) for c in cases)] == expected
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(_generator_sets(),
                  st.sampled_from([n for n in BUILTIN_NAMES if n != "linf:4"]).map(Z)))
@@ -745,7 +785,7 @@ def test_facet_table_matches_support_and_the_face_split(z):
         for sign in (1, -1):
             face = [v for v in P.vertices if sign * dot(u, v) == h]
             mean = tuple(Fraction(sign * sum(x), len(face)) for x in zip(*face))
-            assert mean == z._centre(shift)
+            assert [mean] == intmat.unpack([shift], z._radix, z.dim)
     for g in z.generators:
         assert z.sweep(g) == z.sweep(vneg(g))
 
@@ -908,7 +948,7 @@ def test_homothety_check_matches_the_per_axis_oracle(case):
 def test_homothety_check_requires_full_dimensional():
     seg = convex_hull([(0, 0), (1, 1)])
     P = convex_hull([(0, 0), (2, 0), (0, 2), (2, 2)])
-    with pytest.raises(RankDeficientError):
+    with pytest.raises(DimensionDeficiencyError):
         homothety_check(seg, P)
     with pytest.raises(DimensionMismatchError):
         homothety_check(P, convex_hull([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]))
