@@ -187,8 +187,20 @@ def kernel_chart(rows, dim: int):
     (Cohen, A Course in Computational Algebraic Number Theory, 2.4).  The
     chart coordinates of a point x in the span are <l, x> for l in left.
     """
+    return _kernel_eliminate(rows, dim, True)
+
+
+def kernel_basis(rows, dim: int):
+    """The basis half of `kernel_chart`, by the same elimination without
+    the `left` rows."""
+    return _kernel_eliminate(rows, dim, False)[0]
+
+
+def _kernel_eliminate(rows, dim: int, with_left: bool):
+    """(cols, left) of `kernel_chart`'s elimination; left is None unless
+    `with_left`."""
     cols = [tuple(1 if i == j else 0 for i in range(dim)) for j in range(dim)]
-    left = list(cols)
+    left = list(cols) if with_left else None
     for r in rows:
         vals = [dot(r, c) for c in cols]
         pivot = None
@@ -204,18 +216,16 @@ def kernel_chart(rows, dim: int):
             cp, cj = cols[pivot], cols[j]
             cols[pivot] = tuple(x * p + y * q for p, q in zip(cp, cj))
             cols[j] = tuple(a * q - b * p for p, q in zip(cp, cj))
-            lp, lj = left[pivot], left[j]
-            left[pivot] = tuple(a * p + b * q for p, q in zip(lp, lj))
-            left[j] = tuple(x * q - y * p for p, q in zip(lp, lj))
+            if with_left:
+                lp, lj = left[pivot], left[j]
+                left[pivot] = tuple(a * p + b * q for p, q in zip(lp, lj))
+                left[j] = tuple(x * q - y * p for p, q in zip(lp, lj))
             vals[pivot], vals[j] = g, 0
         if pivot is not None:
-            del cols[pivot], left[pivot], vals[pivot]
+            del cols[pivot], vals[pivot]
+            if with_left:
+                del left[pivot]
     return cols, left
-
-
-def kernel_basis(rows, dim: int):
-    """The basis half of `kernel_chart`."""
-    return kernel_chart(rows, dim)[0]
 
 
 def embed(basis, y):

@@ -234,16 +234,25 @@ def _gauge(rows, points, center):
     The key is an int: with D the common denominator of the centre and
     L = lcm h(u), key(p) = max_u |<u, D(p - c)>| (L / h(u)) and E = L D, so
     keys compare as the gauges do.  Each row takes one `dots` pass of D u
-    over the points, in small ints, and only |<D u, p> - <u, D c>| is
-    scaled by L / h(u).
+    over the points, in small ints.  The rows are grouped by offset: within
+    a group the max of |<D u, p> - <u, D c>| is taken unscaled, and only it
+    is scaled by L / h(u), once per group (`linf:4` has 680 rows but 12
+    offsets).
     """
     D = math.lcm(*(c.denominator for c in center))
     dc = tuple(c.numerator * (D // c.denominator) for c in center)
-    L = math.lcm(*(row.offset for row in rows))
-    cols = []
+    groups = {}
     for row in rows:
-        w, k = L // row.offset, dot(row.normal, dc)
-        cols.append([abs(x - k) * w for x in dots(tuple(D * a for a in row.normal), points)])
+        groups.setdefault(row.offset, []).append(row)
+    L = math.lcm(*groups)
+    cols = []
+    for h, group in groups.items():
+        near = []
+        for row in group:
+            k = dot(row.normal, dc)
+            near.append([abs(x - k) for x in dots(tuple(D * a for a in row.normal), points)])
+        w = L // h
+        cols.append([m * w for m in map(max, zip(*near))])
     return list(map(max, zip(*cols))), L * D
 
 

@@ -16,7 +16,9 @@ it: it stays the n-subset determinant sum 2^n sum_S |det S|
 In 4-D that sum computes the six 2 x 2 minors of each generator pair once
 and reads the subset a < b < c < d as the Laplace pairing of pair (a, b)
 with pair (c, d); no (n-1)-subset cross product, and so no weight, enters
-it.  In 3-D and above 4-D it takes one `det` per subset.
+it.  In 3-D and above 4-D it takes one `det` per subset.  The facet table's
+4-D pass also takes each pair's six minors once, but as `cross_nd`'s own
+products (`_minors`), so the two routes still share no arithmetic.
 
 Faces are enumerated over flats, the generator subsets T that contain every
 generator of their span.  Each face of Z(F) = sum_{v in F} [-v, v] is
@@ -24,15 +26,17 @@ t + Z(T) for a flat T of F, and the facet with relative outward normal u is
 t_u + Z(T_u) with T_u the generators orthogonal to u and
 t_u = sum sign(<u, v>) v over the rest; the facet with normal -u is its
 negative.  The centre t of a face lies in its relative interior, so distinct
-faces have distinct centres and one recursion (`_flat_faces`) names every
+faces have distinct centres and one recursion (`_table_faces`) names every
 face by its centre, a signed sum of generators and so an integer point of
 Z^n.  A flat with as many generators as its rank is a parallelepiped, whose
 faces are its signed sums in closed form.  Otherwise the top level takes its
-normals from the facet table, and a lower flat takes them, by the same rule,
-in a chart of coordinates on which it projects injectively.  Every proper
-face lies on a facet and is a face of it, so the union over facets is
-complete: the vertices are the centres of dimension 0, and the f-vector
-counts centres by dimension.  A hyperplane section cuts Z only by the facets
+facets from the facet table, and so does a lower flat T: a row tight on an
+independent (r-1)-subset of T but not on all of T splits T, by the signs of
+its pairings, along a relative facet (the covector view), so below the top
+level no minor, rank or pairing is computed.  Every proper face lies on a
+facet and is a face of it, so the union over facets is complete: the
+vertices are the centres of dimension 0, and the f-vector counts centres by
+dimension.  A hyperplane section cuts Z only by the facets
 that the hyperplane meets, and its vertices and facets are read off one
 double description of those inequalities (`geometry.hrep_polytope`); the
 face that maximises a coordinate is the section at its top level.
@@ -55,16 +59,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from itertools import combinations
 from math import gcd
-from operator import mul
+from operator import and_, mul
 from typing import NamedTuple
 
 from .errors import (DimensionDeficiencyError, DimensionMismatchError, EmptySectionError,
                      UnpairedSegmentError)
 from .geometry import Polytope, _vector, hrep_polytope
 from .intmat import (
+    _bit_indices,
     _norm_num,
     _rational,
     abs_det_sum,
@@ -75,7 +80,6 @@ from .intmat import (
     det,
     dot,
     dots,
-    independent_rows,
     int_point,
     kernel_basis,
     pack,
@@ -220,8 +224,7 @@ class Zonotope:
     def _faces(self):
         """{code: dimension} of every proper face, keyed by the packed code of
         its centre (`_codes`)."""
-        return _flat_faces(self.generators, self.dim, self._codes, {},
-                           [(row.shift, row.tight) for row in self.facet_table])
+        return _table_faces(self.facet_table, self._codes, self.dim)
 
     def polytope(self) -> Polytope:
         return self._polytope
@@ -276,12 +279,33 @@ def build_zonotope_from_segments(dim: int, segment_vectors) -> Zonotope:
 
 def _minors(vectors, r):
     """(u, w) for each (r-1)-subset S of the r-vectors with cross_nd(S) = w * u
-    nonzero, u canonical and primitive, w > 0."""
-    for sub in combinations(vectors, r - 1):
-        c = cross_nd(sub, r)
-        w = content(c)
-        if w:
-            yield canonical_sign(tuple(a // w for a in c)), w
+    nonzero, u canonical and primitive, w > 0.
+
+    In 4-D the subset a < b < c is read as a over the pair (b, c): the six
+    2 x 2 minors of b and c, `cross_nd`'s own products, are computed once per
+    pair and the gcd and the sign are taken inline.  The subsets come in
+    another order than `combinations`, which no caller depends on."""
+    if r != 4:
+        for sub in combinations(vectors, r - 1):
+            c = cross_nd(sub, r)
+            w = content(c)
+            if w:
+                yield canonical_sign(tuple(a // w for a in c)), w
+        return
+    for j, (b0, b1, b2, b3) in enumerate(vectors):
+        for c0, c1, c2, c3 in vectors[j + 1:]:
+            m01, m02, m03 = b0 * c1 - b1 * c0, b0 * c2 - b2 * c0, b0 * c3 - b3 * c0
+            m12, m13, m23 = b1 * c2 - b2 * c1, b1 * c3 - b3 * c1, b2 * c3 - b3 * c2
+            for a0, a1, a2, a3 in vectors[:j]:
+                x0 = a1 * m23 - a2 * m13 + a3 * m12
+                x1 = -a0 * m23 + a2 * m03 - a3 * m02
+                x2 = a0 * m13 - a1 * m03 + a3 * m01
+                x3 = -a0 * m12 + a1 * m02 - a2 * m01
+                w = gcd(x0, x1, x2, x3)
+                if w:
+                    if (x0 or x1 or x2 or x3) < 0:  # the first nonzero entry
+                        w = -w
+                    yield (x0 // w, x1 // w, x2 // w, x3 // w), abs(w)
 
 
 def _face_split(pairings, gens, codes):
@@ -302,63 +326,108 @@ def _face_split(pairings, gens, codes):
     return shift, tuple(tight)
 
 
-def _flat_faces(flat, rank, codes, memo, splits=None):
-    """{code: dimension} of every proper face of Z(flat), a flat of the given
-    rank, keyed by the packed code of its centre in Z^n (`codes[g]` per
-    generator; codes add like vectors).
+def _parallelepiped_faces(codes):
+    """{code: dimension} of the proper faces of the parallelepiped
+    sum_i [-v_i, v_i] with code(v_i) = codes[i]: the 3^r - 1 signed sums
+    sum e_i v_i, e in {-1, 0, 1}^r other than 0, of dimension #{i : e_i = 0}."""
+    faces = {0: 0}  # {sum e_i code(v_i): #{i : e_i = 0}} over the prefix
+    for c in codes:
+        faces = {p: j for q, k in faces.items()
+                 for p, j in ((q + c, k), (q - c, k), (q, k + 1))}
+    del faces[0]
+    return faces
 
-    A flat with as many generators as its rank is a parallelepiped: its
-    proper faces are the 3^r - 1 signed sums sum e_i v_i, e in {-1, 0, 1}^r
-    other than 0, of dimension #{i : e_i = 0}.  That covers every rank-1
-    flat and, for generators in general position, every facet.
 
-    A larger flat takes one split (t_u, T_u) per relative facet normal u
-    (`_face_split`).  At the top level, where the flat has rank n, the
-    caller passes them as `splits`, read off the facet table.  A lower flat
-    of rank r is read in the first r coordinates on which a basis of its
-    span (`independent_rows`) has a nonzero r x r minor.  That projection is
-    a linear isomorphism of span(flat), so it keeps the sign of every
-    pairing with a generator and with it every face; the normals are the
-    canonical cross_nd of the projected (r-1)-subsets.  The generators tight
-    on a relative facet normal u span u's orthogonal complement in the flat,
-    so each facet's flat has rank r - 1.  Centres are sums of signed ambient
-    generators, so nothing is mapped back: a shift is an int add and a
-    reflection an int negation.
-
-    A flat's faces depend on its generators alone, and a flat of rank r <= n-2
-    is shared by the facets that meet in it, so `memo` (one per top-level
-    call) keeps those, keyed by the generator tuple: a flat is fixed by its
-    generators, and every parent lists them in top-level order.  Facets
-    (rank n-1) are distinct per normal and each is read once, so keeping
-    them would only hold memory.
-    """
-    if len(flat) == rank:
-        faces = {0: 0}  # {sum e_i code(v_i): #{i : e_i = 0}} over the prefix
-        for g in flat:
-            c = codes[g]
-            faces = {p: j for q, k in faces.items()
-                     for p, j in ((q + c, k), (q - c, k), (q, k + 1))}
-        del faces[0]
-        return faces
-    n = len(flat[0])
-    if splits is None:
-        if flat in memo:
-            return memo[flat]
-        basis = [flat[i] for i in independent_rows(flat, n)]
-        coords = next(c for c in combinations(range(n), rank)
-                      if det([[b[i] for i in c] for b in basis]))
-        chart = [tuple(g[i] for i in coords) for g in flat]
-        splits = [_face_split(dots(u, chart), flat, codes)
-                  for u in dict.fromkeys(u for u, _ in _minors(chart, rank))]
+def _with_facets(splits, rank):
+    """{code: dimension} of the proper faces of a flat of the given rank from
+    one (t, faces of Z(T)) per relative facet pair +-(t + Z(T)): each facet
+    and its negative, and the faces of each shifted by its centre."""
     faces = {}
-    for shift, tight in splits:
+    for shift, sub in splits:
         faces[shift] = faces[-shift] = rank - 1
-        for c, k in _flat_faces(tight, rank - 1, codes, memo).items():
+        for c, k in sub.items():
             p = shift + c
             faces[p] = faces[-p] = k
-    if rank <= n - 2:
-        memo[flat] = faces
     return faces
+
+
+def _table_faces(rows, codes, n):
+    """{code: dimension} of every proper face of the zonotope with the facet
+    table `rows` and the packed generator codes `codes` ({generator: code},
+    in generator order), keyed by the packed code of its centre.
+
+    Z's facets are the rows' t_u + Z(T_u) and their negatives.  When every
+    T_u has n - 1 generators, every facet is a parallelepiped and takes the
+    closed form (`_parallelepiped_faces`); nothing else is set up.
+
+    Otherwise every flat is read off the table.  A flat T is a bitmask of
+    generators; row j keeps the mask tight[j] of its T_u, and generator i
+    the mask on[i] of the rows tight on it.  Let T have rank r and S be an
+    independent (r-1)-subset of T.  Some row u'' is tight on S but not on
+    all of T (the AND of on[i] over S without the AND over T): S and
+    generators outside span T extend to n - 1 independent generators, whose
+    span is a hyperplane, so its normal is a row; it is tight on S, and not
+    on T, which with those generators spans R^n.  (So every rank r - 1
+    flat of T is T's meet with a coatom that does not contain T.)  The
+    projection of u'' onto span T is orthogonal to S, so it lies on the line
+    of the relative normal w of span S in span T, and it is nonzero, as u''
+    is not tight on T: on T, <u'', g> = beta <w, g> with beta != 0.  The
+    signs of row j's pairings on T therefore give the relative facet pair
+    +-(t + Z(T')) of span S, with T' = T & tight[j] and t the signed sum of
+    T minus T'.  A dependent S can pick a row whose T & tight[j] is a lower
+    face's flat, which lies in a facet's flat, so only the maximal masks
+    are kept; for r <= 3 every (r-1)-subset is independent (no two
+    generators are parallel) and the filter is skipped.  Every proper face
+    lies on a facet and is a face of it, so the faces of T are its facets
+    and theirs (`_with_facets`): below the top level nothing takes a minor,
+    a rank or a pairing.
+
+    A flat of rank r <= n - 2 is shared by the facets that meet in it, so
+    each one's faces are kept by mask, parallelepipeds included, for the
+    rest of the call; the facets are distinct per row and each is read once.
+    """
+    if all(len(row.tight) == n - 1 for row in rows):
+        return _with_facets(((row.shift, _parallelepiped_faces([codes[g] for g in row.tight]))
+                             for row in rows), n)
+    packed = list(codes.values())  # in generator order, as the pairings
+    tight = [sum(1 << i for i, p in enumerate(row.pairings) if not p) for row in rows]
+    on = [0] * len(packed)
+    for j, mask in enumerate(tight):
+        for i in _bit_indices(mask):
+            on[i] |= 1 << j
+    memo = {}
+
+    def faces_of(T, r):
+        """{code: dimension} of the proper faces of Z(T), T of rank r."""
+        flat = list(_bit_indices(T))
+        if len(flat) == r:
+            return _parallelepiped_faces([packed[i] for i in flat])
+        masks = [on[i] for i in flat]
+        outside = ~reduce(and_, masks)  # the rows not tight on all of T
+        picked = {}  # {T': a row j with T' = T & tight[j]}
+        for S in combinations(masks, r - 1):
+            rows_on_S = reduce(and_, S) & outside
+            if rows_on_S:
+                j = (rows_on_S & -rows_on_S).bit_length() - 1
+                picked.setdefault(T & tight[j], j)
+        if r > 3:
+            picked = {m: j for m, j in picked.items()
+                      if not any(m & o == m != o for o in picked)}
+        splits = []
+        for sub, j in picked.items():
+            pairings = rows[j].pairings
+            shift = sum(packed[i] if pairings[i] > 0 else -packed[i] for i in flat if pairings[i])
+            splits.append((shift, lower(sub, r - 1)))
+        return _with_facets(splits, r)
+
+    def lower(T, r):
+        faces = memo.get(T)
+        if faces is None:
+            faces = memo[T] = faces_of(T, r)
+        return faces
+
+    return _with_facets(((row.shift, faces_of(mask, n - 1))
+                         for row, mask in zip(rows, tight)), n)
 
 
 # -- face counting -----------------------------------------------------------

@@ -4,7 +4,7 @@ import random
 import time
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import comb, gcd
+from math import comb, factorial, gcd
 from operator import mul
 
 import pytest
@@ -27,7 +27,7 @@ from isozono.errors import (
 )
 from isozono.geometry import _hrep_rays, convex_hull
 from isozono.intmat import (_bit_indices, _norm_num, canonical_sign, det, dot, independent_rows,
-                            primitive_part, rank, vadd, vneg)
+                            primitive_part, rank, vadd, vneg, vsub)
 from isozono.plgraph import PLGraph, canonicalize_generators
 from isozono.zonotope import (
     FVector,
@@ -365,6 +365,68 @@ def test_f_vector_of_generic_sets_matches_the_general_position_formula(z):
 def test_faces_match_the_chart_route(z):
     normals = [row.normal for row in z.facet_table]
     assert z._faces == _chart_faces(z.generators, z.dim, normals, z._codes)
+
+
+@st.composite
+def _sign_sets(draw):
+    """Degenerate 3-D to 5-D generator sets with entries in {-1, 0, 1}: many
+    lower flats hold more generators than their rank, and from 5-D on some
+    hold dependent triples, whose rows can pick a lower face than a facet."""
+    n = draw(st.sampled_from((3, 4, 5)))
+    vec = st.tuples(*[st.integers(-1, 1)] * n).filter(any)
+    gens = {canonical_sign(v) for v in draw(st.lists(vec, min_size=n + 1, max_size=n + 5))}
+    assume(rank(list(gens), n) == n)
+    return build_zonotope(n, gens)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_sign_sets())
+def test_faces_of_sign_sets_match_the_chart_route(z):
+    normals = [row.normal for row in z.facet_table]
+    assert z._faces == _chart_faces(z.generators, z.dim, normals, z._codes)
+
+
+def _stirling2(m, j):
+    """S(m, j), the partitions of an m-set into j blocks."""
+    row = [1] + [0] * j  # S(0, .)
+    for i in range(1, m + 1):
+        row = [0] + [row[b - 1] + b * row[b] for b in range(1, j + 1)]
+    return row[j]
+
+
+def _b_n_f_vector(n):
+    """f_k = sum |W| / |W_J| over the k-subsets J of the B_n diagram's nodes,
+    node n - 1 the short root: a run of m nodes in J is a parabolic factor
+    of type B_m, of order 2^m m!, when it ends at node n - 1, and of type
+    A_m, of order (m + 1)!, otherwise."""
+    counts = [0] * n
+    for J in range((1 << n) - 1):  # every subset but the whole diagram
+        order, run = 1, 0
+        for i in range(n + 1):
+            if i < n and J >> i & 1:
+                run += 1
+                continue
+            order *= 2 ** run * factorial(run) if i == n else factorial(run + 1)
+            run = 0
+        counts[bin(J).count("1")] += 2 ** n * factorial(n) // order
+    return tuple(counts)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_f_vector_of_a_n_counts_ordered_set_partitions(n):
+    # The interval vectors 1_[i..j] span the permutohedron: its k-faces are
+    # the ordered partitions of {0, ..., n} into n + 1 - k blocks.
+    z = build_zonotope(n, [tuple(int(i <= c <= j) for c in range(n))
+                           for i in range(n) for j in range(i, n)])
+    assert tuple(f_vector(z)) == tuple(factorial(n + 1 - k) * _stirling2(n + 1, n + 1 - k)
+                                       for k in range(n))
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_f_vector_of_b_n_counts_parabolic_cosets(n):
+    e = [tuple(int(i == c) for c in range(n)) for i in range(n)]
+    z = build_zonotope(n, e + [g for a, b in combinations(e, 2) for g in (vadd(a, b), vsub(a, b))])
+    assert tuple(f_vector(z)) == _b_n_f_vector(n)
 
 
 def _packing_edge_cases():
