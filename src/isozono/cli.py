@@ -338,7 +338,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # The reader closed stdout (`| head`): end quietly, nothing left to flush.
+        sys.stdout = None
+        return 141  # 128 + SIGPIPE, as a shell reports a pipe writer ended by it
     except (IsozonoError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -26,13 +26,10 @@ def dot(u, v):
 def dots(u, vectors):
     """[<u, v> for v in vectors]: one fixed u paired with many v.
 
-    For len(u) <= 5 the products are written out, as in the closed forms of
-    `det` and `cross_nd`; longer u take `sum(map(mul, u, v))` per v.  Like
-    `dot`, nothing checks that every v has len(u) entries."""
+    For len(u) from 2 to 5 the products are written out, as in the closed
+    forms of `det` and `cross_nd`; other u take `sum(map(mul, u, v))` per v.
+    Like `dot`, nothing checks that every v has len(u) entries."""
     n = len(u)
-    if n == 1:
-        (a,) = u
-        return [a * x for (x,) in vectors]
     if n == 2:
         a, b = u
         return [a * x + b * y for x, y in vectors]
@@ -350,7 +347,7 @@ def cross_nd(vectors, dim: int):
 
     Orthogonal to every input row; zero iff the rows are linearly dependent.
     Generalizes the 3D cross product.  In 3-D it is that product; in 4-D the
-    six 2 x 2 minors of the last two rows are combined with the first row.
+    last two rows' six 2 x 2 minors (`_pair_minors`) meet the first row.
     """
     if len(vectors) != dim - 1:
         raise DimensionMismatchError(
@@ -359,9 +356,8 @@ def cross_nd(vectors, dim: int):
         (a0, a1, a2), (b0, b1, b2) = vectors
         return (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
     if dim == 4:
-        (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3) = vectors
-        m01, m02, m03 = b0 * c1 - b1 * c0, b0 * c2 - b2 * c0, b0 * c3 - b3 * c0
-        m12, m13, m23 = b1 * c2 - b2 * c1, b1 * c3 - b3 * c1, b2 * c3 - b3 * c2
+        (a0, a1, a2, a3), b, c = vectors
+        m01, m02, m03, m12, m13, m23 = _pair_minors(b, c)
         return (a1 * m23 - a2 * m13 + a3 * m12,
                 -a0 * m23 + a2 * m03 - a3 * m02,
                 a0 * m13 - a1 * m03 + a3 * m01,

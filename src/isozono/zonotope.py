@@ -8,17 +8,17 @@ to the weight w(u) (Ziegler, Lectures on Polytopes, Lecture 7).  The u are
 the facet normals, one row per pair of opposite facets; the row also holds
 the pairings <u, v_i>, computed once, and what they fix: the offset
 h(u) = sum_i |<u, v_i>|, the packed centre shift t_u and the tight
-generators T_u (below).  The H-representation, the face recursion, the
+generators T_u (below) as a bitmask; bit i, pairing i and code i (`_codes`)
+are all generator v_i's.  The H-representation, the face recursion, the
 sweeps 2^(n-1) sum_u w(u) |<u, v>|, the table of flats and the hyperplane
-sections all read that one table.  The volume is not read off
-it: it stays the n-subset determinant sum 2^n sum_S |det S|
-(`intmat.abs_det_sum`), so b(Z) = n vol(Z) compares two independent routes.
-In 4-D that sum computes the six 2 x 2 minors of each generator pair once
-and reads the subset a < b < c < d as the Laplace pairing of pair (a, b)
-with pair (c, d); no (n-1)-subset cross product, and so no weight, enters
-it.  In 3-D and above 4-D it takes one `det` per subset.  The facet table's
-4-D pass also takes each pair's six minors once, but as `cross_nd`'s own
-products (`_minors`), so the two routes still share no arithmetic.
+sections all read that one table.  The volume is not read off it: it is the
+n-subset sum 2^n sum_S |det S| (`intmat.abs_det_sum`), so b(Z) = n vol(Z)
+compares two independent routes.  In 4-D that sum computes the six 2 x 2
+minors of each generator pair once and reads the subset a < b < c < d as
+the Laplace pairing of pair (a, b) with pair (c, d); no (n-1)-subset cross
+product, and so no weight, enters it.  In 3-D and above 4-D it takes one
+`det` per subset.  The facet table's 4-D pass takes each pair's six minors
+once too, in products of its own (`_minors`): the routes share no arithmetic.
 
 Faces are enumerated over flats, the generator subsets T that contain every
 generator of their span.  Each face of Z(F) = sum_{v in F} [-v, v] is
@@ -96,7 +96,7 @@ class FacetRow(NamedTuple):
     pairings: tuple  # <u, v_i> for each generator v_i, in generator order
     offset: int      # h(u) = sum_i |<u, v_i>|
     shift: int       # packed code of t_u = sum_i sign(<u, v_i>) v_i
-    tight: tuple     # T_u, the generators with <u, v_i> = 0
+    tight: int       # T_u as a bitmask: bit i is set iff <u, v_i> = 0
     weight: int      # w(u) = sum |w_S| over the (n-1)-subsets S with cross_nd(S) = w_S * u
 
 
@@ -201,11 +201,10 @@ class Zonotope:
         weights = {}
         for u, w in _minors(self.generators, self.dim):
             weights[u] = weights.get(u, 0) + w
-        gens, codes = self.generators, self._codes
         table = []
         for u, w in sorted(weights.items()):
-            row = tuple(dots(u, gens))
-            table.append(FacetRow(u, row, sum(map(abs, row)), *_face_split(row, gens, codes), w))
+            row = tuple(dots(u, self.generators))
+            table.append(FacetRow(u, row, sum(map(abs, row)), *_face_split(row, self._codes), w))
         return tuple(table)
 
     @cached_property
@@ -217,8 +216,8 @@ class Zonotope:
 
     @cached_property
     def _codes(self):
-        """{generator: its `pack` code in radix R = `_radix`}."""
-        return {g: pack(g, self._radix) for g in self.generators}
+        """[the `pack` code of v_i in radix R = `_radix`], in generator order."""
+        return [pack(g, self._radix) for g in self.generators]
 
     @cached_property
     def _faces(self):
@@ -282,9 +281,9 @@ def _minors(vectors, r):
     nonzero, u canonical and primitive, w > 0.
 
     In 4-D the subset a < b < c is read as a over the pair (b, c): the six
-    2 x 2 minors of b and c, `cross_nd`'s own products, are computed once per
-    pair and the gcd and the sign are taken inline.  The subsets come in
-    another order than `combinations`, which no caller depends on."""
+    2 x 2 minors of b and c, apart from `intmat._pair_minors`, are computed
+    once per pair, the gcd and the sign inline.  The subsets come in another
+    order than `combinations`, which no caller depends on."""
     if r != 4:
         for sub in combinations(vectors, r - 1):
             c = cross_nd(sub, r)
@@ -308,30 +307,30 @@ def _minors(vectors, r):
                     yield (x0 // w, x1 // w, x2 // w, x3 // w), abs(w)
 
 
-def _face_split(pairings, gens, codes):
-    """(t_u, T_u) for a functional u with pairings[i] = <u, gens[i]> (read in
-    any chart that keeps their signs): t_u = sum sign(pairings[i]) gens[i]
-    over the nonzero pairings, as the sum of the packed codes `codes[g]`,
-    and T_u the tuple of gens[i] whose pairing is zero.  The face of
-    Z(gens) that maximises u is t_u + Z(T_u)."""
-    shift = 0
-    tight = []
-    for g, s in zip(gens, pairings):
+def _face_split(pairings, codes):
+    """(t_u, T_u) for a functional u with pairings[i] = <u, v_i>, where
+    codes[i] is the packed code of v_i: t_u = sum sign(pairings[i]) v_i over
+    the nonzero pairings, as a sum of codes, and T_u the bitmask of the i
+    whose pairing is zero.  The face of Z that maximises u is t_u + Z(T_u)."""
+    shift = tight = 0
+    for i, (s, c) in enumerate(zip(pairings, codes)):
         if s == 0:
-            tight.append(g)
+            tight |= 1 << i
         elif s > 0:
-            shift += codes[g]
+            shift += c
         else:
-            shift -= codes[g]
-    return shift, tuple(tight)
+            shift -= c
+    return shift, tight
 
 
-def _parallelepiped_faces(codes):
-    """{code: dimension} of the proper faces of the parallelepiped
-    sum_i [-v_i, v_i] with code(v_i) = codes[i]: the 3^r - 1 signed sums
-    sum e_i v_i, e in {-1, 0, 1}^r other than 0, of dimension #{i : e_i = 0}."""
-    faces = {0: 0}  # {sum e_i code(v_i): #{i : e_i = 0}} over the prefix
-    for c in codes:
+def _parallelepiped_faces(mask, codes):
+    """{code: dimension} of the proper faces of sum_{i in mask} [-v_i, v_i]:
+    the 3^r - 1 signed sums sum e_i codes[i], e in {-1, 0, 1}^r other than 0,
+    of dimension #{i : e_i = 0}.  The mask's bits are read inline (hot path)."""
+    faces = {0: 0}  # {sum e_i code(v_i): #{i : e_i = 0}} over the bits so far
+    while mask:
+        c = codes[(mask & -mask).bit_length() - 1]
+        mask &= mask - 1
         faces = {p: j for q, k in faces.items()
                  for p, j in ((q + c, k), (q - c, k), (q, k + 1))}
     del faces[0]
@@ -353,17 +352,17 @@ def _with_facets(splits, rank):
 
 def _table_faces(rows, codes, n):
     """{code: dimension} of every proper face of the zonotope with the facet
-    table `rows` and the packed generator codes `codes` ({generator: code},
-    in generator order), keyed by the packed code of its centre.
+    table `rows` and the packed generator codes `codes` (in generator
+    order), keyed by the packed code of its centre.
 
     Z's facets are the rows' t_u + Z(T_u) and their negatives.  When every
     T_u has n - 1 generators, every facet is a parallelepiped and takes the
     closed form (`_parallelepiped_faces`); nothing else is set up.
 
     Otherwise every flat is read off the table.  A flat T is a bitmask of
-    generators; row j keeps the mask tight[j] of its T_u, and generator i
-    the mask on[i] of the rows tight on it.  Let T have rank r and S be an
-    independent (r-1)-subset of T.  Some row u'' is tight on S but not on
+    generators, as is row j's T_u, tight[j] = rows[j].tight; generator i
+    gets the mask on[i] of the rows tight on it.  Let T have rank r and S be
+    an independent (r-1)-subset of T.  Some row u'' is tight on S but not on
     all of T (the AND of on[i] over S without the AND over T): S and
     generators outside span T extend to n - 1 independent generators, whose
     span is a hyperplane, so its normal is a row; it is tight on S, and not
@@ -386,14 +385,12 @@ def _table_faces(rows, codes, n):
     each one's faces are kept by mask, parallelepipeds included, for the
     rest of the call; the facets are distinct per row and each is read once.
     """
-    if all(len(row.tight) == n - 1 for row in rows):
-        return _with_facets(((row.shift, _parallelepiped_faces([codes[g] for g in row.tight]))
+    if all(row.tight.bit_count() == n - 1 for row in rows):
+        return _with_facets(((row.shift, _parallelepiped_faces(row.tight, codes))
                              for row in rows), n)
-    packed = list(codes.values())  # in generator order, as the pairings
-    tight = [sum(1 << i for i, p in enumerate(row.pairings) if not p) for row in rows]
-    on = [0] * len(packed)
-    for j, mask in enumerate(tight):
-        for i in _bit_indices(mask):
+    on = [0] * len(codes)
+    for j, row in enumerate(rows):
+        for i in _bit_indices(row.tight):
             on[i] |= 1 << j
     memo = {}
 
@@ -401,7 +398,7 @@ def _table_faces(rows, codes, n):
         """{code: dimension} of the proper faces of Z(T), T of rank r."""
         flat = list(_bit_indices(T))
         if len(flat) == r:
-            return _parallelepiped_faces([packed[i] for i in flat])
+            return _parallelepiped_faces(T, codes)
         masks = [on[i] for i in flat]
         outside = ~reduce(and_, masks)  # the rows not tight on all of T
         picked = {}  # {T': a row j with T' = T & tight[j]}
@@ -409,14 +406,14 @@ def _table_faces(rows, codes, n):
             rows_on_S = reduce(and_, S) & outside
             if rows_on_S:
                 j = (rows_on_S & -rows_on_S).bit_length() - 1
-                picked.setdefault(T & tight[j], j)
+                picked.setdefault(T & rows[j].tight, j)
         if r > 3:
             picked = {m: j for m, j in picked.items()
                       if not any(m & o == m != o for o in picked)}
         splits = []
         for sub, j in picked.items():
             pairings = rows[j].pairings
-            shift = sum(packed[i] if pairings[i] > 0 else -packed[i] for i in flat if pairings[i])
+            shift = sum(codes[i] if pairings[i] > 0 else -codes[i] for i in flat if pairings[i])
             splits.append((shift, lower(sub, r - 1)))
         return _with_facets(splits, r)
 
@@ -426,8 +423,7 @@ def _table_faces(rows, codes, n):
             faces = memo[T] = faces_of(T, r)
         return faces
 
-    return _with_facets(((row.shift, faces_of(mask, n - 1))
-                         for row, mask in zip(rows, tight)), n)
+    return _with_facets(((row.shift, faces_of(row.tight, n - 1)) for row in rows), n)
 
 
 # -- face counting -----------------------------------------------------------
@@ -487,8 +483,8 @@ def facet_polytope(Z: Zonotope, axis: int) -> FacetSlice:
     coordinate; when those do not span the hyperplane the face is
     lower-dimensional and `is_facet` is False.
     """
-    e = _axis_unit(Z, axis)
-    shift, _ = _face_split([dot(e, g) for g in Z.generators], Z.generators, Z._codes)
+    _axis_unit(Z, axis)  # checks the axis before g[axis] reads it
+    shift, _ = _face_split([g[axis] for g in Z.generators], Z._codes)
     (t,) = unpack([shift], Z._radix, Z.dim)
     face = hyperplane_section(Z, axis, t[axis]).translate(vneg(t[:axis] + t[axis + 1:]))
     return FacetSlice(face, t, face.is_full_dimensional())
@@ -522,7 +518,7 @@ def hyperplane_section(Z: Zonotope, axis: int, level) -> Polytope:
     ineqs = []
     for row, shift in zip(Z.facet_table, shifts):
         t = shift[axis]
-        r = q * sum(abs(g[axis]) for g in row.tight)
+        r = q * sum(abs(Z.generators[i][axis]) for i in _bit_indices(row.tight))
         for normal, mid in ((row.normal, t), (vneg(row.normal), -t)):
             if abs(a - q * mid) <= r:
                 ineqs.append((tuple(q * b for i, b in enumerate(normal) if i != axis),

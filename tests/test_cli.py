@@ -69,6 +69,48 @@ def test_boundary_missing_file_exits_2(capsys, tmp_path):
     assert "error:" in err
 
 
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone: every write raises BrokenPipeError."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_stdout_ends_quietly(capsys, monkeypatch, tmp_path):
+    # `isozono ... | head -1` closes stdout under the writer: that is not an
+    # input error, so no `error:` line and not status 2.  A bad --out path
+    # still is one.
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    assert main(["zonotope", "--graph", "linf:2", "--vertices"]) == 141
+    assert capsys.readouterr().err == ""
+    monkeypatch.undo()
+    code, _, err = run(capsys, "zonotope", "--graph", "linf:2", "--vertices",
+                       "--out", str(tmp_path / "missing" / "z.txt"))
+    assert_one_error_line(code, err)
+
+
+def test_closed_stdout_pipe_ends_quietly_at_exit():
+    # The same through a real pipe whose read end is closed before the
+    # command starts, so its first write fails: nothing reaches stderr, not
+    # even an "Exception ignored" from a flush at interpreter exit.  stdout
+    # is block-buffered, as it is by default on a pipe, so the short output
+    # waits for a flush.
+    src = str(Path(isozono.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.pop("PYTHONUNBUFFERED", None)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "isozono", "zonotope", "--graph", "linf:2", "--vertices"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == b""
+
+
 def test_zonotope_fvector_and_volume(capsys):
     code, out, _ = run(capsys, "zonotope", "--graph", "linf:3", "--fvector")
     assert code == 0

@@ -39,7 +39,7 @@ from isozono.zonotope import (
     hyperplane_section,
     zonotope_of_graph,
 )
-from test_intmat import leibniz_det
+from test_intmat import leibniz_det, signed_minors
 
 OCTAGON = {(3, 1), (1, 3), (-1, 3), (-3, 1), (-3, -1), (-1, -3), (1, -3), (3, -1)}
 
@@ -309,29 +309,36 @@ def test_face_centres_on_random_generator_sets(z):
         assert rank([tuple(a - b for a, b in zip(v, face[0])) for v in face], z.dim) == k
 
 
-def _chart_faces(flat, n, normals, codes):
-    """The face recursion with no closed form: every flat, parallelepipeds
-    included, is read through the relative facet normals of a coordinate
-    chart on which it projects injectively (`zonotope._flat_faces` without
-    its parallelepiped path and its memo)."""
+def _chart_faces(flat, n, code):
+    """{code: dimension} of the proper faces of Z(flat), by a face recursion
+    that shares no helper with `zonotope._table_faces`: every flat,
+    parallelepipeds included, is read in a coordinate chart on which it
+    projects injectively, its relative facet normals are the Leibniz signed
+    minors (`signed_minors`) of its (r-1)-subsets there, and each facet is
+    split by the signs of fresh dot products.  `code` maps a generator to
+    its packed code."""
     if not flat:
         return {}
-    if normals is None:
-        basis = [flat[i] for i in independent_rows(flat, n)]
-        r = len(basis)
-        coords = next(c for c in combinations(range(n), r)
-                      if leibniz_det([[b[i] for i in c] for b in basis]))
-        chart = [tuple(g[i] for i in coords) for g in flat]
-        normals = dict.fromkeys(u for u, _ in zonotope._minors(chart, r))
-    else:
-        r, chart = n, flat
+    basis = [flat[i] for i in independent_rows(flat, n)]
+    r = len(basis)
+    coords = next(c for c in combinations(range(n), r)
+                  if leibniz_det([[b[i] for i in c] for b in basis]))
+    chart = [tuple(g[i] for i in coords) for g in flat]
+    normals = {canonical_sign(primitive_part(m))
+               for m in (signed_minors(S, r) for S in combinations(chart, r - 1)) if any(m)}
     faces = {}
     for u in normals:
-        shift, tight = zonotope._face_split([dot(u, p) for p in chart], flat, codes)
+        pairings = [dot(u, p) for p in chart]
+        shift = sum(code[g] if s > 0 else -code[g] for g, s in zip(flat, pairings) if s)
         faces[shift] = faces[-shift] = r - 1
-        for c, k in _chart_faces(tuple(tight), n, None, codes).items():
+        tight = tuple(g for g, s in zip(flat, pairings) if s == 0)
+        for c, k in _chart_faces(tight, n, code).items():
             faces[shift + c] = faces[-shift - c] = k
     return faces
+
+
+def _assert_faces_match_the_chart_route(z):
+    assert z._faces == _chart_faces(z.generators, z.dim, dict(zip(z.generators, z._codes)))
 
 
 @st.composite
@@ -363,8 +370,7 @@ def test_f_vector_of_generic_sets_matches_the_general_position_formula(z):
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(_generator_sets(), _generic_sets()))
 def test_faces_match_the_chart_route(z):
-    normals = [row.normal for row in z.facet_table]
-    assert z._faces == _chart_faces(z.generators, z.dim, normals, z._codes)
+    _assert_faces_match_the_chart_route(z)
 
 
 @st.composite
@@ -382,8 +388,7 @@ def _sign_sets(draw):
 @settings(max_examples=80, deadline=None)
 @given(_sign_sets())
 def test_faces_of_sign_sets_match_the_chart_route(z):
-    normals = [row.normal for row in z.facet_table]
-    assert z._faces == _chart_faces(z.generators, z.dim, normals, z._codes)
+    _assert_faces_match_the_chart_route(z)
 
 
 def _stirling2(m, j):
@@ -821,11 +826,13 @@ def test_hyperplane_section_splits_no_facet(monkeypatch):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.one_of(_generator_sets(),
+@given(st.one_of(_generator_sets(), _sign_sets(),
                  st.sampled_from([n for n in BUILTIN_NAMES if n != "linf:4"]).map(Z)))
 def test_facet_table_matches_support_and_the_face_split(z):
     # Each row against the support function, the face split of freshly
-    # computed pairings, and the facet pair itself: t_u is the vertex mean
+    # computed pairings, T_u against the bitmask of the generators with
+    # dot(u, v_i) == 0 (the sign sets give 5-D rows whose T_u holds
+    # dependent generators), and the facet pair itself: t_u is the vertex mean
     # of the facet {<u, x> = h(u)} of the built polytope, -t_u that of its
     # opposite.  The weight w(u) is checked by determinants instead of cross
     # products: an (n-1)-subset S has cross_nd(S) = +-w_S u exactly when S
@@ -840,10 +847,11 @@ def test_facet_table_matches_support_and_the_face_split(z):
     for u, pairings, h, shift, tight, weight in z.facet_table:
         assert pairings == tuple(dot(u, g) for g in z.generators)
         assert h == z.support(u)
-        assert (shift, tight) == zonotope._face_split(pairings, z.generators, z._codes)
-        assert tight == tuple(g for g in z.generators if dot(u, g) == 0)
+        assert (shift, tight) == zonotope._face_split(pairings, z._codes)
+        assert tight == sum(1 << i for i, g in enumerate(z.generators) if dot(u, g) == 0)
+        tight_gens = [g for i, g in enumerate(z.generators) if tight >> i & 1]
         assert weight * dot(u, u) == sum(abs(det(list(S) + [u]))
-                                         for S in combinations(tight, z.dim - 1))
+                                         for S in combinations(tight_gens, z.dim - 1))
         for sign in (1, -1):
             face = [v for v in P.vertices if sign * dot(u, v) == h]
             mean = tuple(Fraction(sign * sum(x), len(face)) for x in zip(*face))
